@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cover_tree import ball_size_edge_two_sided, ball_size_vertex, layer_counts
-from .graphs import GraphError, MultiGraph, validate
+from .graphs import GraphError, MultiGraph, bfs, validate
 from .spectral import lambda_ahl
 
 
@@ -40,28 +40,14 @@ def _bfs_tree_edges(h: MultiGraph, root):
 
 
 def _tree_diameter(h: MultiGraph, tree_edges):
+    """Double sweep: in a tree, a vertex farthest from any vertex is an
+    end of a longest path."""
     adj = [[] for _ in range(h.vertex_count)]
     for e in tree_edges:
         adj[h.tail[e]].append(h.head[e])
         adj[h.head[e]].append(h.tail[e])
-
-    def far(s):
-        dist = {s: 0}
-        q = deque([s])
-        last = (s, 0)
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-                    if dist[w] > last[1]:
-                        last = (w, dist[w])
-        return last
-
-    a, _ = far(0)
-    _, d = far(a)
-    return d
+    dist = bfs(adj, 0)
+    return max(bfs(adj, dist.index(max(dist))))
 
 
 def spanning_tree(h: MultiGraph) -> SpanningTreeInfo:

@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from .bounds import bounds_table, table_to_csv
 from .construct import es_construct, greedy_cycle, grow, high_girth_cover
 from .cover_tree import ball_size_vertex
-from .graphs import (GraphError, ParseError, diameter, girth, h23,
-                     parse_graph, serialize_graph)
+from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
+                     h23, parse_graph, serialize_graph)
 from .lifts import parse_cover_map, verify_cover
 from .search import certify_lower_bound, minimum_size
 from .spectral import summarize
@@ -52,11 +52,27 @@ def _write(path, text):
         fh.write(text)
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low (exit 2 otherwise)."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return integer
+
+
 # -- analyze ---------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    gmin = args.gmin if args.g is None else args.g
+    gmax = args.gmax if args.g is None else args.g
+    if not 3 <= gmin <= gmax:
+        raise GraphError(f"girth range needs 3 <= gmin <= gmax, got "
+                         f"{gmin}..{gmax}")
     base = h23() if args.graph is None else _load_graph(args.graph)
     s = summarize(base)
+    rows = bounds_table(base, gmin, gmax)
     print(f"rho        {s.rho:.6f}   ({s.iterations} iterations, "
           f"residual {s.residual:.2e})")
     print(f"Lambda     {s.lam:.6f}")
@@ -68,9 +84,6 @@ def cmd_analyze(args) -> int:
                      for r in range(args.balls + 1)]
             print(f"ball sizes from vertex {v}: "
                   + " ".join(str(x) for x in sizes))
-    gmin = args.g if args.g else args.gmin
-    gmax = args.g if args.g else args.gmax
-    rows = bounds_table(base, gmin, gmax)
     print()
     print(f"{'g':>4} {'moore_raw':>12} {'moore_adj':>12} {'es_bound':>12} "
           f"{'ahl_n0':>14}")
@@ -80,15 +93,15 @@ def cmd_analyze(args) -> int:
               f"{r.ahl_n0:>14.2f}")
     if args.csv:
         _write(args.csv, table_to_csv(rows))
-    if args.plot_data:
-        _write(args.plot_data, table_to_csv(rows))
     return EXIT_OK
 
 
 # -- construct -------------------------------------------------------------
 
 def run_trial(alg, g, n, seed, base_text):
-    """One construction attempt; (size, serialized graph) or None.
+    """One construction attempt; (size, serialized graph), or None when the
+    trial fails (a greedy dead end, or TrialFailed).  Other errors are
+    violated preconditions or invariants and propagate.
 
     Top level so a process pool can dispatch it; the base graph travels
     in serialized form.
@@ -106,7 +119,7 @@ def run_trial(alg, g, n, seed, base_text):
             graph, _ = es_construct(base, g, rng)
         else:
             graph, _ = high_girth_cover(base, g, rng)
-    except GraphError:
+    except TrialFailed:
         return None
     return graph.vertex_count, serialize_graph(graph)
 
@@ -203,10 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, help="single girth value")
     p.add_argument("--gmin", type=int, default=3)
     p.add_argument("--gmax", type=int, default=30)
-    p.add_argument("--balls", type=int, metavar="R",
+    p.add_argument("--balls", type=_int_at_least(0), metavar="R",
                    help="also print universal cover ball sizes up to R")
     p.add_argument("--csv", help="write the bounds table as CSV")
-    p.add_argument("--plot-data", help="write the bound series as CSV")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="randomized constructions")
@@ -215,16 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, help="cycle length for variants a/b/c")
     p.add_argument("--graph", help="base graph file (default: built-in H23)")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", help="write the best graph found")
     p.add_argument("--csv", help="write the summary row as CSV")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="exhaustive search over H23 lifts")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True,
+    p.add_argument("--max-n", type=_int_at_least(1), required=True,
                    help="largest lift height to try")
     p.add_argument("--certify", action="store_true",
                    help="emit a nonexistence certificate line")

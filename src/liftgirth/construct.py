@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .bounds import SpanningTreeInfo, spanning_tree
-from .graphs import (GraphError, MultiGraph, distance, farthest_pair, girth,
-                     h23, k4_minus_edge, validate)
+from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
+                     girth, h23, k4_minus_edge)
 from .lifts import (CoverMap, LiftAssignment, assignment_from_cover,
                     build_lift, half_loop_elimination, normalize_tree_layers,
                     relabel_layers, verify_cover)
@@ -142,7 +142,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng, budget: int = 1000):
                 if phi2 == 0:
                     break
         if best_bits is None:
-            raise GraphError(
+            raise TrialFailed(
                 f"no 2-lift in budget {budget} reduced the census "
                 f"(girth {gamma}, {phi} shortest cycles)")
         ident, swap = (0, 1), (1, 0)
@@ -179,21 +179,10 @@ def _connected_component_cover(g: MultiGraph, h: MultiGraph, m: CoverMap,
                                start: int = 0):
     """Restrict a cover to the component of `start` (a component of a cover
     of a connected base is itself a cover)."""
-    comp = []
-    seen = bytearray(g.vertex_count)
-    seen[start] = 1
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        comp.append(v)
-        for e in g.out_edges(v):
-            w = g.head[e]
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
-    comp.sort()
+    dist = bfs(g.adj, start)
+    comp = [v for v in range(g.vertex_count) if dist[v] >= 0]
     vmap = {v: i for i, v in enumerate(comp)}
-    edges = [e for e in range(g.edge_count) if seen[g.tail[e]]]
+    edges = [e for e in range(g.edge_count) if dist[g.tail[e]] >= 0]
     emap = {e: i for i, e in enumerate(edges)}
     sub = MultiGraph(
         len(comp),
@@ -285,24 +274,6 @@ def es_construct(h: MultiGraph, g: int, rng, budget: int = 1000):
 
 # -- greedy matching on a cycle (variants a/b/c) ---------------------------
 
-def _near_deficient(adj, start, cutoff, deficient):
-    """Deficient vertices within distance < cutoff of start (incl. start)."""
-    dist = {start: 0}
-    q = deque([start])
-    near = {start} if start in deficient else set()
-    while q:
-        v = q.popleft()
-        if dist[v] + 1 >= cutoff:
-            continue
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w in deficient:
-                    near.add(w)
-                q.append(w)
-    return near
-
-
 def greedy_cycle(variant: str, n: int, g: int, rng):
     """Complete the cycle C_n to a cover of the half-loop base by matching
     its even (deficient) vertices, adding only edges whose endpoints are at
@@ -326,8 +297,8 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
     while deficient:
         partners = {}
         for u in sorted(deficient):
-            near = _near_deficient(adj, u, g - 1, deficient)
-            partners[u] = sorted(deficient - near)
+            dist = bfs(adj, u, g - 1)
+            partners[u] = sorted(v for v in deficient if dist[v] < 0)
         if variant == "a":
             pairs = [(u, v) for u, vs in partners.items() for v in vs if u < v]
             if not pairs:
@@ -465,12 +436,6 @@ def _short_cycle_through(g: MultiGraph, e: int) -> float:
     return math.inf
 
 
-def _edge_distance(g: MultiGraph, e: int, f: int) -> int:
-    return min(distance(g, a, b)
-               for a in (g.tail[e], g.head[e])
-               for b in (g.tail[f], g.head[f]))
-
-
 def _pick_max(items, key, rng):
     best = max(key(x) for x in items)
     pool = [x for x in items if key(x) == best]
@@ -499,7 +464,11 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
             on_short = [e for e in uv if _short_cycle_through(graph, e) < g]
             e = on_short[rng.randrange(len(on_short))]
             others = [f for f in uv if f != e]
-            f = _pick_max(others, lambda f: _edge_distance(graph, e, f), rng)
+            da = bfs(graph.adj, graph.tail[e])
+            db = bfs(graph.adj, graph.head[e])
+            f = _pick_max(others, lambda f: min(
+                da[graph.tail[f]], da[graph.head[f]],
+                db[graph.tail[f]], db[graph.head[f]]), rng)
         else:
             profiles = {x: nb_cycle_profile(graph, x, g - 1) for x in uv}
             e = _pick_max(uv, lambda x: profiles[x], rng)
@@ -510,15 +479,15 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
                     else graph.head[x]
 
             others = [f for f in uv if f != e]
-            dmap = {f: distance(graph, v_end(e), v_end(f)) + 3
-                    for f in others}
+            dist = bfs(graph.adj, v_end(e))
+            dmap = {f: dist[v_end(f)] + 3 for f in others}
             if max(dmap.values()) < g:
                 f = _pick_max(others, lambda f: dmap[f], rng)
             else:
                 far = [f for f in others if dmap[f] >= g]
                 f = _pick_max(far, lambda f: profiles[f], rng)
         graph = surgery_transform(graph, e, f)
-    raise GraphError(
+    raise TrialFailed(
         f"max_steps={max_steps} exceeded at girth {girth(graph)}")
 
 

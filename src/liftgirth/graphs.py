@@ -18,17 +18,23 @@ class GraphError(Exception):
 
 
 class ParseError(GraphError):
-    """Malformed graph, lift, or map file."""
+    """Malformed graph or map file."""
+
+
+class TrialFailed(GraphError):
+    """A randomized construction ran out of budget or steps; an expected
+    outcome of one trial, unlike a violated precondition or invariant."""
 
 
 class MultiGraph:
     """Immutable multigraph given by directed edges and an involution.
 
-    Directed edge ``e`` has ``tail[e]``, ``head[e]`` and inverse ``inv[e]``.
+    Directed edge ``e`` has ``tail[e]``, ``head[e]`` and inverse ``inv[e]``;
+    ``adj[v]`` lists the head of every edge out of ``v``, in edge-id order.
     Vertex and edge ids are dense 0-based integers.
     """
 
-    __slots__ = ("vertex_count", "tail", "head", "inv", "_out", "_deg")
+    __slots__ = ("vertex_count", "tail", "head", "inv", "adj", "_out", "_deg")
 
     def __init__(self, vertex_count, tail, head, inv):
         if vertex_count <= 0:
@@ -58,6 +64,7 @@ class MultiGraph:
             out[tail[e]].append(e)
         self._out = tuple(tuple(es) for es in out)
         self._deg = tuple(len(es) for es in out)
+        self.adj = tuple(tuple(head[e] for e in es) for es in out)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -84,9 +91,6 @@ class MultiGraph:
     def undirected_edges(self):
         """One directed representative per undirected edge (the smaller id)."""
         return tuple(e for e in range(self.edge_count) if e <= self.inv[e])
-
-    def neighbors(self, v):
-        return tuple(self.head[e] for e in self._out[v])
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):
@@ -162,61 +166,41 @@ def validate(g: MultiGraph) -> GraphClass:
     )
 
 
+def bfs(adj, source, cutoff=None):
+    """Distances from source over neighbour sequences adj (adj[v] lists
+    the neighbours of v); -1 marks a vertex that is unreached or, when a
+    cutoff >= 1 is given, at distance >= cutoff."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    frontier = [source]
+    d = 1
+    last = len(adj) if cutoff is None else cutoff - 1
+    while frontier and d <= last:
+        reached = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+        d += 1
+    return dist
+
+
 def is_connected(g: MultiGraph) -> bool:
-    seen = bytearray(g.vertex_count)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for e in g.out_edges(v):
-            w = g.head[e]
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.vertex_count
+    return min(bfs(g.adj, 0)) >= 0
 
 
 # -- distances -------------------------------------------------------------
 
 def distance(g: MultiGraph, u, v):
     """Length of the shortest walk from u to v; math.inf if unreachable."""
-    if u == v:
-        return 0
-    dist = [-1] * g.vertex_count
-    dist[u] = 0
-    q = deque([u])
-    while q:
-        w = q.popleft()
-        d = dist[w] + 1
-        for e in g.out_edges(w):
-            x = g.head[e]
-            if dist[x] < 0:
-                if x == v:
-                    return d
-                dist[x] = d
-                q.append(x)
-    return math.inf
-
-
-def _bfs_all(g: MultiGraph, s):
-    dist = [-1] * g.vertex_count
-    dist[s] = 0
-    q = deque([s])
-    while q:
-        w = q.popleft()
-        d = dist[w] + 1
-        for e in g.out_edges(w):
-            x = g.head[e]
-            if dist[x] < 0:
-                dist[x] = d
-                q.append(x)
-    return dist
+    d = bfs(g.adj, u)[v]
+    return d if d >= 0 else math.inf
 
 
 def eccentricity(g: MultiGraph, v):
-    dist = _bfs_all(g, v)
+    dist = bfs(g.adj, v)
     if min(dist) < 0:
         raise GraphError("eccentricity undefined on a disconnected graph")
     return max(dist)
@@ -224,15 +208,14 @@ def eccentricity(g: MultiGraph, v):
 
 def farthest_pair(g: MultiGraph):
     """(u, v, d) with d = diameter; ties broken by smallest (u, v) pair."""
-    best = None
+    best = (-1, None, None)
     for u in range(g.vertex_count):
-        dist = _bfs_all(g, u)
+        dist = bfs(g.adj, u)
         if min(dist) < 0:
             raise GraphError("farthest_pair requires a connected graph")
-        for v in range(g.vertex_count):
-            cand = (dist[v], u, v)
-            if best is None or cand[0] > best[0]:
-                best = cand
+        d = max(dist)
+        if d > best[0]:
+            best = (d, u, dist.index(d))
     d, u, v = best
     return u, v, d
 
@@ -285,37 +268,47 @@ def girth(g: MultiGraph):
 
 # -- serialization ---------------------------------------------------------
 
+def tokenize(text: str, arity):
+    """Yield (lineno, word, ints) for each non-blank line of a line-oriented
+    file, '#' starting a comment; arity maps every known directive to its
+    number of integer arguments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        word, args = parts[0], parts[1:]
+        if word not in arity:
+            raise ParseError(f"line {lineno}: unknown directive {word!r}")
+        if len(args) != arity[word]:
+            raise ParseError(
+                f"line {lineno}: {word} wants {arity[word]} argument(s)")
+        try:
+            ints = [int(p) for p in args]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer argument") from None
+        yield lineno, word, ints
+
+
+_GRAPH_ARITY = {"vertices": 1, "edge": 2, "wholeloop": 1, "halfloop": 1}
+
+
 def parse_graph(text: str) -> MultiGraph:
     """Parse the line-oriented graph format (see serialize_graph)."""
     vertex_count = None
     directives = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        word = parts[0]
-        try:
-            args = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer argument") from None
-        if word == "vertices":
-            if vertex_count is not None or len(args) != 1:
-                raise ParseError(f"line {lineno}: bad vertices header")
-            vertex_count = args[0]
-        elif word == "edge":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: edge wants two vertices")
-            directives.append(("edge", args[0], args[1]))
-        elif word in ("wholeloop", "halfloop"):
-            if len(args) != 1:
-                raise ParseError(f"line {lineno}: {word} wants one vertex")
-            directives.append((word, args[0]))
+    for lineno, word, args in tokenize(text, _GRAPH_ARITY):
+        if word != "vertices":
+            directives.append((word, *args))
+        elif vertex_count is not None:
+            raise ParseError(f"line {lineno}: second vertices header")
         else:
-            raise ParseError(f"line {lineno}: unknown directive {word!r}")
+            vertex_count = args[0]
     if vertex_count is None:
         raise ParseError("missing 'vertices' header")
-    return MultiGraph.build(vertex_count, directives)
+    try:
+        return MultiGraph.build(vertex_count, directives)
+    except GraphError as exc:
+        raise ParseError(f"invalid graph: {exc}") from None
 
 
 def serialize_graph(g: MultiGraph) -> str:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .graphs import (GraphError, MultiGraph, ParseError, file_edge_ids,
-                     parse_graph, serialize_graph)
+                     serialize_graph, tokenize)
 
 
 def _perm_inverse(p):
@@ -230,66 +229,7 @@ def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
     return LiftAssignment(h, n, perms)
 
 
-# -- lift files ------------------------------------------------------------
-
-def parse_lift(text: str, base: MultiGraph) -> LiftAssignment:
-    """Parse a lift file against an already-loaded base graph.
-
-    Permutation images are written 1-based, one `perm` line per undirected
-    base edge in id order; the `base` path line is handled by load_lift.
-    """
-    height = None
-    given = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "base":
-            continue
-        if parts[0] == "height":
-            height = int(parts[1])
-        elif parts[0] == "perm":
-            e = int(parts[1])
-            given[e] = tuple(int(x) - 1 for x in parts[2:])
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if height is None:
-        raise ParseError("missing 'height' line")
-    perms = [None] * base.edge_count
-    for e in base.undirected_edges():
-        if e not in given:
-            raise ParseError(f"missing perm line for undirected edge {e}")
-        perms[e] = given[e]
-        perms[base.inv[e]] = _perm_inverse(given[e])
-    return LiftAssignment(base, height, perms)
-
-
-def serialize_lift(a: LiftAssignment, base_path: str) -> str:
-    lines = [f"base {base_path}", f"height {a.height}"]
-    for e in a.base.undirected_edges():
-        images = " ".join(str(i + 1) for i in a.perms[e])
-        lines.append(f"perm {e} {images}")
-    return "\n".join(lines) + "\n"
-
-
-def load_lift(path: str):
-    """Read a lift file, resolving its base path relative to the file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    base_path = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("base "):
-            base_path = line.split(None, 1)[1]
-            break
-    if base_path is None:
-        raise ParseError("lift file has no 'base' line")
-    resolved = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
-    with open(resolved, encoding="utf-8") as fh:
-        base = parse_graph(fh.read())
-    return parse_lift(text, base), base
-
+# -- cover map files -------------------------------------------------------
 
 def serialize_cover_map(m: CoverMap, g: MultiGraph = None,
                         h: MultiGraph = None) -> str:
@@ -311,25 +251,12 @@ def serialize_cover_map(m: CoverMap, g: MultiGraph = None,
 def parse_cover_map(text: str, g: MultiGraph, h: MultiGraph) -> CoverMap:
     vmap = [None] * g.vertex_count
     emap = [None] * g.edge_count
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            kind, src, dst = parts[0], int(parts[1]), int(parts[2])
-        except (IndexError, ValueError):
-            raise ParseError(f"line {lineno}: bad map line {raw!r}")
-        if kind == "vmap":
-            if not (0 <= src < g.vertex_count and 0 <= dst < h.vertex_count):
-                raise ParseError(f"line {lineno}: vertex out of range")
-            vmap[src] = dst
-        elif kind == "emap":
-            if not (0 <= src < g.edge_count and 0 <= dst < h.edge_count):
-                raise ParseError(f"line {lineno}: edge out of range")
-            emap[src] = dst
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {kind!r}")
+    targets = {"vmap": (vmap, h.vertex_count), "emap": (emap, h.edge_count)}
+    for lineno, word, (src, dst) in tokenize(text, {"vmap": 2, "emap": 2}):
+        images, image_count = targets[word]
+        if not (0 <= src < len(images) and 0 <= dst < image_count):
+            raise ParseError(f"line {lineno}: {word} index out of range")
+        images[src] = dst
     if None in vmap or None in emap:
         raise ParseError("cover map file leaves vertices or edges unmapped")
     return CoverMap(tuple(vmap), tuple(emap))
@@ -339,6 +266,5 @@ __all__ = [
     "LiftAssignment", "CoverMap", "CoverReport", "build_lift", "verify_cover",
     "random_two_lift", "random_two_lift_assignment", "half_loop_elimination",
     "assignment_from_cover", "relabel_layers", "normalize_tree_layers",
-    "parse_lift", "serialize_lift", "load_lift", "serialize_graph",
-    "serialize_cover_map", "parse_cover_map",
+    "serialize_graph", "serialize_cover_map", "parse_cover_map",
 ]

@@ -10,20 +10,10 @@ over centralizer orbit representatives.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .graphs import GraphError, MultiGraph, girth, h23, is_connected
-from .lifts import LiftAssignment, build_lift
-
-
-def _perm_inverse(p):
-    q = [0] * len(p)
-    for i, j in enumerate(p):
-        q[j] = i
-    return tuple(q)
+from .graphs import GraphError, bfs, h23, is_connected
+from .lifts import LiftAssignment, _perm_inverse, build_lift
 
 
 @dataclass(frozen=True)
@@ -141,26 +131,6 @@ class SearchCounter:
         self.nodes = 0
 
 
-def _far_enough(adj, src, dst, cutoff):
-    """True iff dist(src, dst) >= cutoff, by depth-limited BFS."""
-    if cutoff <= 0:
-        return True
-    dist = {src: 0}
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
-        if d >= cutoff:
-            return True
-        for w in adj[v]:
-            if w not in dist:
-                if w == dst:
-                    return False
-                dist[w] = d
-                q.append(w)
-    return True
-
-
 def _raw_enumerate(n, g, counter):
     """All (sigma2, mu) with sigma2 canonical per cycle type and mu built
     pairwise with incremental girth pruning; no isomorphism dedup beyond
@@ -187,7 +157,7 @@ def _raw_enumerate(n, g, counter):
                 if mu[j] >= 0 or j == i:
                     continue
                 counter.nodes += 1
-                if not _far_enough(adj, i, j, g - 1):
+                if bfs(adj, i, g - 1)[j] >= 0:
                     continue
                 mu[i], mu[j] = j, i
                 adj[i].append(j)
@@ -202,31 +172,19 @@ def _raw_enumerate(n, g, counter):
             yield PermLiftH23(n, sigma2, m)
 
 
-def canonical_enumerate(n, g, counter: SearchCounter = None,
-                        dedup: bool = True):
-    """Connected girth >= g lifts of height n, one per isomorphism class.
-
-    With dedup=False duplicates reachable despite the normalizations may
-    appear (completeness is unaffected); certification and minimum-size
-    queries use that cheaper mode.
-    """
+def canonical_enumerate(n, g, counter: SearchCounter = None):
+    """Connected girth >= g lifts of height n: every isomorphism class at
+    least once, and duplicates the normalizations do not rule out may
+    appear."""
     if g < 3:
         raise GraphError("g must be >= 3")
     if n % 2:
         return
     counter = counter or SearchCounter()
-    kept = []
     for lift in _raw_enumerate(n, g, counter):
         graph, _ = lift.graph_and_cover()
-        if not is_connected(graph):
-            continue
-        if dedup:
-            gx = nx.Graph((graph.tail[e], graph.head[e])
-                          for e in graph.undirected_edges())
-            if any(nx.is_isomorphic(gx, other) for other in kept):
-                continue
-            kept.append(gx)
-        yield lift
+        if is_connected(graph):
+            yield lift
 
 
 @dataclass(frozen=True)
@@ -247,7 +205,7 @@ def minimum_size(g: int, n_max: int) -> SearchOutcome:
     lift, with a witness; unresolved outcome when none exists in range."""
     counter = SearchCounter()
     for n in range(2, n_max + 1, 2):
-        for lift in canonical_enumerate(n, g, counter, dedup=False):
+        for lift in canonical_enumerate(n, g, counter):
             return SearchOutcome(g, 2 * n, lift, n_max, counter.nodes)
     return SearchOutcome(g, None, None, n_max, counter.nodes)
 
@@ -269,7 +227,7 @@ def certify_lower_bound(g: int, n: int) -> Certificate:
     exists (odd heights are impossible: mu would need a fixed point)."""
     counter = SearchCounter()
     for m in range(2, n + 1, 2):
-        for lift in canonical_enumerate(m, g, counter, dedup=False):
+        for lift in canonical_enumerate(m, g, counter):
             return Certificate(g, n, False, counter.nodes, lift)
     return Certificate(g, n, True, counter.nodes, None)
 

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import GraphError, MultiGraph, validate
+from .graphs import GraphError, MultiGraph, bfs, validate
 
 
 class NBMatrix:
@@ -25,15 +24,6 @@ class NBMatrix:
 
     def matvec(self, x):
         return [sum(x[e] for e in row) for row in self.rows]
-
-    def rmatvec(self, x):
-        out = [0] * self.dimension
-        for f, row in enumerate(self.rows):
-            xf = x[f]
-            if xf:
-                for e in row:
-                    out[e] += xf
-        return out
 
     def entry(self, f, e):
         return 1 if e in self.rows[f] else 0
@@ -58,21 +48,7 @@ def _strongly_connected(b: NBMatrix) -> bool:
         for e in row:
             fwd[e].append(f)   # continuation arc e -> f
             bwd[f].append(e)
-    for adj in (fwd, bwd):
-        seen = bytearray(b.dimension)
-        seen[0] = 1
-        q = deque([0])
-        count = 1
-        while q:
-            x = q.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    q.append(y)
-        if count != b.dimension:
-            return False
-    return True
+    return all(min(bfs(adj, 0)) >= 0 for adj in (fwd, bwd))
 
 
 def is_irreducible(h: MultiGraph) -> bool:

@@ -51,10 +51,19 @@ class TestAnalyze:
 
     def test_bad_file_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.g"
-        p.write_text("vertices two\n")
-        assert cli.main(["analyze", "--graph", str(p)]) == cli.EXIT_PARSE
+        for text in ("vertices two\n", "vertices 0\n",
+                     "vertices 2\nedge 0 5\n"):
+            p.write_text(text)
+            assert cli.main(["analyze", "--graph", str(p)]) == cli.EXIT_PARSE
         assert cli.main(["analyze", "--graph",
                          str(tmp_path / "nope.g")]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [["--g", "2"], ["--g", "0"],
+                                      ["--gmin", "9", "--gmax", "5"],
+                                      ["--gmin", "2", "--gmax", "5"]])
+    def test_bad_girth_range_before_output(self, argv, capsys):
+        assert cli.main(["analyze", *argv]) == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
 
 
 class TestConstruct:
@@ -88,12 +97,41 @@ class TestConstruct:
                          "--trials", "5"])
         assert code == cli.EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv", [["--alg", "a", "--g", "5", "--n", "6"],
+                                      ["--alg", "es", "--g", "3"]])
+    def test_trial_precondition_exit(self, argv, jobs, capsys):
+        code = cli.main(["construct", *argv, "--trials", "3",
+                         "--jobs", jobs])
+        assert code == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
+
+    def test_2lift_on_path_precondition(self, tmp_path, capsys):
+        p = tmp_path / "path.g"
+        p.write_text("vertices 3\nedge 0 1\nedge 1 2\n")
+        code = cli.main(["construct", "--alg", "2lift", "--g", "5",
+                         "--graph", str(p), "--trials", "2"])
+        assert code == cli.EXIT_PRECONDITION
+
     def test_es_on_base_file(self, h23_file, capsys):
         code = cli.main(["construct", "--alg", "es", "--g", "6",
                          "--graph", h23_file, "--trials", "2", "--seed", "4"])
         assert code == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert int(row.split(",")[4]) <= 132
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--alg", "gf", "--g", "5", "--jobs", "0"],
+    ["construct", "--alg", "gf", "--g", "5", "--trials", "0"],
+    ["search", "--g", "6", "--max-n", "-4"],
+    ["analyze", "--balls", "-1"],
+])
+def test_bad_argument_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+    assert capsys.readouterr().out == ""
 
 
 class TestSearch:
@@ -135,6 +173,14 @@ class TestVerify:
                          "--map", mp]) == 0
         out = capsys.readouterr().out
         assert "cover: pass" in out and "girth 6" in out
+
+    def test_malformed_map_exit(self, tmp_path, capsys):
+        gp, hp, mp = self.make_files(tmp_path)
+        with open(mp, "a", encoding="utf-8") as fh:
+            fh.write("vmap 1 0 7\n")
+        assert cli.main(["verify", "--graph", gp, "--base", hp,
+                         "--map", mp]) == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
 
     def test_corrupted_map_fails(self, tmp_path, capsys):
         gp, hp, mp = self.make_files(tmp_path, corrupt=True)

@@ -1,10 +1,17 @@
+import os
+import random
+import subprocess
+import sys
+
+import networkx as nx
 import pytest
 
 from liftgirth import graphs
-from liftgirth.graphs import (GraphError, MultiGraph, ParseError, diameter,
-                              distance, eccentricity, farthest_pair, girth,
-                              is_connected, parse_graph, serialize_graph,
-                              validate)
+from liftgirth.graphs import (GraphError, MultiGraph, ParseError, bfs,
+                              diameter, distance, eccentricity, farthest_pair,
+                              girth, is_connected, parse_graph,
+                              serialize_graph, validate)
+from liftgirth.lifts import LiftAssignment, build_lift
 from liftgirth.spectral import build_nb_matrix
 
 
@@ -24,6 +31,49 @@ def oracle_girth(g, cap=12):
         if any(power[e][e] for e in range(m)):
             return length
     return None
+
+
+def random_involution(n, rng):
+    p = list(range(n))
+    free = list(range(n))
+    rng.shuffle(free)
+    while len(free) >= 2:
+        a, b = free.pop(), free.pop()
+        if rng.random() < 0.7:
+            p[a], p[b] = b, a
+    return tuple(p)
+
+
+def random_loopy_lift(rng):
+    """A random lift of a random base with parallel edges, whole-loops and
+    half-loops; its half-loops may lift to half-loops, whole-loops or
+    edges, so the lift keeps loops of both kinds."""
+    nv = rng.randint(1, 4)
+    directives = [("edge", rng.randrange(nv), rng.randrange(nv))
+                  for _ in range(rng.randint(0, 5))]
+    directives += [("wholeloop", rng.randrange(nv))
+                   for _ in range(rng.randint(0, 2))]
+    directives += [("halfloop", rng.randrange(nv))
+                   for _ in range(rng.randint(0, 2))]
+    base = MultiGraph.build(nv, directives)
+    n = rng.randint(1, 6)
+    perms = [None] * base.edge_count
+    for e in base.undirected_edges():
+        if base.is_half_loop(e):
+            perms[e] = random_involution(n, rng)
+        else:
+            p = list(range(n))
+            rng.shuffle(p)
+            perms[e] = tuple(p)
+            perms[base.inv[e]] = tuple(sorted(range(n), key=p.__getitem__))
+    return build_lift(LiftAssignment(base, n, perms))[0]
+
+
+def to_nx(g):
+    gx = nx.MultiGraph()
+    gx.add_nodes_from(range(g.vertex_count))
+    gx.add_edges_from((g.tail[e], g.head[e]) for e in g.undirected_edges())
+    return gx
 
 
 class TestStructure:
@@ -87,6 +137,34 @@ class TestMetrics:
         u, v, d = farthest_pair(graphs.cycle_graph(6))
         assert d == 3 and distance(graphs.cycle_graph(6), u, v) == 3
 
+    def test_bfs_against_networkx(self, h23, k32, k4, k4me, petersen):
+        rng = random.Random(2024)
+        cases = [h23, k32, k4, k4me, petersen, graphs.cycle_graph(9)]
+        cases += [random_loopy_lift(rng) for _ in range(60)]
+        assert any(g.is_half_loop(e) for g in cases for e in range(g.edge_count))
+        assert any(g.is_loop(e) and not g.is_half_loop(e)
+                   for g in cases for e in range(g.edge_count))
+        for g in cases:
+            gx = to_nx(g)
+            for s in range(g.vertex_count):
+                for cutoff in (None, 1, 2, 3, 5):
+                    ref = nx.single_source_shortest_path_length(
+                        gx, s, cutoff=None if cutoff is None else cutoff - 1)
+                    want = [ref.get(v, -1) for v in range(g.vertex_count)]
+                    assert bfs(g.adj, s, cutoff) == want, (g, s, cutoff)
+
+    def test_farthest_pair_tie_break(self, h23, k32, k4me, petersen):
+        rng = random.Random(7)
+        cases = [h23, k32, k4me, petersen, graphs.cycle_graph(8)]
+        cases += [g for g in (random_loopy_lift(rng) for _ in range(60))
+                  if is_connected(g)]
+        for g in cases:
+            lengths = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+            d = max(max(row.values()) for row in lengths.values())
+            first = min((u, v) for u in lengths for v in lengths[u]
+                        if lengths[u][v] == d)
+            assert farthest_pair(g) == (*first, d)
+
     def test_disconnected_raises(self):
         g = MultiGraph.from_pairs(4, [(0, 1), (2, 3)])
         assert not is_connected(g)
@@ -120,6 +198,18 @@ class TestFileFormat:
         for bad in ("edge 0 1\n",
                     "vertices 2\nedge 0\n",
                     "vertices 2\nfoo 0 1\n",
-                    "vertices two\n"):
+                    "vertices two\n",
+                    "vertices 2\nvertices 2\n",
+                    "vertices 0\n",
+                    "vertices 2\nedge 0 5\n",
+                    "vertices 2\nhalfloop -1\n"):
             with pytest.raises(ParseError):
                 parse_graph(bad)
+
+
+def test_cli_import_leaves_networkx_out():
+    """networkx is a test dependency only; the CLI must not import it."""
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    code = "import sys, liftgirth.cli; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

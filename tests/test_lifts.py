@@ -4,13 +4,14 @@ import networkx as nx
 import pytest
 
 from liftgirth import graphs
-from liftgirth.graphs import GraphError, MultiGraph, girth, is_connected
+from liftgirth.graphs import (GraphError, MultiGraph, ParseError, girth,
+                              is_connected)
 from liftgirth.lifts import (CoverMap, LiftAssignment, assignment_from_cover,
                              build_lift, half_loop_elimination,
-                             load_lift, normalize_tree_layers, parse_lift,
-                             random_two_lift, random_two_lift_assignment,
-                             relabel_layers, serialize_cover_map,
-                             serialize_lift, parse_cover_map, verify_cover)
+                             normalize_tree_layers, random_two_lift,
+                             random_two_lift_assignment, relabel_layers,
+                             serialize_cover_map, parse_cover_map,
+                             verify_cover)
 from liftgirth.construct import cycle_census
 
 IDENT = (0, 1)
@@ -178,20 +179,23 @@ class TestCoverAlgebra:
 
 
 class TestLiftFiles:
-    def test_round_trip(self, h23, tmp_path):
-        a = h23_assignment(h23, 4, (1, 2, 3, 0), (2, 3, 0, 1), (1, 0, 3, 2))
-        base_file = tmp_path / "h23.g"
-        base_file.write_text(graphs.serialize_graph(h23))
-        text = serialize_lift(a, "h23.g")
-        assert parse_lift(text, h23).perms == a.perms
-        lift_file = tmp_path / "x.lift"
-        lift_file.write_text(text)
-        loaded, base = load_lift(str(lift_file))
-        assert base == h23 and loaded.perms == a.perms
-
     def test_cover_map_round_trip(self, h23):
         g, m = build_lift(h23_assignment(h23, 2, IDENT, SWAP, SWAP))
         text = serialize_cover_map(m, g, h23)
         g2 = graphs.parse_graph(graphs.serialize_graph(g))
         m2 = parse_cover_map(text, g2, h23)
         assert verify_cover(g2, h23, m2)
+
+    def test_cover_map_parse_errors(self, h23):
+        g, m = build_lift(h23_assignment(h23, 2, IDENT, SWAP, SWAP))
+        good = serialize_cover_map(m, g, h23)
+        for bad in ("vmap 1 0 7\n",          # too many arguments
+                    "vmap 1\n",              # too few
+                    "vmap 1 x\n",            # not an integer
+                    "vmap 9 0\n",            # vertex out of range
+                    "emap 0 5\n",            # base edge out of range
+                    "vamp 1 0\n"):           # unknown directive
+            with pytest.raises(ParseError):
+                parse_cover_map(good + bad, g, h23)
+        with pytest.raises(ParseError):
+            parse_cover_map(good.split("emap", 1)[0], g, h23)   # unmapped
