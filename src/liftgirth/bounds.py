@@ -63,16 +63,16 @@ def spanning_tree(h: MultiGraph) -> SpanningTreeInfo:
     return best
 
 
-def legal_heights(h: MultiGraph, g: int):
-    """Generator of admissible lift heights: any n >= 1, except that a base
-    half-loop with girth target >= 2 forces its permutation to be a
-    fixed-point-free involution, hence even n."""
-    has_half_loop = any(h.is_half_loop(e) for e in range(h.edge_count))
-    step = 2 if (has_half_loop and g >= 2) else 1
-    n = step
-    while True:
-        yield n
-        n += step
+def lift_size_step(h: MultiGraph, g: int) -> int:
+    """Spacing q of the feasible lift sizes, which are the positive
+    multiples of q.  A height n lifts to n * |V(H)| vertices, and any
+    n >= 1 is admissible, except that a base half-loop with girth target
+    >= 2 forces its permutation to be a fixed-point-free involution, hence
+    even n."""
+    nv = h.vertex_count
+    if g >= 2 and any(h.is_half_loop(e) for e in range(h.edge_count)):
+        return 2 * nv
+    return nv
 
 
 def moore_lift_bound(h: MultiGraph, g: int):
@@ -83,7 +83,7 @@ def moore_lift_bound(h: MultiGraph, g: int):
     two-sided radius r-1 ball around a lifted edge injects (a radius-r
     collision would only force a cycle of length 2r = g, which girth >= g
     still permits).  adjusted rounds raw up to the nearest feasible lift
-    size n * |V(H)| over legal heights n.
+    size, a multiple of lift_size_step.
     """
     if not validate(h).admissible:
         raise GraphError("moore_lift_bound needs an admissible graph")
@@ -96,19 +96,18 @@ def moore_lift_bound(h: MultiGraph, g: int):
         r = g // 2
         raw = max(ball_size_edge_two_sided(h, e, r - 1)
                   for e in range(h.edge_count))
-    nv = h.vertex_count
-    for n in legal_heights(h, g):
-        if n * nv >= raw:
-            return raw, n * nv
+    q = lift_size_step(h, g)
+    return raw, -(-raw // q) * q
 
 
 def es_upper_bound(h: MultiGraph, g: int, t: SpanningTreeInfo = None) -> int:
     """Size of the smallest tree ball of radius g + 2 diam(T): an upper
     bound on the minimal girth-g lift size realized by layer trimming.
 
-    The ball size is floored to the largest feasible lift size (a legal
-    height times |V(H)|): the minimum girth-g lift is itself feasible, so
-    the floored value is still an upper bound.
+    The ball size is floored to the largest feasible lift size (a multiple
+    of lift_size_step): the minimum girth-g lift is itself feasible, so the
+    floored value is still an upper bound.  A ball smaller than every
+    feasible size is returned as it is.
     """
     if t is None:
         t = spanning_tree(h)
@@ -117,13 +116,8 @@ def es_upper_bound(h: MultiGraph, g: int, t: SpanningTreeInfo = None) -> int:
     radius = t.d0(g)
     raw = 1 + min(sum(layer_counts(h, v, radius))
                   for v in range(h.vertex_count))
-    nv = h.vertex_count
-    best = None
-    for n in legal_heights(h, g):
-        if n * nv > raw:
-            break
-        best = n * nv
-    return best if best is not None else raw
+    q = lift_size_step(h, g)
+    return raw // q * q if raw >= q else raw
 
 
 def ahl_moore_polynomial(x_plus_1: float, g: int) -> float:
@@ -182,6 +176,6 @@ def table_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-__all__ = ["SpanningTreeInfo", "spanning_tree", "legal_heights",
+__all__ = ["SpanningTreeInfo", "spanning_tree", "lift_size_step",
            "moore_lift_bound", "es_upper_bound", "ahl_moore_polynomial",
            "BoundsRow", "bounds_table", "table_to_csv", "CSV_HEADER"]

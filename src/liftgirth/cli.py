@@ -17,7 +17,7 @@ from .construct import es_construct, greedy_cycle, grow, high_girth_cover
 from .cover_tree import ball_size_vertex
 from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
                      h23, parse_graph, serialize_graph)
-from .lifts import parse_cover_map, verify_cover
+from .lifts import build_lift, parse_cover_map, verify_cover
 from .search import certify_lower_bound, minimum_size
 from .spectral import summarize
 
@@ -98,16 +98,14 @@ def cmd_analyze(args) -> int:
 
 # -- construct -------------------------------------------------------------
 
-def run_trial(alg, g, n, seed, base_text):
+def run_trial(alg, g, n, seed, base):
     """One construction attempt; (size, serialized graph), or None when the
     trial fails (a greedy dead end, or TrialFailed).  Other errors are
     violated preconditions or invariants and propagate.
 
-    Top level so a process pool can dispatch it; the base graph travels
-    in serialized form.
+    Top level so a process pool can dispatch it.
     """
     rng = random.Random(seed)
-    base = h23() if base_text is None else parse_graph(base_text)
     try:
         if alg in ("a", "b", "c"):
             ok, graph = greedy_cycle(alg, n, g, rng)
@@ -118,7 +116,7 @@ def run_trial(alg, g, n, seed, base_text):
         elif alg == "es":
             graph, _ = es_construct(base, g, rng)
         else:
-            graph, _ = high_girth_cover(base, g, rng)
+            graph, _ = build_lift(high_girth_cover(base, g, rng))
     except TrialFailed:
         return None
     return graph.vertex_count, serialize_graph(graph)
@@ -128,14 +126,14 @@ CONSTRUCT_CSV_HEADER = "g,alg,trials,successes,best_size,seed_of_best"
 
 
 def cmd_construct(args) -> int:
-    if args.alg in ("a", "b", "c") and args.n is None:
-        raise GraphError(f"--alg {args.alg} needs --n")
-    base_text = None
-    if args.graph is not None:
-        with open(args.graph, encoding="utf-8") as fh:
-            base_text = fh.read()
+    if (args.alg in ("a", "b", "c")) != (args.n is not None):
+        raise GraphError("--alg a/b/c need --n, and no other --alg takes it")
+    if args.graph is not None and args.alg not in ("es", "2lift"):
+        raise GraphError(f"--alg {args.alg} builds covers of H23; --graph "
+                         f"applies only to --alg es/2lift")
+    base = h23() if args.graph is None else _load_graph(args.graph)
     seeds = [mix(args.seed, i) for i in range(args.trials)]
-    jobs = [(args.alg, args.g, args.n, s, base_text) for s in seeds]
+    jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_trial, *zip(*jobs)))
@@ -226,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["a", "b", "c", "gd", "gf", "es", "2lift"])
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, help="cycle length for variants a/b/c")
-    p.add_argument("--graph", help="base graph file (default: built-in H23)")
+    p.add_argument("--graph", help="base graph file for es/2lift (default: "
+                   "built-in H23)")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)

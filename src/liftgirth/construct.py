@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .bounds import SpanningTreeInfo, spanning_tree
 from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
                      girth, h23, k4_minus_edge)
-from .lifts import (CoverMap, LiftAssignment, assignment_from_cover,
-                    build_lift, half_loop_elimination, normalize_tree_layers,
+from .lifts import (CoverMap, LiftAssignment, _perm_inverse, build_lift,
+                    half_loop_elimination, normalize_tree_layers,
                     relabel_layers, verify_cover)
 
 
@@ -100,12 +100,9 @@ def nb_cycle_profile(g: MultiGraph, e: int, g_max: int):
 
 # -- girth boosting by 2-lifts ---------------------------------------------
 
-def _identity_cover(h: MultiGraph) -> CoverMap:
-    return CoverMap(tuple(range(h.vertex_count)), tuple(range(h.edge_count)))
-
-
-def high_girth_cover(h: MultiGraph, g: int, rng, budget: int = 1000):
-    """A cover of h with girth >= g by iterated random 2-lifts.
+def high_girth_cover(h: MultiGraph, g: int, rng,
+                     budget: int = 1000) -> LiftAssignment:
+    """A lift of h with girth >= g by iterated random 2-lifts.
 
     At girth level gamma the shortest cycles are enumerated once; each
     candidate 2-lift is scored by the parity of its edge choices along
@@ -113,19 +110,23 @@ def high_girth_cover(h: MultiGraph, g: int, rng, budget: int = 1000):
     fiber swaps is the identity).  The best candidate in the budget is
     accepted as long as it strictly reduces the census; a candidate with
     census zero raises the girth level.
+
+    Every accepted 2-lift of a connected graph is connected: it splits
+    only when every cycle keeps even parity, which scores 2 phi, and a
+    candidate is accepted only below phi.
     """
     if min(h.degrees()) < 2:
         raise GraphError("high_girth_cover needs minimal degree >= 2")
-    G, cover = h, _identity_cover(h)
-    if girth(G) >= g:
-        return G, cover
-    if any(h.is_half_loop(e) for e in range(h.edge_count)):
-        G, cover = half_loop_elimination(h)
+    a, G = LiftAssignment.identity(h, 1), h
+    if (any(h.is_half_loop(e) for e in range(h.edge_count))
+            and girth(h) < g):
+        a = half_loop_elimination(h)
+        G = build_lift(a)[0]
 
     while True:
         gamma = girth(G)
         if gamma >= g:
-            return G, cover
+            return a
         cycles = cycles_of_length(G, gamma)
         phi = len(cycles)
         und = G.undirected_edges()
@@ -145,14 +146,11 @@ def high_girth_cover(h: MultiGraph, g: int, rng, budget: int = 1000):
             raise TrialFailed(
                 f"no 2-lift in budget {budget} reduced the census "
                 f"(girth {gamma}, {phi} shortest cycles)")
-        ident, swap = (0, 1), (1, 0)
-        perms = [None] * G.edge_count
+        flips = [False] * G.edge_count
         for i, e in enumerate(und):
-            p = swap if best_bits[i] else ident
-            perms[e] = p
-            perms[G.inv[e]] = p
-        G, step = build_lift(LiftAssignment(G, 2, perms))
-        cover = step.compose(cover)
+            flips[e] = flips[G.inv[e]] = best_bits[i]
+        a = a.double(flips)
+        G = build_lift(a)[0]
 
 
 # -- Erdos-Sachs layer trimming --------------------------------------------
@@ -170,51 +168,17 @@ class TrimState:
     graph: MultiGraph
     cover: CoverMap
 
-    @property
-    def height(self):
-        return self.assignment.height
 
-
-def _connected_component_cover(g: MultiGraph, h: MultiGraph, m: CoverMap,
-                               start: int = 0):
-    """Restrict a cover to the component of `start` (a component of a cover
-    of a connected base is itself a cover)."""
-    dist = bfs(g.adj, start)
-    comp = [v for v in range(g.vertex_count) if dist[v] >= 0]
-    vmap = {v: i for i, v in enumerate(comp)}
-    edges = [e for e in range(g.edge_count) if dist[g.tail[e]] >= 0]
-    emap = {e: i for i, e in enumerate(edges)}
-    sub = MultiGraph(
-        len(comp),
-        [vmap[g.tail[e]] for e in edges],
-        [vmap[g.head[e]] for e in edges],
-        [emap[g.inv[e]] for e in edges],
-    )
-    cover = CoverMap(tuple(m.vertex_map[v] for v in comp),
-                     tuple(m.edge_map[e] for e in edges))
-    return sub, cover
-
-
-def trim_state_from_cover(g: MultiGraph, h: MultiGraph, m: CoverMap,
-                          tree: SpanningTreeInfo = None) -> TrimState:
-    if tree is None:
-        tree = spanning_tree(h)
-    g, m = _connected_component_cover(g, h, m)
-    a, _ = assignment_from_cover(g, h, m)
-    a = normalize_tree_layers(a, tree.tree_edges)
-    graph, cover = build_lift(a)
-    return TrimState(a, tree, graph, cover)
-
-
-def es_trim_step(state: TrimState, g: int) -> TrimState:
-    """Remove the two layers holding a farthest vertex pair and reconnect
-    the deficient vertices; girth >= g and the cover property persist when
-    the pair is farther apart than D0 = g + 2 diam(T)."""
+def es_trim_step(state: TrimState, g: int, far) -> TrimState:
+    """Remove the two layers holding the farthest vertex pair far = (v, u,
+    dist) of state.graph and reconnect the deficient vertices; girth >= g
+    and the cover property persist when the pair is farther apart than
+    D0 = g + 2 diam(T)."""
     h = state.assignment.base
-    n = state.height
+    n = state.assignment.height
     nv = h.vertex_count
     d0 = state.tree.d0(g)
-    vp, up, dist = farthest_pair(state.graph)
+    vp, up, dist = far
     if dist <= d0:
         raise GraphError(f"diameter {dist} <= D0 {d0}: nothing to trim")
     i, j = vp // nv, up // nv
@@ -222,25 +186,18 @@ def es_trim_step(state: TrimState, g: int) -> TrimState:
         raise GraphError("farthest pair in one layer; tree normalization "
                          "or the distance precondition is broken")
 
-    order = [None] * n          # old layer -> new layer
-    order[i], order[j] = n - 1, n - 2
-    rest = iter(range(n - 2))
-    for x in range(n):
-        if order[x] is None:
-            order[x] = next(rest)
-    a = relabel_layers(state.assignment, order)
+    # old layer -> new layer: i and j go last, the rest keep their order
+    kept = [x for x in range(n) if x != i and x != j]
+    a = relabel_layers(state.assignment, _perm_inverse(kept + [j, i]))
 
     tree_set = set(state.tree.tree_edges) | {h.inv[e]
                                              for e in state.tree.tree_edges}
     perms = []
     for e in range(h.edge_count):
-        p = a.perms[e]
         if e in tree_set:
             perms.append(tuple(range(n - 2)))
             continue
-        p_inv = [0] * n
-        for x, y in enumerate(p):
-            p_inv[y] = x
+        p, p_inv = a.perms[e], a.perms[h.inv[e]]
         touching = (p[n - 1], p[n - 2], p_inv[n - 1], p_inv[n - 2])
         if any(x >= n - 2 for x in touching):
             raise GraphError(
@@ -260,16 +217,23 @@ def es_trim_step(state: TrimState, g: int) -> TrimState:
 
 def es_construct(h: MultiGraph, g: int, rng, budget: int = 1000):
     """Girth >= g cover of h with diameter <= g + 2 diam(T): boost the
-    girth by 2-lifts, then trim layers until the diameter bound holds."""
+    girth by 2-lifts, then trim layers until the diameter bound holds.
+
+    The 2-lifts keep the lift connected (see high_girth_cover), so the
+    whole lift is trimmed; were it ever disconnected, farthest_pair would
+    raise GraphError."""
     tree = spanning_tree(h)
     if g < tree.g0:
         raise GraphError(f"g={g} below g0={tree.g0}")
-    big, cover = high_girth_cover(h, g, rng, budget)
-    state = trim_state_from_cover(big, h, cover, tree)
+    a = normalize_tree_layers(high_girth_cover(h, g, rng, budget),
+                              tree.tree_edges)
+    state = TrimState(a, tree, *build_lift(a))
     d0 = tree.d0(g)
-    while farthest_pair(state.graph)[2] > d0:
-        state = es_trim_step(state, g)
-    return state.graph, state.cover
+    while True:
+        far = farthest_pair(state.graph)
+        if far[2] <= d0:
+            return state.graph, state.cover
+        state = es_trim_step(state, g, far)
 
 
 # -- greedy matching on a cycle (variants a/b/c) ---------------------------
@@ -493,7 +457,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
 
 __all__ = [
     "cycles_of_length", "cycle_census", "nb_cycle_profile",
-    "high_girth_cover", "TrimState", "trim_state_from_cover", "es_trim_step",
+    "high_girth_cover", "TrimState", "es_trim_step",
     "es_construct", "greedy_cycle", "h23_cover_map", "surgery_transform",
     "grow",
 ]

@@ -42,6 +42,18 @@ class LiftAssignment:
         ident = tuple(range(height))
         return LiftAssignment(base, height, [ident] * base.edge_count)
 
+    def double(self, flips) -> "LiftAssignment":
+        """The 2-lift of this lift's graph in which lifted edge f joins the
+        two copies iff flips[f] (equal on f and its inverse), as a height-2n
+        assignment over the same base.  Copy s of layer i becomes layer
+        s*n + i, so build_lift numbers vertices and edges exactly as a
+        2-lift of the built graph would."""
+        n, ne = self.height, self.base.edge_count
+        perms = [tuple((s ^ flips[i * ne + e]) * n + p[i]
+                       for s in (0, 1) for i in range(n))
+                 for e, p in enumerate(self.perms)]
+        return LiftAssignment(self.base, 2 * n, perms)
+
 
 @dataclass(frozen=True)
 class CoverMap:
@@ -49,13 +61,6 @@ class CoverMap:
 
     vertex_map: tuple
     edge_map: tuple
-
-    def compose(self, outer: "CoverMap") -> "CoverMap":
-        """Map G -> K from G -> H (self) and H -> K (outer)."""
-        return CoverMap(
-            vertex_map=tuple(outer.vertex_map[v] for v in self.vertex_map),
-            edge_map=tuple(outer.edge_map[e] for e in self.edge_map),
-        )
 
 
 @dataclass
@@ -138,25 +143,21 @@ def random_two_lift_assignment(g: MultiGraph, rng) -> LiftAssignment:
         if g.is_half_loop(e):
             raise GraphError(
                 f"edge {e} is a half-loop; apply half_loop_elimination first")
-    ident, swap = (0, 1), (1, 0)
-    perms = [None] * g.edge_count
+    flips = [False] * g.edge_count
     for e in g.undirected_edges():
-        p = swap if rng.random() < 0.5 else ident
-        perms[e] = p
-        perms[g.inv[e]] = p
-    return LiftAssignment(g, 2, perms)
+        flips[e] = flips[g.inv[e]] = rng.random() < 0.5
+    return LiftAssignment.identity(g, 1).double(flips)
 
 
 def random_two_lift(g: MultiGraph, rng) -> MultiGraph:
     return build_lift(random_two_lift_assignment(g, rng))[0]
 
 
-def half_loop_elimination(h: MultiGraph):
+def half_loop_elimination(h: MultiGraph) -> LiftAssignment:
     """The 2-lift in which each half-loop becomes the cross edge between the
     two copies of its vertex and every other edge lifts by identity."""
-    ident, swap = (0, 1), (1, 0)
-    perms = [swap if h.is_half_loop(e) else ident for e in range(h.edge_count)]
-    return build_lift(LiftAssignment(h, 2, perms))
+    return LiftAssignment.identity(h, 1).double(
+        [h.is_half_loop(e) for e in range(h.edge_count)])
 
 
 def assignment_from_cover(g: MultiGraph, h: MultiGraph,

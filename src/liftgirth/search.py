@@ -200,14 +200,25 @@ class SearchOutcome:
         return self.size is not None
 
 
-def minimum_size(g: int, n_max: int) -> SearchOutcome:
-    """Smallest 2n over heights n <= n_max admitting a connected girth-g
-    lift, with a witness; unresolved outcome when none exists in range."""
+def _first_lift(g: int, n_max: int):
+    """(lift, nodes): the first connected girth-g lift over the heights
+    2, 4, ..., n_max, or None (odd heights are impossible: mu would need a
+    fixed point), and the search nodes spent."""
+    if g < 3:
+        raise GraphError("g must be >= 3")
     counter = SearchCounter()
     for n in range(2, n_max + 1, 2):
         for lift in canonical_enumerate(n, g, counter):
-            return SearchOutcome(g, 2 * n, lift, n_max, counter.nodes)
-    return SearchOutcome(g, None, None, n_max, counter.nodes)
+            return lift, counter.nodes
+    return None, counter.nodes
+
+
+def minimum_size(g: int, n_max: int) -> SearchOutcome:
+    """Smallest 2n over heights n <= n_max admitting a connected girth-g
+    lift, with a witness; unresolved outcome when none exists in range."""
+    lift, nodes = _first_lift(g, n_max)
+    size = None if lift is None else 2 * lift.n
+    return SearchOutcome(g, size, lift, n_max, nodes)
 
 
 @dataclass(frozen=True)
@@ -224,12 +235,9 @@ class Certificate:
 
 def certify_lower_bound(g: int, n: int) -> Certificate:
     """Exhaustively check that no connected girth-g lift of height <= n
-    exists (odd heights are impossible: mu would need a fixed point)."""
-    counter = SearchCounter()
-    for m in range(2, n + 1, 2):
-        for lift in canonical_enumerate(m, g, counter):
-            return Certificate(g, n, False, counter.nodes, lift)
-    return Certificate(g, n, True, counter.nodes, None)
+    exists."""
+    lift, nodes = _first_lift(g, n)
+    return Certificate(g, n, lift is None, nodes, lift)
 
 
 __all__ = ["PermLiftH23", "SearchCounter", "canonical_enumerate",

@@ -1,11 +1,10 @@
-import itertools
-
 import pytest
 
 from liftgirth import graphs
 from liftgirth.bounds import (CSV_HEADER, ahl_moore_polynomial, bounds_table,
-                              es_upper_bound, legal_heights, moore_lift_bound,
+                              es_upper_bound, lift_size_step, moore_lift_bound,
                               spanning_tree, table_to_csv)
+from liftgirth.cover_tree import layer_counts
 from liftgirth.graphs import GraphError, MultiGraph
 from liftgirth.spectral import lambda_ahl
 
@@ -28,15 +27,70 @@ class TestSpanningTree:
         assert len(t.tree_edges) == 3
 
 
-class TestLegalHeights:
+CHEAP_STEPS = 200_000   # heights up to which the stepping reference runs
+
+
+def stepped_sizes(h, g, raw):
+    """Reference for the closed forms: walk the admissible heights one at
+    a time (even heights when a half-loop forces an involution, g >= 2)
+    and return (smallest size >= raw, largest size <= raw or raw)."""
+    has_half_loop = any(h.is_half_loop(e) for e in range(h.edge_count))
+    step = 2 if has_half_loop and g >= 2 else 1
+    nv = h.vertex_count
+    n = step
+    while n * nv < raw:
+        n += step
+    up = n * nv
+    down = None
+    n = step
+    while n * nv <= raw:
+        down = n * nv
+        n += step
+    return up, raw if down is None else down
+
+
+def whole_loop_base():
+    return MultiGraph.build(2, [("wholeloop", 0), ("edge", 0, 1),
+                                ("edge", 0, 1), ("wholeloop", 1)])
+
+
+class TestLiftSizeStep:
     def test_half_loop_base_even_heights(self, h23):
-        heights = list(itertools.takewhile(lambda n: n <= 9,
-                                           legal_heights(h23, 5)))
-        assert heights == [2, 4, 6, 8]
+        assert lift_size_step(h23, 5) == 4
 
     def test_plain_base_all_heights(self, k4me):
-        heights = list(itertools.islice(legal_heights(k4me, 5), 4))
-        assert heights == [1, 2, 3, 4]
+        assert lift_size_step(k4me, 5) == 4
+
+    def test_half_loop_free_below_girth_2(self, h23):
+        assert lift_size_step(h23, 1) == 2
+
+    @pytest.mark.parametrize("make", [graphs.h23, graphs.k32,
+                                      graphs.k4_minus_edge, graphs.petersen,
+                                      whole_loop_base],
+                             ids=["h23", "k32", "k4me", "petersen",
+                                  "whole_loop"])
+    def test_closed_forms_match_stepping(self, make):
+        h = make()
+        tree = spanning_tree(h)
+        es_checked = 0
+        for g in range(3, 31):
+            raw, adjusted = moore_lift_bound(h, g)
+            if raw <= CHEAP_STEPS * h.vertex_count:
+                assert adjusted == stepped_sizes(h, g, raw)[0]
+            if g < tree.g0:
+                continue
+            radius = tree.d0(g)
+            es_raw = 1 + min(sum(layer_counts(h, v, radius))
+                             for v in range(h.vertex_count))
+            if es_raw <= CHEAP_STEPS * h.vertex_count:
+                assert es_upper_bound(h, g, tree) \
+                    == stepped_sizes(h, g, es_raw)[1]
+                es_checked += 1
+        assert es_checked >= 1
+
+    def test_pinned_g40(self, h23):
+        assert es_upper_bound(h23, 40) == 214049460
+        assert moore_lift_bound(h23, 40) == (18098, 18100)
 
 
 class TestMooreBound:

@@ -4,7 +4,7 @@ import pytest
 
 from liftgirth import cli, graphs
 from liftgirth.construct import high_girth_cover
-from liftgirth.lifts import serialize_cover_map
+from liftgirth.lifts import build_lift, serialize_cover_map
 
 
 @pytest.fixture
@@ -106,6 +106,42 @@ class TestConstruct:
         assert code == cli.EXIT_PRECONDITION
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv", [["--alg", "gf", "--g", "6"],
+                                      ["--alg", "a", "--g", "5", "--n", "8"]])
+    def test_graph_for_h23_only_alg_rejected(self, argv, jobs, h23_file,
+                                            capsys):
+        code = cli.main(["construct", *argv, "--graph", h23_file,
+                         "--trials", "3", "--jobs", jobs])
+        assert code == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("alg", ["es", "gd", "gf", "2lift"])
+    def test_n_for_non_greedy_alg_rejected(self, alg, jobs, capsys):
+        code = cli.main(["construct", "--alg", alg, "--g", "6", "--n", "8",
+                         "--trials", "3", "--jobs", jobs])
+        assert code == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_base_file_exit(self, tmp_path, jobs, capsys):
+        p = tmp_path / "bad.g"
+        p.write_text("vertices 2\nedge 0 5\n")
+        code = cli.main(["construct", "--alg", "es", "--g", "6",
+                         "--graph", str(p), "--trials", "3", "--jobs", jobs])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_2lift_on_base_file(self, h23_file, jobs, capsys):
+        code = cli.main(["construct", "--alg", "2lift", "--g", "6",
+                         "--graph", h23_file, "--trials", "3", "--seed", "2",
+                         "--jobs", jobs])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("6,2lift,3,3,")
+
     def test_2lift_on_path_precondition(self, tmp_path, capsys):
         p = tmp_path / "path.g"
         p.write_text("vertices 3\nedge 0 1\nedge 1 2\n")
@@ -144,6 +180,16 @@ class TestSearch:
                          "--certify"]) == 0
         assert "g,7,refuted_up_to,8,nodes," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--g", "-5", "--max-n", "1",
+                                       "--certify"],
+                                      ["--g", "2", "--max-n", "1"],
+                                      ["--g", "2", "--max-n", "4"],
+                                      ["--g", "2", "--max-n", "4",
+                                       "--certify"]])
+    def test_small_girth_precondition(self, argv, capsys):
+        assert cli.main(["search", *argv]) == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
+
     def test_unresolved_budget_exit(self, capsys):
         assert cli.main(["search", "--g", "9", "--max-n", "4"]) \
             == cli.EXIT_BUDGET
@@ -152,7 +198,7 @@ class TestSearch:
 class TestVerify:
     def make_files(self, tmp_path, corrupt=False):
         base = graphs.h23()
-        g, m = high_girth_cover(base, 6, random.Random(5))
+        g, m = build_lift(high_girth_cover(base, 6, random.Random(5)))
         gp = tmp_path / "G.g"
         hp = tmp_path / "H.g"
         mp = tmp_path / "m.map"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -5,14 +6,14 @@ import pytest
 
 from liftgirth import graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
-from liftgirth.construct import (cycle_census, cycles_of_length, es_construct,
-                                 es_trim_step, greedy_cycle, grow,
-                                 h23_cover_map, high_girth_cover,
-                                 nb_cycle_profile, surgery_transform,
-                                 trim_state_from_cover)
+from liftgirth.construct import (TrimState, cycle_census, cycles_of_length,
+                                 es_construct, es_trim_step, greedy_cycle,
+                                 grow, h23_cover_map, high_girth_cover,
+                                 nb_cycle_profile, surgery_transform)
 from liftgirth.graphs import (GraphError, MultiGraph, diameter, farthest_pair,
                               girth)
-from liftgirth.lifts import verify_cover
+from liftgirth.lifts import (build_lift, normalize_tree_layers,
+                             serialize_cover_map, verify_cover)
 
 
 def to_nx(g):
@@ -58,28 +59,29 @@ class TestNBProfile:
 
 class TestHighGirthCover:
     def test_already_good_enough(self, petersen, rng):
-        g, m = high_girth_cover(petersen, 5, rng)
-        assert g == petersen
+        a = high_girth_cover(petersen, 5, rng)
+        assert a.height == 1
+        assert build_lift(a)[0] == petersen
 
     def test_h23_g6(self, h23):
         rng = random.Random(5)
-        g, m = high_girth_cover(h23, 6, rng)
+        g, m = build_lift(high_girth_cover(h23, 6, rng))
         assert girth(g) >= 6
         assert verify_cover(g, h23, m)
         n = g.vertex_count // 2
         assert n % 2 == 0 and n & (n - 1) == 0  # height a power of 2
 
     def test_determinism(self, h23):
-        a, _ = high_girth_cover(h23, 7, random.Random(42))
-        b, _ = high_girth_cover(h23, 7, random.Random(42))
-        assert a == b
+        a = high_girth_cover(h23, 7, random.Random(42))
+        b = high_girth_cover(h23, 7, random.Random(42))
+        assert a.perms == b.perms
 
     def test_g9_budget_200_success_rate(self, h23):
         wins = 0
         for seed in range(10):
             try:
-                g, m = high_girth_cover(h23, 9, random.Random(seed),
-                                        budget=200)
+                g, m = build_lift(high_girth_cover(h23, 9, random.Random(seed),
+                                                   budget=200))
             except GraphError:
                 continue
             assert girth(g) >= 9 and verify_cover(g, h23, m)
@@ -92,28 +94,57 @@ class TestHighGirthCover:
             high_girth_cover(path, 3, random.Random(0))
 
 
+TRIM_G = 11     # H23 lifts need trimming here; at g <= 10 they rarely do
+
+
+@pytest.fixture(scope="module")
+def trim_run():
+    """The trim states of one H23 lift at g = TRIM_G, and the farthest
+    pair of the last one."""
+    h23 = graphs.h23()
+    tree = spanning_tree(h23)
+    a = normalize_tree_layers(high_girth_cover(h23, TRIM_G, random.Random(0)),
+                              tree.tree_edges)
+    states = [TrimState(a, tree, *build_lift(a))]
+    while True:
+        far = farthest_pair(states[-1].graph)
+        if far[2] <= tree.d0(TRIM_G):
+            return states, far
+        states.append(es_trim_step(states[-1], TRIM_G, far))
+
+
+@pytest.fixture(scope="module")
+def es11():
+    """es_construct(H23, 11) for seeds 0, 1, 2."""
+    return {s: es_construct(graphs.h23(), 11, random.Random(s))
+            for s in (0, 1, 2)}
+
+
+def output_digest(g, m, h):
+    text = graphs.serialize_graph(g) + serialize_cover_map(m, g, h)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestTrim:
-    def build_state(self, h23, g, seed):
-        big, cover = high_girth_cover(h23, g, random.Random(seed))
-        return trim_state_from_cover(big, h23, cover, spanning_tree(h23))
+    def test_step_removes_two_layers(self, h23, trim_run):
+        states, _ = trim_run
+        assert len(states) >= 2          # at least one step ran
+        for before, after in zip(states, states[1:]):
+            assert after.graph.vertex_count \
+                == before.graph.vertex_count - 2 * h23.vertex_count
+            assert girth(after.graph) >= TRIM_G
+            assert verify_cover(after.graph, h23, after.cover)
 
-    def test_step_removes_two_layers(self, h23):
-        state = self.build_state(h23, 6, 5)
-        d0 = state.tree.d0(6)
-        while farthest_pair(state.graph)[2] > d0:
-            before = state.graph.vertex_count
-            state = es_trim_step(state, 6)
-            assert state.graph.vertex_count == before - 2 * h23.vertex_count
-            assert girth(state.graph) >= 6
-            assert verify_cover(state.graph, h23, state.cover)
+    def test_small_diameter_rejected(self, trim_run):
+        states, far = trim_run
+        with pytest.raises(GraphError, match="nothing to trim"):
+            es_trim_step(states[-1], TRIM_G, far)
 
-    def test_small_diameter_rejected(self, h23):
-        state = self.build_state(h23, 6, 5)
-        d0 = state.tree.d0(6)
-        while farthest_pair(state.graph)[2] > d0:
-            state = es_trim_step(state, 6)
-        with pytest.raises(GraphError):
-            es_trim_step(state, 6)
+    def test_pair_in_one_layer_rejected(self, trim_run):
+        states, _ = trim_run
+        state = states[0]
+        with pytest.raises(GraphError, match="one layer"):
+            es_trim_step(state, TRIM_G, (0, 1, state.tree.d0(TRIM_G) + 1))
 
     def test_es_construct_postconditions(self, h23):
         for g in (4, 5, 6):
@@ -122,6 +153,13 @@ class TestTrim:
             assert diameter(out) <= g + 2
             assert verify_cover(out, h23, m)
             assert out.vertex_count <= es_upper_bound(h23, g)
+
+    def test_es_construct_trims_at_g11(self, h23, es11):
+        for out, m in es11.values():
+            assert girth(out) >= 11
+            assert diameter(out) <= 13
+            assert verify_cover(out, h23, m)
+            assert out.vertex_count <= es_upper_bound(h23, 11)
 
     def test_es_construct_determinism(self, h23):
         a, _ = es_construct(h23, 6, random.Random(9))
@@ -134,6 +172,35 @@ class TestTrim:
         assert verify_cover(out, k4, m)
         # classical ES ball bound for a 3-regular base with diam(T) = 2
         assert out.vertex_count <= 1 + 3 * (2 ** 10 - 1)
+
+
+class TestPinnedOutputs:
+    """SHA-256 of serialize_graph + serialize_cover_map, recorded before
+    the 2-lifts were composed as lift assignments; any relabelling of
+    vertices or edges changes them."""
+
+    ES11 = {
+        0: "0c8bb0a613c39e43929c477ed8434ec12340caabd14553927883baff730af376",
+        1: "748e9afacd9229724dcde55863aa11219d41a8e5f5cec7a3aa68a4ea34cb1055",
+        2: "d5bfd9983e380d1ce6e4b7dc229bd4f68e77cf3908f37eb7d22b0cbbd4e6afec",
+    }
+
+    def test_es_construct_h23_g11(self, h23, es11):
+        for seed, (out, m) in es11.items():
+            assert output_digest(out, m, h23) == self.ES11[seed]
+
+    @pytest.mark.parametrize("name, g, seed, height, digest", [
+        ("k32", 10, 1, 8,
+         "3a5bdfc9ef903d48ec419b766dda120dc5512cc31fd93505c29df24ce7ae3c67"),
+        ("k4", 7, 2, 32,
+         "99bcbb975aafce02eee28570cf5c57e679b0a23dafcb109bc4e60aaed46ca47b"),
+    ], ids=["k32", "k4"])
+    def test_high_girth_cover(self, name, g, seed, height, digest):
+        h = graphs.k32() if name == "k32" else graphs.complete_graph(4)
+        a = high_girth_cover(h, g, random.Random(seed))
+        assert a.height == height        # three and five 2-lift rounds
+        out, m = build_lift(a)
+        assert output_digest(out, m, h) == digest
 
 
 class TestGreedyCycle:

@@ -130,7 +130,9 @@ class TestTwoLifts:
 
 class TestHalfLoopElimination:
     def test_h23_output(self, h23):
-        g, m = half_loop_elimination(h23)
+        a = half_loop_elimination(h23)
+        assert a.perms == (IDENT, IDENT, IDENT, IDENT, SWAP)
+        g, m = build_lift(a)
         # identity on the parallel u-v pairs keeps them parallel, so the
         # result is a 4-vertex girth-2 multigraph (not K4 minus an edge)
         assert g.vertex_count == 4
@@ -138,23 +140,33 @@ class TestHalfLoopElimination:
         assert verify_cover(g, h23, m)
 
     def test_no_half_loops_gives_two_copies(self, k4me):
-        g, _ = half_loop_elimination(k4me)
+        g, _ = build_lift(half_loop_elimination(k4me))
         assert g.vertex_count == 8 and not is_connected(g)
 
     def test_two_half_loops_on_a_point(self):
         base = MultiGraph.build(1, [("halfloop", 0), ("halfloop", 0)])
-        g, m = half_loop_elimination(base)
+        g, m = build_lift(half_loop_elimination(base))
         assert g.vertex_count == 2 and g.edge_count == 4
         assert girth(g) == 2
         assert verify_cover(g, base, m)
 
 
 class TestCoverAlgebra:
-    def test_composition(self, h23, rng):
-        g1, m1 = build_lift(h23_assignment(h23, 2, IDENT, SWAP, SWAP))
-        a2 = random_two_lift_assignment(g1, rng)
-        g2, m2 = build_lift(a2)
-        assert verify_cover(g2, h23, m2.compose(m1))
+    def test_double_is_a_two_lift_of_the_built_graph(self, h23, rng):
+        a = h23_assignment(h23, 2, IDENT, SWAP, SWAP)
+        for _ in range(3):
+            g1, m1 = build_lift(a)
+            a2 = random_two_lift_assignment(g1, rng)
+            g2, m2 = build_lift(a2)
+            a = a.double([p == SWAP for p in a2.perms])
+            g, m = build_lift(a)
+            # same ids as the graph-level 2-lift, projected through g1
+            assert g == g2
+            assert m.vertex_map == tuple(m1.vertex_map[v]
+                                         for v in m2.vertex_map)
+            assert m.edge_map == tuple(m1.edge_map[e] for e in m2.edge_map)
+            assert verify_cover(g, h23, m)
+        assert a.height == 16
 
     def test_assignment_round_trip(self, h23, rng):
         g, m = build_lift(h23_assignment(h23, 4, (1, 2, 3, 0),
