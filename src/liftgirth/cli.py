@@ -8,6 +8,7 @@ a success.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,17 @@ def _write(path, text):
         fh.write(text)
 
 
+def _check_output_dirs(*paths):
+    """Reject an output path whose directory does not exist (exit 2), so
+    a run fails before its work and its stdout, not after."""
+    for path in paths:
+        if path is not None:
+            folder = os.path.dirname(path) or "."
+            if not os.path.isdir(folder):
+                raise FileNotFoundError(f"no directory {folder!r} for "
+                                        f"output file {path!r}")
+
+
 def _int_at_least(low):
     """argparse type: an integer >= low (exit 2 otherwise)."""
     def integer(text):
@@ -70,6 +82,7 @@ def cmd_analyze(args) -> int:
     if not 3 <= gmin <= gmax:
         raise GraphError(f"girth range needs 3 <= gmin <= gmax, got "
                          f"{gmin}..{gmax}")
+    _check_output_dirs(args.csv)
     base = h23() if args.graph is None else _load_graph(args.graph)
     s = summarize(base)
     rows = bounds_table(base, gmin, gmax)
@@ -131,12 +144,16 @@ def cmd_construct(args) -> int:
     if args.graph is not None and args.alg not in ("es", "2lift"):
         raise GraphError(f"--alg {args.alg} builds covers of H23; --graph "
                          f"applies only to --alg es/2lift")
+    _check_output_dirs(args.out, args.csv)
     base = h23() if args.graph is None else _load_graph(args.graph)
     seeds = [mix(args.seed, i) for i in range(args.trials)]
     jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]
     if args.jobs > 1:
+        # about four chunks per worker: few round trips, balanced load
+        chunksize = -(-args.trials // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_trial, *zip(*jobs)))
+            results = list(pool.map(run_trial, *zip(*jobs),
+                                    chunksize=chunksize))
     else:
         results = [run_trial(*job) for job in jobs]
     successes = [(res[0], seeds[i], res[1])
@@ -162,6 +179,7 @@ def cmd_construct(args) -> int:
 # -- search ----------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    _check_output_dirs(args.out)
     if args.certify:
         cert = certify_lower_bound(args.g, args.max_n)
         print(cert.line())

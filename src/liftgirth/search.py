@@ -133,8 +133,14 @@ class SearchCounter:
 
 def _raw_enumerate(n, g, counter):
     """All (sigma2, mu) with sigma2 canonical per cycle type and mu built
-    pairwise with incremental girth pruning; no isomorphism dedup beyond
-    the sigma2 normalization and the first-pair orbit restriction."""
+    pairwise; no isomorphism dedup beyond the sigma2 normalization and the
+    first-pair orbit restriction.
+
+    Each search frame pairs the first unpaired u-vertex i.  One bounded
+    BFS from i per frame gives the vertices within distance g - 2 of i;
+    pairing i with such a j would close a cycle shorter than g, so j is
+    pruned.  The list serves every candidate of the frame because each
+    child restores adj before the next candidate is tried."""
     min_cycle = (g + 1) // 2
     for parts in _partitions(n, min_cycle):
         sigma2 = _sigma_from_partition(parts)
@@ -152,12 +158,13 @@ def _raw_enumerate(n, g, counter):
                 yield tuple(mu)
                 return
             i = unpaired[0]
+            near = bfs(adj, i, g - 1)
             candidates = first_reps if i == 0 else unpaired[1:]
             for j in candidates:
                 if mu[j] >= 0 or j == i:
                     continue
                 counter.nodes += 1
-                if bfs(adj, i, g - 1)[j] >= 0:
+                if near[j] >= 0:
                     continue
                 mu[i], mu[j] = j, i
                 adj[i].append(j)

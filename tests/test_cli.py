@@ -58,6 +58,11 @@ class TestAnalyze:
         assert cli.main(["analyze", "--graph",
                          str(tmp_path / "nope.g")]) == cli.EXIT_PARSE
 
+    def test_missing_csv_dir_before_output(self, tmp_path, capsys):
+        code = cli.main(["analyze", "--csv", str(tmp_path / "no" / "t.csv")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv", [["--g", "2"], ["--g", "0"],
                                       ["--gmin", "9", "--gmax", "5"],
                                       ["--gmin", "2", "--gmax", "5"]])
@@ -149,6 +154,29 @@ class TestConstruct:
                          "--graph", str(p), "--trials", "2"])
         assert code == cli.EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_missing_output_dir_before_trials(self, tmp_path, flag, jobs,
+                                              capsys):
+        missing = str(tmp_path / "missing" / "x")
+        code = cli.main(["construct", "--alg", "gf", "--g", "5",
+                         "--trials", "3", "--jobs", jobs, flag, missing])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--alg", "gf", "--g", "8", "--trials", "200"],
+        ["--alg", "c", "--g", "8", "--n", "24", "--trials", "300"],
+    ])
+    def test_jobs_do_not_change_output(self, tmp_path, argv, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"best-{jobs}.g"
+            assert cli.main(["construct", *argv, "--seed", "5",
+                             "--jobs", jobs, "--out", str(path)]) == 0
+            outputs.append((capsys.readouterr().out, path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_es_on_base_file(self, h23_file, capsys):
         code = cli.main(["construct", "--alg", "es", "--g", "6",
                          "--graph", h23_file, "--trials", "2", "--seed", "4"])
@@ -193,6 +221,15 @@ class TestSearch:
     def test_unresolved_budget_exit(self, capsys):
         assert cli.main(["search", "--g", "9", "--max-n", "4"]) \
             == cli.EXIT_BUDGET
+
+    @pytest.mark.parametrize("certify", [[], ["--certify"]])
+    def test_missing_output_dir_before_search(self, tmp_path, certify,
+                                              capsys):
+        missing = str(tmp_path / "missing" / "x.g")
+        code = cli.main(["search", "--g", "11", "--max-n", "40", *certify,
+                         "--out", missing])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:

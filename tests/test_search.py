@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 
 import networkx as nx
 import pytest
 
-from liftgirth.graphs import GraphError, girth, is_connected, k4_minus_edge
+from liftgirth.graphs import (GraphError, bfs, girth, is_connected,
+                              k4_minus_edge, serialize_graph)
 from liftgirth.lifts import verify_cover
-from liftgirth.search import (PermLiftH23, SearchCounter, canonical_enumerate,
+from liftgirth.search import (PermLiftH23, SearchCounter, _first_pair_reps,
+                              _partitions, _raw_enumerate,
+                              _sigma_from_partition, canonical_enumerate,
                               certify_lower_bound, minimum_size)
 
 
@@ -56,6 +60,43 @@ def brute_class_count(n, g):
     return len(classes)
 
 
+def per_candidate_enumerate(n, g, counter):
+    """Reference for search._raw_enumerate: the same frames, candidate
+    order and node count, but a fresh bounded BFS for every candidate
+    instead of one per frame.  Yields (sigma2, mu)."""
+    for parts in _partitions(n, (g + 1) // 2):
+        sigma2 = _sigma_from_partition(parts)
+        adj = [[] for _ in range(2 * n)]
+        for i in range(n):
+            adj[i] += [n + i, n + sigma2[i]]
+            adj[n + i].append(i)
+            adj[n + sigma2[i]].append(i)
+        first_reps = _first_pair_reps(parts)
+        mu = [-1] * n
+
+        def extend(unpaired):
+            if not unpaired:
+                yield tuple(mu)
+                return
+            i = unpaired[0]
+            for j in first_reps if i == 0 else unpaired[1:]:
+                if mu[j] >= 0 or j == i:
+                    continue
+                counter.nodes += 1
+                if bfs(adj, i, g - 1)[j] >= 0:
+                    continue
+                mu[i], mu[j] = j, i
+                adj[i].append(j)
+                adj[j].append(i)
+                yield from extend([x for x in unpaired if x not in (i, j)])
+                adj[i].pop()
+                adj[j].pop()
+                mu[i] = mu[j] = -1
+
+        for m in extend(list(range(n))):
+            yield sigma2, m
+
+
 class TestPermLift:
     def test_k4_minus_edge(self):
         lift = PermLiftH23(2, (1, 0), (1, 0))
@@ -100,7 +141,23 @@ class TestEnumeration:
     def test_counter_records_nodes(self):
         counter = SearchCounter()
         list(canonical_enumerate(4, 5, counter))
-        assert counter.nodes > 0
+        assert counter.nodes == 3
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_matches_per_candidate_reference(self, n):
+        for g in range(3, 10):
+            mine, ref = SearchCounter(), SearchCounter()
+            pairs = [(lift.sigma2, lift.mu)
+                     for lift in _raw_enumerate(n, g, mine)]
+            assert pairs == list(per_candidate_enumerate(n, g, ref)), g
+            assert mine.nodes == ref.nodes, g
+            if n <= 10:
+                # the connectivity filter costs ~10 s at n = 12, and
+                # takes no part in the pruning the reference checks
+                kept = [(lift.sigma2, lift.mu)
+                        for lift in canonical_enumerate(n, g)]
+                assert kept == [p for p in pairs if is_connected(
+                    PermLiftH23(n, *p).graph_and_cover()[0])], g
 
 
 class TestMinimumSize:
@@ -121,13 +178,30 @@ class TestMinimumSize:
         out = minimum_size(9, 12)
         assert not out.resolved and out.size is None
 
+    @pytest.mark.parametrize("g, n_max, size, nodes, sha", [
+        (10, 40, 32, 1939, "92c4182aac55f8caa626d9dba0fdf269"
+                           "b4ccaad2954d12083b921e123f2c02e5"),
+        (11, 40, 48, 160653, "a975345b4dc81e46c81eb0e72e09a599"
+                             "6e939e0cc2390f4852b99e703e604f6f"),
+        (12, 30, 52, 2592167, "5b7dca3e83c9e8892c2f1df4a26bbbda"
+                              "d682b0d19f3ab408a94b819636579673"),
+    ], ids=["g10", "g11", "g12"])
+    def test_pinned_minima(self, g, n_max, size, nodes, sha):
+        out = minimum_size(g, n_max)
+        assert (out.size, out.nodes) == (size, nodes)
+        graph, cover = out.witness.graph_and_cover()
+        assert hashlib.sha256(
+            serialize_graph(graph).encode()).hexdigest() == sha
+        assert girth(graph) == g and is_connected(graph)
+        assert verify_cover(graph, out.witness.assignment().base, cover)
+
 
 class TestCertificates:
     def test_refutations(self):
-        for g, n in ((7, 8), (9, 12)):
+        for g, n, nodes in ((7, 8, 42), (9, 12, 164), (11, 22, 160529)):
             cert = certify_lower_bound(g, n)
             assert cert.refuted and cert.counterexample is None
-            assert cert.line() == f"g,{g},refuted_up_to,{n},nodes,{cert.nodes}"
+            assert cert.line() == f"g,{g},refuted_up_to,{n},nodes,{nodes}"
 
     def test_counterexample_when_not_refuted(self):
         cert = certify_lower_bound(6, 8)
