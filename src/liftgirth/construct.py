@@ -130,25 +130,34 @@ def high_girth_cover(h: MultiGraph, g: int, rng,
         cycles = cycles_of_length(G, gamma)
         phi = len(cycles)
         und = G.undirected_edges()
-        slot = {e: i for i, e in enumerate(und)}
-        cycle_slots = [tuple(slot[min(e, G.inv[e])] for e in c)
-                       for c in cycles]
-        best_bits, best_phi = None, phi
+        # draw i is character i of a candidate's string, so bit
+        # len(und) - 1 - i of its value word; a cycle keeps even parity
+        # iff word & (its edge mask) has an even popcount
+        bit = {e: len(und) - 1 - i for i, e in enumerate(und)}
+        masks = []
+        for c in cycles:
+            mask = 0
+            for e in c:
+                mask ^= 1 << bit[min(e, G.inv[e])]
+            masks.append(mask)
+        best_draws, best_phi = None, phi
         for _ in range(budget):
-            bits = [rng.random() < 0.5 for _ in und]
-            phi2 = 2 * sum(1 for slots in cycle_slots
-                           if not sum(bits[s] for s in slots) % 2)
+            draws = "".join(["1" if rng.random() < 0.5 else "0"
+                             for _ in und])
+            word = int(draws, 2)
+            odd = sum([(word & mask).bit_count() & 1 for mask in masks])
+            phi2 = 2 * (phi - odd)
             if phi2 < best_phi:
-                best_bits, best_phi = bits, phi2
+                best_draws, best_phi = draws, phi2
                 if phi2 == 0:
                     break
-        if best_bits is None:
+        if best_draws is None:
             raise TrialFailed(
                 f"no 2-lift in budget {budget} reduced the census "
                 f"(girth {gamma}, {phi} shortest cycles)")
         flips = [False] * G.edge_count
         for i, e in enumerate(und):
-            flips[e] = flips[G.inv[e]] = best_bits[i]
+            flips[e] = flips[G.inv[e]] = best_draws[i] == "1"
         a = a.double(flips)
         G = build_lift(a)[0]
 
@@ -379,9 +388,10 @@ def surgery_transform(g: MultiGraph, e: int, f: int) -> MultiGraph:
     return MultiGraph.from_pairs(nv + 4, pairs)
 
 
-def _short_cycle_through(g: MultiGraph, e: int) -> float:
-    """Length of the shortest cycle through undirected edge e: one BFS in
-    g minus e between its endpoints."""
+def _short_cycle_through(g: MultiGraph, e: int, bound) -> float:
+    """Length of the shortest cycle through undirected edge e when it is
+    shorter than bound, else math.inf: one BFS in g minus e between its
+    endpoints that expands no vertex at depth bound - 2 or more."""
     a, b = g.tail[e], g.head[e]
     banned = {e, g.inv[e]}
     dist = {a: 0}
@@ -390,6 +400,8 @@ def _short_cycle_through(g: MultiGraph, e: int) -> float:
         v = q.popleft()
         if v == b:
             return dist[b] + 1
+        if dist[v] >= bound - 2:
+            continue            # b may still be queued at this depth
         for x in g.out_edges(v):
             if x in banned:
                 continue
@@ -425,7 +437,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
             return graph
         uv = _uv_edges(graph)
         if variant == "gd":
-            on_short = [e for e in uv if _short_cycle_through(graph, e) < g]
+            on_short = [e for e in uv if _short_cycle_through(graph, e, g) < g]
             e = on_short[rng.randrange(len(on_short))]
             others = [f for f in uv if f != e]
             da = bfs(graph.adj, graph.tail[e])

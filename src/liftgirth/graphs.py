@@ -9,7 +9,7 @@ mutually inverse directed edges at one vertex (contributing 2).
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 
 
@@ -191,6 +191,37 @@ def is_connected(g: MultiGraph) -> bool:
     return min(bfs(g.adj, 0)) >= 0
 
 
+# -- all-sources BFS -------------------------------------------------------
+#
+# One level-synchronous BFS from many sources at once over Python-int
+# bitsets, after Akiba, Iwata and Yoshida, "Fast exact shortest-path
+# distance queries on large networks by pruned landmark labeling" (SIGMOD
+# 2013): after round t, bit s - lo of rows[v] is set iff d(s, v) <= t.
+# Sources go in blocks of _BLOCK, so the rows hold at most |V| * _BLOCK
+# bits and memory stays linear in |V|.
+
+_BLOCK = 4096
+
+
+def _source_rows(n, lo):
+    """Round 0 for the block of sources lo, lo + 1, ... (at most _BLOCK)."""
+    rows = [0] * n
+    for s in range(lo, min(n, lo + _BLOCK)):
+        rows[s] = 1 << (s - lo)
+    return rows
+
+
+def _spread(adj, rows):
+    """The next round: each row ORed with its neighbours' rows."""
+    nxt = []
+    for v, nbrs in enumerate(adj):
+        x = rows[v]
+        for w in nbrs:
+            x |= rows[w]
+        nxt.append(x)
+    return nxt
+
+
 # -- distances -------------------------------------------------------------
 
 def distance(g: MultiGraph, u, v):
@@ -207,63 +238,93 @@ def eccentricity(g: MultiGraph, v):
 
 
 def farthest_pair(g: MultiGraph):
-    """(u, v, d) with d = diameter; ties broken by smallest (u, v) pair."""
-    best = (-1, None, None)
-    for u in range(g.vertex_count):
-        dist = bfs(g.adj, u)
-        if min(dist) < 0:
+    """(u, v, d) with d = diameter; ties broken by smallest (u, v) pair.
+
+    Within a block of sources, the last round of the all-sources BFS that
+    adds a bit is the largest eccentricity d; u is the smallest source new
+    in that round and v the smallest vertex it reached then.  Blocks run
+    in ascending order and a later one wins only with a larger d."""
+    n = g.vertex_count
+    best = None
+    for lo in range(0, n, _BLOCK):
+        rows = _source_rows(n, lo)
+        before, d = [0] * n, 0      # rows before the last round adding bits
+        while True:
+            nxt = _spread(g.adj, rows)
+            if nxt == rows:
+                break
+            before, rows, d = rows, nxt, d + 1
+        full = (1 << min(_BLOCK, n - lo)) - 1
+        if any(r != full for r in rows):
             raise GraphError("farthest_pair requires a connected graph")
-        d = max(dist)
-        if d > best[0]:
-            best = (d, u, dist.index(d))
-    d, u, v = best
-    return u, v, d
+        if best is None or d > best[2]:
+            new = [r & ~b for r, b in zip(rows, before)]
+            union = 0
+            for x in new:
+                union |= x
+            bit = union & -union
+            v = next(v for v, x in enumerate(new) if x & bit)
+            best = (lo + bit.bit_length() - 1, v, d)
+    return best
 
 
 def diameter(g: MultiGraph):
-    return farthest_pair(g)[2]
+    """Largest distance; math.inf on a disconnected graph, as distance."""
+    try:
+        return farthest_pair(g)[2]
+    except GraphError:
+        return math.inf
 
 
 # -- girth -----------------------------------------------------------------
 
 def girth(g: MultiGraph):
     """Shortest cycle length: 1 with any loop, 2 with a parallel pair,
-    else the simple-graph girth via per-root BFS with parent-edge
-    avoidance; math.inf for forests."""
-    for e in range(g.edge_count):
-        if g.is_loop(e):
-            return 1
-    seen_pairs = set()
-    for e in g.undirected_edges():
-        key = (min(g.tail[e], g.head[e]), max(g.tail[e], g.head[e]))
-        if key in seen_pairs:
-            return 2
-        seen_pairs.add(key)
+    else the simple-graph girth; math.inf for forests.
 
+    The simple-graph girth is the minimum over source blocks of
+    _block_girth, the all-sources form of the per-root BFS of Itai and
+    Rodeh, "Finding a minimum circuit in a graph" (1978)."""
+    if any(map(operator.eq, g.tail, g.head)):
+        return 1
+    if len(set(zip(g.tail, g.head))) < g.edge_count:
+        return 2                # no loops: a repeated (tail, head) is parallel
     best = math.inf
-    for s in range(g.vertex_count):
-        dist = [-1] * g.vertex_count
-        parent_edge = [-1] * g.vertex_count
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if 2 * dist[u] >= best:
-                break
-            pe = parent_edge[u]
-            for e in g.out_edges(u):
-                if pe >= 0 and e == g.inv[pe]:
-                    continue
-                w = g.head[e]
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent_edge[w] = e
-                    q.append(w)
-                elif e != parent_edge[w]:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+    for lo in range(0, g.vertex_count, _BLOCK):
+        best = _block_girth(g.adj, lo, best)
     return best
+
+
+def _block_girth(adj, lo, bound):
+    """Shortest cycle met by the sources of the block at lo in a simple
+    graph, or bound when none is shorter.
+
+    In round t, a source new at v through two distinct neighbours closes
+    a cycle of length at most 2t, and an edge joining two vertices where
+    one source is new closes one of at most 2t + 1; a source on a
+    shortest cycle meets it exactly.  Even is checked before odd."""
+    rows = _source_rows(len(adj), lo)
+    t = 1
+    while 2 * t < bound:
+        nxt = []
+        for v, nbrs in enumerate(adj):
+            once = twice = 0
+            for w in nbrs:
+                x = rows[w]
+                twice |= once & x
+                once |= x
+            if twice & ~rows[v]:
+                return 2 * t
+            nxt.append(rows[v] | once)
+        if nxt == rows:
+            return bound
+        new = [a & ~b for a, b in zip(nxt, rows)]
+        if any(new[v] & new[w] for v, nbrs in enumerate(adj) if new[v]
+               for w in nbrs):
+            return 2 * t + 1
+        rows = nxt
+        t += 1
+    return bound
 
 
 # -- serialization ---------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from liftgirth import cli, graphs
 from liftgirth.construct import high_girth_cover
-from liftgirth.lifts import build_lift, serialize_cover_map
+from liftgirth.lifts import LiftAssignment, build_lift, serialize_cover_map
 
 
 @pytest.fixture
@@ -270,3 +270,26 @@ class TestVerify:
         assert cli.main(["verify", "--graph", gp, "--base", hp,
                          "--map", mp]) == cli.EXIT_PRECONDITION
         assert "cover: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_disconnected_cover(self, tmp_path, capsys, corrupt):
+        """Two disjoint copies of H23 over H23: the diameter is inf and
+        the cover verdict still prints."""
+        base = graphs.h23()
+        g, m = build_lift(LiftAssignment.identity(base, 2))
+        assert not graphs.is_connected(g)
+        gp, hp, mp = (tmp_path / "G.g", tmp_path / "H.g", tmp_path / "m.map")
+        gp.write_text(graphs.serialize_graph(g))
+        hp.write_text(graphs.serialize_graph(base))
+        text = serialize_cover_map(m, g, base)
+        if corrupt:
+            text = text.replace("vmap 0 0", "vmap 0 1")
+        mp.write_text(text)
+        code = cli.main(["verify", "--graph", str(gp), "--base", str(hp),
+                         "--map", str(mp)])
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "girth 1  diameter inf"
+        if corrupt:
+            assert code == cli.EXIT_PRECONDITION and out[1] == "cover: FAIL"
+        else:
+            assert code == cli.EXIT_OK and out[1:] == ["cover: pass"]

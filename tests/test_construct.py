@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import networkx as nx
@@ -6,7 +7,8 @@ import pytest
 
 from liftgirth import graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
-from liftgirth.construct import (TrimState, cycle_census, cycles_of_length,
+from liftgirth.construct import (TrimState, _short_cycle_through, _uv_edges,
+                                 cycle_census, cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
                                  nb_cycle_profile, surgery_transform)
@@ -201,6 +203,63 @@ class TestPinnedOutputs:
         assert a.height == height        # three and five 2-lift rounds
         out, m = build_lift(a)
         assert output_digest(out, m, h) == digest
+
+
+def graph_digest(g):
+    return hashlib.sha256(graphs.serialize_graph(g).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def gd13():
+    """grow("gd", 13) for seeds 0, 1, 2."""
+    return {s: grow("gd", 13, random.Random(s)) for s in (0, 1, 2)}
+
+
+class TestPinnedGrowth:
+    """SHA-256 of serialize_graph for outputs that girth steers, recorded
+    before girth became an all-sources BFS."""
+
+    GF12 = {
+        0: "8df342922a325332b4a877da9dffec2293c8cdebaa37b909e5461b7acbb901b9",
+        1: "476bb424f34a2a2d06232bf6dd4090ee46a0364329f2bca96b03acfb4d049410",
+        2: "f758b9d90a2e7c39a75637bae15f2421073d81d71d93a6e2341f7a6cfd5d9638",
+    }
+    GD13 = {
+        0: "028e9d6628dd288061d3eb530b3e513348426b8187b091cebb04f7062ad19c6d",
+        1: "0dac30a99e94aae263e1943b0eaa8b14225b691659512cced0b553f3bb997987",
+        2: "df35db2e06d09a9a421dae46717c6b7b6cc2a7338a4caf5e9b8f827520edc963",
+    }
+    C24_G8 = {
+        0: "9b04bdfab360103ba091d40e2c86b791ad187598737ff8f58ece7a344d9fc417",
+        1: None,
+        2: None,
+        3: "694d7193d2eae36a073e2f586e51561fb968f98a2e15bfbaa41a8eac302ee8be",
+        4: "faada7290babbbb14bae9a2ad845688d5dd39ae89fc315ff7aa73243d051c6d9",
+    }
+
+    def test_gf_g12(self):
+        for seed, digest in self.GF12.items():
+            assert graph_digest(grow("gf", 12, random.Random(seed))) == digest
+
+    def test_gd_g13(self, gd13):
+        for seed, digest in self.GD13.items():
+            assert graph_digest(gd13[seed]) == digest
+
+    def test_greedy_c_n24_g8(self):
+        for seed, digest in self.C24_G8.items():
+            ok, g = greedy_cycle("c", 24, 8, random.Random(seed))
+            assert ok == (digest is not None)
+            assert not ok or graph_digest(g) == digest
+
+    def test_short_cycle_bound(self, gd13):
+        """The bounded BFS gives the unbounded verdict on every u-v edge,
+        and the exact length when it is below the bound."""
+        for g in gd13.values():
+            for e in _uv_edges(g):
+                full = _short_cycle_through(g, e, math.inf)
+                for bound in range(3, 17):
+                    got = _short_cycle_through(g, e, bound)
+                    assert got == (full if full < bound else math.inf)
 
 
 class TestGreedyCycle:

@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -11,6 +13,7 @@ from liftgirth.graphs import (GraphError, MultiGraph, ParseError, bfs,
                               diameter, distance, eccentricity, farthest_pair,
                               girth, is_connected, parse_graph,
                               serialize_graph, validate)
+from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift
 from liftgirth.spectral import build_nb_matrix
 
@@ -56,17 +59,80 @@ def random_loopy_lift(rng):
     directives += [("halfloop", rng.randrange(nv))
                    for _ in range(rng.randint(0, 2))]
     base = MultiGraph.build(nv, directives)
-    n = rng.randint(1, 6)
+    return random_lift(base, rng.randint(1, 6), rng, random_involution)
+
+
+def random_matching(n, rng):
+    """A fixed-point-free involution of range(n), n even."""
+    free = list(range(n))
+    rng.shuffle(free)
+    p = [None] * n
+    for a, b in zip(free[::2], free[1::2]):
+        p[a], p[b] = b, a
+    return tuple(p)
+
+
+def random_lift(base, n, rng, involution):
+    """A height-n lift of base with uniform permutations on its edges and
+    involution(n, rng) on its half-loops."""
     perms = [None] * base.edge_count
     for e in base.undirected_edges():
         if base.is_half_loop(e):
-            perms[e] = random_involution(n, rng)
+            perms[e] = involution(n, rng)
         else:
             p = list(range(n))
             rng.shuffle(p)
             perms[e] = tuple(p)
             perms[base.inv[e]] = tuple(sorted(range(n), key=p.__getitem__))
     return build_lift(LiftAssignment(base, n, perms))[0]
+
+
+def reference_girth(g):
+    """Per-root BFS with parent-edge avoidance, one root at a time: the
+    loop girth ran before the all-sources BFS."""
+    if any(g.is_loop(e) for e in range(g.edge_count)):
+        return 1
+    pairs = [tuple(sorted((g.tail[e], g.head[e])))
+             for e in g.undirected_edges()]
+    if len(set(pairs)) < len(pairs):
+        return 2
+    best = math.inf
+    for s in range(g.vertex_count):
+        dist = [-1] * g.vertex_count
+        parent_edge = [-1] * g.vertex_count
+        dist[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            if 2 * dist[u] >= best:
+                break
+            pe = parent_edge[u]
+            for e in g.out_edges(u):
+                if pe >= 0 and e == g.inv[pe]:
+                    continue
+                w = g.head[e]
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent_edge[w] = e
+                    q.append(w)
+                elif e != parent_edge[w]:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
+
+
+def reference_farthest_pair(g):
+    """One BFS per source: the first source of largest eccentricity and
+    the first vertex at that distance from it."""
+    best = (-1, None, None)
+    for u in range(g.vertex_count):
+        dist = bfs(g.adj, u)
+        if min(dist) < 0:
+            raise GraphError("farthest_pair requires a connected graph")
+        d = max(dist)
+        if d > best[0]:
+            best = (d, u, dist.index(d))
+    d, u, v = best
+    return u, v, d
 
 
 def to_nx(g):
@@ -171,6 +237,94 @@ class TestMetrics:
         assert distance(g, 0, 2) == float("inf")
         with pytest.raises(GraphError):
             eccentricity(g, 0)
+
+
+LIFT_HEIGHTS = (1, 2, 3, 4, 6, 9, 14, 22, 35, 55, 80)
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """Graphs for the all-sources kernels: the 60 random loopy lifts,
+    seeded random lifts of H23 (half-loop on a matching), K32, Petersen
+    and K4 up to height 80, lifts of girth 6 to 10, cycles, forests, a
+    single vertex, and disconnected graphs, some with a cycle in one
+    component only."""
+    rng = random.Random(2024)
+    cases = [random_loopy_lift(rng) for _ in range(60)]
+    rng = random.Random(80)
+    for base in (graphs.h23(), graphs.k32(), graphs.petersen(),
+                 graphs.complete_graph(4)):
+        for n in LIFT_HEIGHTS:
+            cases.append(random_lift(base, n + n % 2, rng, random_matching))
+    for base, g, seed in ((graphs.h23(), 8, 0), (graphs.h23(), 9, 1),
+                          (graphs.k32(), 8, 1), (graphs.petersen(), 7, 0),
+                          (graphs.complete_graph(4), 6, 2)):
+        cases.append(build_lift(high_girth_cover(base, g,
+                                                 random.Random(seed)))[0])
+    cases += [
+        graphs.cycle_graph(7), graphs.cycle_graph(11),
+        # a 4-cycle and a 5-cycle on edge 0-1: girth 4, an odd hit in
+        # the same round as the even one
+        MultiGraph.from_pairs(7, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                  (1, 4), (4, 5), (5, 6), (6, 0)]),
+        MultiGraph(1, (), (), ()),
+        MultiGraph.from_pairs(2, [(0, 1)]),
+        MultiGraph.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        MultiGraph.from_pairs(7, [(3, v) for v in range(7) if v != 3]),
+        MultiGraph.from_pairs(9, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5),
+                                  (5, 6), (5, 7), (7, 8)]),
+        MultiGraph.from_pairs(4, [(0, 1), (2, 3)]),
+        MultiGraph.from_pairs(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                  (5, 6)]),
+        MultiGraph.from_pairs(12, [(i, (i + 1) % 9) for i in range(9)]
+                              + [(8, 9), (9, 10), (10, 11), (11, 9)]),
+        MultiGraph.from_pairs(13, [(i, (i + 1) % 9) for i in range(9)]
+                              + [(9, 10), (10, 11), (11, 12), (12, 9)]),
+    ]
+    return cases
+
+
+def outcome(fn, g):
+    try:
+        return fn(g)
+    except GraphError as exc:
+        return str(exc)
+
+
+class TestAllSourcesKernels:
+    """girth and farthest_pair against one BFS per root or source."""
+
+    def test_cases_cover_every_shape(self, kernel_cases):
+        girths = {reference_girth(g) for g in kernel_cases}
+        assert {1, 2, 3, 4, 5, 6, 7, 8, 10, 11, math.inf} <= girths
+        assert any(g.vertex_count >= 800 for g in kernel_cases)
+        assert any(not is_connected(g) and reference_girth(g) < math.inf
+                   for g in kernel_cases)
+
+    def test_girth_matches_reference(self, kernel_cases):
+        for g in kernel_cases:
+            assert girth(g) == reference_girth(g), serialize_graph(g)
+
+    def test_farthest_pair_matches_reference(self, kernel_cases):
+        for g in kernel_cases:
+            want = outcome(reference_farthest_pair, g)
+            assert outcome(farthest_pair, g) == want, serialize_graph(g)
+
+    def test_disconnected_diameter_is_inf(self, kernel_cases):
+        for g in kernel_cases:
+            if not is_connected(g):
+                assert diameter(g) == math.inf
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_blocks_of_sources(self, kernel_cases, monkeypatch, width):
+        """Several blocks: the first block of largest eccentricity keeps
+        the pair, and the girth is the minimum over blocks."""
+        small = [g for g in kernel_cases if g.vertex_count <= 60]
+        monkeypatch.setattr(graphs, "_BLOCK", width)
+        for g in small:
+            assert girth(g) == reference_girth(g), serialize_graph(g)
+            want = outcome(reference_farthest_pair, g)
+            assert outcome(farthest_pair, g) == want, serialize_graph(g)
 
 
 class TestFileFormat:
