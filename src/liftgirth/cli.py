@@ -184,7 +184,7 @@ def cmd_search(args) -> int:
         cert = certify_lower_bound(args.g, args.max_n)
         print(cert.line())
         if not cert.refuted:
-            graph, _ = cert.counterexample.graph_and_cover()
+            graph, _ = build_lift(cert.counterexample)
             print(f"counterexample of size {graph.vertex_count}")
             if args.out:
                 _write(args.out, serialize_graph(graph))
@@ -194,7 +194,7 @@ def cmd_search(args) -> int:
         print(f"g,{args.g},unresolved_up_to,{args.max_n},"
               f"nodes,{outcome.nodes}")
         return EXIT_BUDGET
-    graph, _ = outcome.witness.graph_and_cover()
+    graph, _ = build_lift(outcome.witness)
     print(f"g,{args.g},minimum,{outcome.size},nodes,{outcome.nodes}")
     if args.out:
         _write(args.out, serialize_graph(graph))

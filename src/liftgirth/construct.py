@@ -69,11 +69,6 @@ def cycles_of_length(g: MultiGraph, length: int):
     return cycles
 
 
-def cycle_census(g: MultiGraph, length: int) -> int:
-    """Number of distinct cycles of exactly the given length."""
-    return len(cycles_of_length(g, length))
-
-
 def nb_cycle_profile(g: MultiGraph, e: int, g_max: int):
     """(c_1, ..., c_gmax) where c_l counts closed non-backtracking walks of
     length l through edge e, one per cyclic orientation class (the walk is
@@ -259,10 +254,14 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
     variant = variant.lower()
     if variant not in ("a", "b", "c"):
         raise GraphError(f"unknown greedy variant {variant!r}")
-    if n % 4:
-        raise GraphError("n must be a multiple of 4")
+    if n <= 0 or n % 4:
+        raise GraphError("n must be a positive multiple of 4")
     if g < 3:
         raise GraphError("g must be >= 3")
+    # the base n-cycle is too short (and no two of its vertices are g - 1
+    # apart, so the matching would dead-end anyway)
+    if n < g:
+        return False, None
     adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
     matching = []
     deficient = set(range(0, n, 2))
@@ -294,11 +293,10 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
         adj[v].append(u)
         deficient -= {u, v}
 
+    # n >= g, and each matching edge joined vertices at distance >= g - 1,
+    # so every cycle through one has length >= g: the girth is >= g
     pairs = [(i, (i + 1) % n) for i in range(n)] + matching
-    graph = MultiGraph.from_pairs(n, pairs)
-    if girth(graph) < g:       # the base n-cycle itself may be too short
-        return False, None
-    return True, graph
+    return True, MultiGraph.from_pairs(n, pairs)
 
 
 # -- covers of the half-loop base by structure -----------------------------
@@ -468,7 +466,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
 
 
 __all__ = [
-    "cycles_of_length", "cycle_census", "nb_cycle_profile",
+    "cycles_of_length", "nb_cycle_profile",
     "high_girth_cover", "TrimState", "es_trim_step",
     "es_construct", "greedy_cycle", "h23_cover_map", "surgery_transform",
     "grow",

@@ -230,13 +230,6 @@ def distance(g: MultiGraph, u, v):
     return d if d >= 0 else math.inf
 
 
-def eccentricity(g: MultiGraph, v):
-    dist = bfs(g.adj, v)
-    if min(dist) < 0:
-        raise GraphError("eccentricity undefined on a disconnected graph")
-    return max(dist)
-
-
 def farthest_pair(g: MultiGraph):
     """(u, v, d) with d = diameter; ties broken by smallest (u, v) pair.
 

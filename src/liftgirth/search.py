@@ -1,51 +1,23 @@
-"""Exhaustive enumeration of lifts of the half-loop base by height.
+"""Exhaustive enumeration of lifts of the half-loop base H23 by height.
 
-A height-n lift is (sigma1, sigma2, mu): one permutation per parallel
-edge and a fixed-point-free involution for the half-loop.  Relabelling
-the v-fiber normalizes sigma1 to the identity; relabelling both fibers
+A height-n lift is a LiftAssignment over h23() with the permutations
+(sigma1, sigma1^-1, sigma2^-1, sigma2, mu): one per parallel edge and a
+fixed-point-free involution mu for the half-loop.  Relabelling the
+v-fiber normalizes sigma1 to the identity; relabelling both fibers
 simultaneously then conjugates (sigma2, mu), so sigma2 ranges over one
-canonical permutation per cycle type and the first matching pair of mu
-over centralizer orbit representatives.
+canonical permutation per cycle type and the first matching pair {0, j}
+of mu over the orbits of the centralizer of sigma2, which have a closed
+form (the cage-search normalisation of McKay, Myrvold and Nadon, SODA
+1998).  mu is built pairwise on the search's own adjacency lists, which
+also give the connectivity test at each leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphError, bfs, h23, is_connected
-from .lifts import LiftAssignment, _perm_inverse, build_lift
-
-
-@dataclass(frozen=True)
-class PermLiftH23:
-    """Compact (n, sigma2, mu) form of a lift of the half-loop base with
-    sigma1 normalized to the identity."""
-    n: int
-    sigma2: tuple
-    mu: tuple
-
-    def __post_init__(self):
-        if sorted(self.sigma2) != list(range(self.n)):
-            raise GraphError("sigma2 is not a permutation of range(n)")
-        if any(self.mu[self.mu[i]] != i or self.mu[i] == i
-               for i in range(self.n)):
-            raise GraphError("mu must be a fixed-point-free involution")
-
-    @property
-    def sigma1(self):
-        return tuple(range(self.n))
-
-    def assignment(self) -> LiftAssignment:
-        ident = tuple(range(self.n))
-        # base directed ids: 0 v->u, 1 u->v (pair A), 2 v->u, 3 u->v
-        # (pair B), 4 the half-loop at u
-        perms = [ident, ident,
-                 _perm_inverse(self.sigma2), tuple(self.sigma2),
-                 tuple(self.mu)]
-        return LiftAssignment(h23(), self.n, perms)
-
-    def graph_and_cover(self):
-        return build_lift(self.assignment())
+from .graphs import GraphError, bfs, h23
+from .lifts import LiftAssignment, _perm_inverse
 
 
 # -- symmetry machinery ----------------------------------------------------
@@ -73,52 +45,20 @@ def _sigma_from_partition(parts):
     return tuple(perm)
 
 
-def _centralizer_generators(parts):
-    """Generators of the centralizer of the canonical partition
-    permutation: one rotation per cycle plus swaps of adjacent
-    equal-length cycle blocks."""
-    n = sum(parts)
-    gens = []
-    base = 0
-    blocks = []
-    for length in parts:
-        blocks.append((base, length))
-        rot = list(range(n))
-        for k in range(length):
-            rot[base + k] = base + (k + 1) % length
-        gens.append(tuple(rot))
-        base += length
-    for (b1, l1), (b2, l2) in zip(blocks, blocks[1:]):
-        if l1 == l2:
-            swap = list(range(n))
-            for k in range(l1):
-                swap[b1 + k], swap[b2 + k] = b2 + k, b1 + k
-            gens.append(tuple(swap))
-    return gens
-
-
 def _first_pair_reps(parts):
-    """One candidate j per centralizer orbit of the unordered pair {0, j}."""
-    n = sum(parts)
-    gens = _centralizer_generators(parts)
-    reps = []
-    seen = set()
-    for j in range(1, n):
-        if j in seen:
-            continue
-        reps.append(j)
-        frontier = [(0, j)]
-        orbit = {(0, j)}
-        while frontier:
-            a, b = frontier.pop()
-            for gperm in gens:
-                img = (min(gperm[a], gperm[b]), max(gperm[a], gperm[b]))
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        for a, b in orbit:
-            if a == 0:
-                seen.add(b)
+    """One candidate j per centralizer orbit of the unordered pair {0, j},
+    in increasing order, for the canonical permutation of the
+    non-increasing parts.  The centralizer rotates each cycle and permutes
+    cycles of equal length.  In 0's own cycle of length L a rotation maps
+    {0, k} to {0, L - k}, so k = 1 .. L // 2 are the orbits there; every
+    other j is equivalent to the first vertex of the first later cycle of
+    its length."""
+    reps = list(range(1, parts[0] // 2 + 1))
+    start = parts[0]
+    for k in range(1, len(parts)):
+        if k == 1 or parts[k] != parts[k - 1]:
+            reps.append(start)
+        start += parts[k]
     return reps
 
 
@@ -131,19 +71,32 @@ class SearchCounter:
         self.nodes = 0
 
 
-def _raw_enumerate(n, g, counter):
-    """All (sigma2, mu) with sigma2 canonical per cycle type and mu built
-    pairwise; no isomorphism dedup beyond the sigma2 normalization and the
-    first-pair orbit restriction.
+def canonical_enumerate(n, g, counter: SearchCounter = None):
+    """Connected girth >= g lifts of height n, as LiftAssignments over
+    h23(): every isomorphism class at least once, and duplicates the
+    normalizations do not rule out may appear.
 
-    Each search frame pairs the first unpaired u-vertex i.  One bounded
-    BFS from i per frame gives the vertices within distance g - 2 of i;
+    sigma2 is canonical per cycle type and mu is built pairwise.  Each
+    search frame pairs the first unpaired u-vertex i.  One bounded BFS
+    from i per frame gives the vertices within distance g - 2 of i;
     pairing i with such a j would close a cycle shorter than g, so j is
     pruned.  The list serves every candidate of the frame because each
-    child restores adj before the next candidate is tried."""
-    min_cycle = (g + 1) // 2
-    for parts in _partitions(n, min_cycle):
+    child restores adj before the next candidate is tried.  A leaf is
+    yielded only when one BFS over adj reaches every vertex."""
+    if g < 3:
+        raise GraphError("g must be >= 3")
+    if n < 1:
+        raise GraphError("height must be >= 1")
+    if n % 2:
+        return
+    counter = counter or SearchCounter()
+    base = h23()
+    ident = tuple(range(n))
+    for parts in _partitions(n, (g + 1) // 2):
         sigma2 = _sigma_from_partition(parts)
+        # base directed ids: 0 v->u, 1 u->v (pair A), 2 v->u, 3 u->v
+        # (pair B), 4 the half-loop at u
+        perms = [ident, ident, _perm_inverse(sigma2), sigma2]
         # vertices: u_i = i, v_i = n + i; edges u_i-v_i and u_i-v_sigma2(i)
         adj = [[] for _ in range(2 * n)]
         for i in range(n):
@@ -155,7 +108,8 @@ def _raw_enumerate(n, g, counter):
 
         def extend(unpaired):
             if not unpaired:
-                yield tuple(mu)
+                if min(bfs(adj, 0)) >= 0:
+                    yield LiftAssignment(base, n, perms + [mu])
                 return
             i = unpaired[0]
             near = bfs(adj, i, g - 1)
@@ -175,30 +129,14 @@ def _raw_enumerate(n, g, counter):
                 adj[j].pop()
                 mu[i] = mu[j] = -1
 
-        for m in extend(list(range(n))):
-            yield PermLiftH23(n, sigma2, m)
-
-
-def canonical_enumerate(n, g, counter: SearchCounter = None):
-    """Connected girth >= g lifts of height n: every isomorphism class at
-    least once, and duplicates the normalizations do not rule out may
-    appear."""
-    if g < 3:
-        raise GraphError("g must be >= 3")
-    if n % 2:
-        return
-    counter = counter or SearchCounter()
-    for lift in _raw_enumerate(n, g, counter):
-        graph, _ = lift.graph_and_cover()
-        if is_connected(graph):
-            yield lift
+        yield from extend(list(range(n)))
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
     g: int
     size: int | None          # vertices of the smallest witness, if any
-    witness: object           # PermLiftH23 or None
+    witness: LiftAssignment | None
     n_max: int
     nodes: int
 
@@ -224,7 +162,7 @@ def minimum_size(g: int, n_max: int) -> SearchOutcome:
     """Smallest 2n over heights n <= n_max admitting a connected girth-g
     lift, with a witness; unresolved outcome when none exists in range."""
     lift, nodes = _first_lift(g, n_max)
-    size = None if lift is None else 2 * lift.n
+    size = None if lift is None else 2 * lift.height
     return SearchOutcome(g, size, lift, n_max, nodes)
 
 
@@ -234,7 +172,7 @@ class Certificate:
     height: int
     refuted: bool
     nodes: int
-    counterexample: object    # PermLiftH23 when refuted is False
+    counterexample: LiftAssignment | None   # set when refuted is False
 
     def line(self):
         return f"g,{self.g},refuted_up_to,{self.height},nodes,{self.nodes}"
@@ -247,6 +185,5 @@ def certify_lower_bound(g: int, n: int) -> Certificate:
     return Certificate(g, n, lift is None, nodes, lift)
 
 
-__all__ = ["PermLiftH23", "SearchCounter", "canonical_enumerate",
-           "SearchOutcome", "minimum_size", "Certificate",
-           "certify_lower_bound"]
+__all__ = ["SearchCounter", "canonical_enumerate", "SearchOutcome",
+           "minimum_size", "Certificate", "certify_lower_bound"]

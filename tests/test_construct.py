@@ -8,7 +8,7 @@ import pytest
 from liftgirth import graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.construct import (TrimState, _short_cycle_through, _uv_edges,
-                                 cycle_census, cycles_of_length,
+                                 cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
                                  nb_cycle_profile, surgery_transform)
@@ -27,15 +27,15 @@ def to_nx(g):
 
 class TestCycleCounting:
     def test_simple_counts(self, k4, petersen):
-        assert cycle_census(graphs.cycle_graph(5), 5) == 1
-        assert cycle_census(k4, 3) == 4
-        assert cycle_census(petersen, 5) == 12
+        assert len(cycles_of_length(graphs.cycle_graph(5), 5)) == 1
+        assert len(cycles_of_length(k4, 3)) == 4
+        assert len(cycles_of_length(petersen, 5)) == 12
 
     def test_short_lengths(self, h23):
         parallel = MultiGraph.build(2, [("edge", 0, 1), ("edge", 0, 1)])
-        assert cycle_census(parallel, 2) == 1
-        assert cycle_census(h23, 1) == 1   # the half-loop
-        assert cycle_census(h23, 2) == 1   # the parallel pair
+        assert len(cycles_of_length(parallel, 2)) == 1
+        assert len(cycles_of_length(h23, 1)) == 1   # the half-loop
+        assert len(cycles_of_length(h23, 2)) == 1   # the parallel pair
 
     def test_cycles_are_closed_walks(self, petersen):
         for c in cycles_of_length(petersen, 5):
@@ -291,6 +291,16 @@ class TestGreedyCycle:
             greedy_cycle("x", 8, 5, random.Random(0))
         with pytest.raises(GraphError):
             greedy_cycle("a", 7, 5, random.Random(0))  # odd n
+        for n in (0, -4):
+            with pytest.raises(GraphError):
+                greedy_cycle("a", n, 3, random.Random(0))
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c"])
+    def test_base_cycle_shorter_than_g_fails(self, variant):
+        for n, g in ((4, 5), (8, 9), (12, 13), (20, 21)):
+            for seed in range(5):
+                assert greedy_cycle(variant, n, g, random.Random(seed)) \
+                    == (False, None)
 
 
 class TestCoverByStructure:

@@ -12,7 +12,7 @@ from liftgirth.lifts import (CoverMap, LiftAssignment, assignment_from_cover,
                              random_two_lift_assignment, relabel_layers,
                              serialize_cover_map, parse_cover_map,
                              verify_cover)
-from liftgirth.construct import cycle_census
+from liftgirth.construct import cycles_of_length
 
 IDENT = (0, 1)
 SWAP = (1, 0)
@@ -122,7 +122,7 @@ class TestTwoLifts:
         # so the mean lifted census is 2; allow a wide 5 sigma band
         rng = random.Random(7)
         samples = 2000
-        total = sum(cycle_census(random_two_lift(k4me, rng), 3)
+        total = sum(len(cycles_of_length(random_two_lift(k4me, rng), 3))
                     for _ in range(samples))
         mean = total / samples
         assert abs(mean - 2.0) < 5 * 2.0 / samples ** 0.5

@@ -4,11 +4,11 @@ import itertools
 import networkx as nx
 import pytest
 
-from liftgirth.graphs import (GraphError, bfs, girth, is_connected,
+from liftgirth.graphs import (GraphError, bfs, girth, h23, is_connected,
                               k4_minus_edge, serialize_graph)
-from liftgirth.lifts import verify_cover
-from liftgirth.search import (PermLiftH23, SearchCounter, _first_pair_reps,
-                              _partitions, _raw_enumerate,
+from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
+                             verify_cover)
+from liftgirth.search import (SearchCounter, _first_pair_reps, _partitions,
                               _sigma_from_partition, canonical_enumerate,
                               certify_lower_bound, minimum_size)
 
@@ -20,11 +20,19 @@ def to_nx(g):
     return gx
 
 
+def h23_lift(n, sigma2, mu):
+    """The height-n lift of H23 with sigma1 the identity, as the search
+    builds it."""
+    ident = tuple(range(n))
+    return LiftAssignment(h23(), n,
+                          [ident, ident, _perm_inverse(sigma2), sigma2, mu])
+
+
 def iso_classes(lifts):
     """One networkx graph per isomorphism class among the lifts' graphs."""
     classes = []
     for lift in lifts:
-        gx = to_nx(lift.graph_and_cover()[0])
+        gx = to_nx(build_lift(lift)[0])
         if not any(nx.is_isomorphic(gx, seen) for seen in classes):
             classes.append(gx)
     return classes
@@ -51,7 +59,7 @@ def brute_class_count(n, g):
     for sigma2 in itertools.permutations(range(n)):
         for mu_map in fpf_involutions(range(n)):
             mu = tuple(mu_map[i] for i in range(n))
-            graph, _ = PermLiftH23(n, sigma2, mu).graph_and_cover()
+            graph, _ = build_lift(h23_lift(n, sigma2, mu))
             if girth(graph) < g or not is_connected(graph):
                 continue
             gx = to_nx(graph)
@@ -60,10 +68,78 @@ def brute_class_count(n, g):
     return len(classes)
 
 
+def cycle_type(perm):
+    """The cycle lengths of perm, non-increasing."""
+    seen = set()
+    lengths = []
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths, reverse=True)
+
+
+def centralizer_generators(parts):
+    """Generators of the centralizer of the canonical partition
+    permutation: one rotation per cycle plus swaps of adjacent
+    equal-length cycle blocks."""
+    n = sum(parts)
+    gens = []
+    base = 0
+    blocks = []
+    for length in parts:
+        blocks.append((base, length))
+        rot = list(range(n))
+        for k in range(length):
+            rot[base + k] = base + (k + 1) % length
+        gens.append(tuple(rot))
+        base += length
+    for (b1, l1), (b2, l2) in zip(blocks, blocks[1:]):
+        if l1 == l2:
+            swap = list(range(n))
+            for k in range(l1):
+                swap[b1 + k], swap[b2 + k] = b2 + k, b1 + k
+            gens.append(tuple(swap))
+    return gens
+
+
+def orbit_first_pair_reps(parts):
+    """Reference for search._first_pair_reps: the smallest j of each
+    centralizer orbit of the unordered pair {0, j}, by closing the orbit
+    under the generators."""
+    n = sum(parts)
+    gens = centralizer_generators(parts)
+    reps = []
+    seen = set()
+    for j in range(1, n):
+        if j in seen:
+            continue
+        reps.append(j)
+        frontier = [(0, j)]
+        orbit = {(0, j)}
+        while frontier:
+            a, b = frontier.pop()
+            for gperm in gens:
+                img = (min(gperm[a], gperm[b]), max(gperm[a], gperm[b]))
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        for a, b in orbit:
+            if a == 0:
+                seen.add(b)
+    return reps
+
+
 def per_candidate_enumerate(n, g, counter):
-    """Reference for search._raw_enumerate: the same frames, candidate
+    """Reference for search.canonical_enumerate: the same frames, candidate
     order and node count, but a fresh bounded BFS for every candidate
-    instead of one per frame.  Yields (sigma2, mu)."""
+    instead of one per frame, and the first pair from the orbit search.
+    Yields (sigma2, mu, connected) for every leaf, connected telling
+    whether one BFS over the reference's own adj reaches every vertex."""
     for parts in _partitions(n, (g + 1) // 2):
         sigma2 = _sigma_from_partition(parts)
         adj = [[] for _ in range(2 * n)]
@@ -71,12 +147,12 @@ def per_candidate_enumerate(n, g, counter):
             adj[i] += [n + i, n + sigma2[i]]
             adj[n + i].append(i)
             adj[n + sigma2[i]].append(i)
-        first_reps = _first_pair_reps(parts)
+        first_reps = orbit_first_pair_reps(parts)
         mu = [-1] * n
 
         def extend(unpaired):
             if not unpaired:
-                yield tuple(mu)
+                yield tuple(mu), -1 not in bfs(adj, 0)
                 return
             i = unpaired[0]
             for j in first_reps if i == 0 else unpaired[1:]:
@@ -93,25 +169,35 @@ def per_candidate_enumerate(n, g, counter):
                 adj[j].pop()
                 mu[i] = mu[j] = -1
 
-        for m in extend(list(range(n))):
-            yield sigma2, m
+        for m, connected in extend(list(range(n))):
+            yield sigma2, m, connected
+
+
+def check_search_lift(lift, n, g):
+    """The normal form the search promises (sigma1 the identity, sigma2
+    canonical for its cycle type, mu a fixed-point-free involution), and a
+    connected girth >= g cover of H23."""
+    assert lift.height == n
+    ident, ident2, inv_sigma2, sigma2, mu = lift.perms
+    assert ident == ident2 == tuple(range(n))
+    assert sigma2 == _sigma_from_partition(cycle_type(sigma2))
+    assert inv_sigma2 == _perm_inverse(sigma2)
+    assert all(mu[mu[i]] == i != mu[i] for i in range(n))
+    graph, cover = build_lift(lift)
+    assert girth(graph) >= g and is_connected(graph)
+    assert verify_cover(graph, lift.base, cover)
 
 
 class TestPermLift:
     def test_k4_minus_edge(self):
-        lift = PermLiftH23(2, (1, 0), (1, 0))
-        graph, cover = lift.graph_and_cover()
+        graph, cover = build_lift(h23_lift(2, (1, 0), (1, 0)))
         assert graph.vertex_count == 4 and girth(graph) == 3
         assert nx.is_isomorphic(to_nx(graph), to_nx(k4_minus_edge()))
 
     def test_covers_base(self):
-        lift = PermLiftH23(4, (1, 2, 3, 0), (1, 0, 3, 2))
-        graph, cover = lift.graph_and_cover()
-        assert verify_cover(graph, lift.assignment().base, cover)
-
-    def test_mu_must_be_fpf_involution(self):
-        with pytest.raises(GraphError):
-            PermLiftH23(2, (0, 1), (0, 1)).assignment()
+        lift = h23_lift(4, (1, 2, 3, 0), (1, 0, 3, 2))
+        graph, cover = build_lift(lift)
+        assert verify_cover(graph, lift.base, cover)
 
 
 class TestEnumeration:
@@ -127,10 +213,21 @@ class TestEnumeration:
         assert not list(canonical_enumerate(8, 7))
 
     def test_yields_valid_lifts(self):
-        for lift in canonical_enumerate(6, 5):
-            graph, cover = lift.graph_and_cover()
-            assert girth(graph) >= 5 and is_connected(graph)
-            assert verify_cover(graph, lift.assignment().base, cover)
+        for n, g in ((4, 3), (6, 5), (8, 5), (10, 6)):
+            lifts = list(canonical_enumerate(n, g))
+            assert lifts, (n, g)
+            for lift in lifts:
+                check_search_lift(lift, n, g)
+
+    def test_height_must_be_positive(self):
+        with pytest.raises(GraphError):
+            list(canonical_enumerate(0, 3))
+
+    def test_first_pair_reps_match_orbits(self):
+        for n in range(2, 25, 2):
+            for parts in _partitions(n, 2):
+                assert _first_pair_reps(parts) == \
+                    orbit_first_pair_reps(parts), parts
 
     def test_matches_brute_force(self):
         for n in (2, 4):
@@ -147,17 +244,17 @@ class TestEnumeration:
     def test_matches_per_candidate_reference(self, n):
         for g in range(3, 10):
             mine, ref = SearchCounter(), SearchCounter()
-            pairs = [(lift.sigma2, lift.mu)
-                     for lift in _raw_enumerate(n, g, mine)]
-            assert pairs == list(per_candidate_enumerate(n, g, ref)), g
+            pairs = [(lift.perms[3], lift.perms[4])
+                     for lift in canonical_enumerate(n, g, mine)]
+            leaves = list(per_candidate_enumerate(n, g, ref))
+            assert pairs == [(s, m) for s, m, ok in leaves if ok], g
             assert mine.nodes == ref.nodes, g
             if n <= 10:
-                # the connectivity filter costs ~10 s at n = 12, and
-                # takes no part in the pruning the reference checks
-                kept = [(lift.sigma2, lift.mu)
-                        for lift in canonical_enumerate(n, g)]
-                assert kept == [p for p in pairs if is_connected(
-                    PermLiftH23(n, *p).graph_and_cover()[0])], g
+                # the BFS over adj agrees with the lift built as a graph;
+                # building every leaf costs ~10 s at n = 12
+                assert all(
+                    ok == is_connected(build_lift(h23_lift(n, s, m))[0])
+                    for s, m, ok in leaves), g
 
 
 class TestMinimumSize:
@@ -166,9 +263,7 @@ class TestMinimumSize:
         for g, size in expected.items():
             out = minimum_size(g, 16)
             assert out.resolved and out.size == size, g
-            graph, cover = out.witness.graph_and_cover()
-            assert girth(graph) >= g and is_connected(graph)
-            assert verify_cover(graph, out.witness.assignment().base, cover)
+            check_search_lift(out.witness, size // 2, g)
 
     def test_monotone_in_g(self):
         sizes = [minimum_size(g, 16).size for g in range(3, 10)]
@@ -189,11 +284,11 @@ class TestMinimumSize:
     def test_pinned_minima(self, g, n_max, size, nodes, sha):
         out = minimum_size(g, n_max)
         assert (out.size, out.nodes) == (size, nodes)
-        graph, cover = out.witness.graph_and_cover()
+        graph, cover = build_lift(out.witness)
         assert hashlib.sha256(
             serialize_graph(graph).encode()).hexdigest() == sha
         assert girth(graph) == g and is_connected(graph)
-        assert verify_cover(graph, out.witness.assignment().base, cover)
+        assert verify_cover(graph, out.witness.base, cover)
 
 
 class TestCertificates:
@@ -206,5 +301,5 @@ class TestCertificates:
     def test_counterexample_when_not_refuted(self):
         cert = certify_lower_bound(6, 8)
         assert not cert.refuted
-        graph, _ = cert.counterexample.graph_and_cover()
+        graph, _ = build_lift(cert.counterexample)
         assert girth(graph) >= 6 and graph.vertex_count <= 16
