@@ -12,8 +12,6 @@ Three families:
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 from .bounds import SpanningTreeInfo, spanning_tree
@@ -72,25 +70,36 @@ def cycles_of_length(g: MultiGraph, length: int):
 def nb_cycle_profile(g: MultiGraph, e: int, g_max: int):
     """(c_1, ..., c_gmax) where c_l counts closed non-backtracking walks of
     length l through edge e, one per cyclic orientation class (the walk is
-    pinned to start with the directed edge e)."""
-    counts = [0] * (g_max + 1)
-    start = g.tail[e]
-    first_inv = g.inv[e]
+    pinned to start with the directed edge e).
 
-    def walk(last, v, depth):
-        if depth > g_max:
-            return
-        if v == start and last != first_inv:
-            counts[depth] += 1
-        if depth == g_max:
-            return
-        forbidden = g.inv[last]
-        for f in g.out_edges(v):
-            if f != forbidden:
-                walk(f, g.head[f], depth + 1)
+    c_l is the diagonal entry (B^l)[e, e] of the non-backtracking matrix B.
+    Reversing walks gives (B^b)[f, e] = (B^b)[inv e, inv f], so the walks
+    meet in the middle: c_l = sum over f of F_a(e)[f] * F_b(inv e)[inv f]
+    with a = ceil(l/2), b = floor(l/2), where F_d(x) counts the walks of d
+    steps from x by the directed edge they end on."""
+    head, inv, out = g.head, g.inv, g.out
 
-    walk(e, g.head[e], 1)
-    return tuple(counts[1:])
+    def fronts(x, depth):
+        levels = [{x: 1}]
+        for _ in range(depth):
+            nxt = {}
+            for z, c in levels[-1].items():
+                back = inv[z]
+                for y in out[head[z]]:
+                    if y != back:
+                        nxt[y] = nxt.get(y, 0) + c
+            levels.append(nxt)
+        return levels
+
+    fwd, bwd = fronts(e, (g_max + 1) // 2), fronts(inv[e], g_max // 2)
+    counts = []
+    for l in range(1, g_max + 1):
+        meet, total = fwd[(l + 1) // 2], 0
+        for y, c in bwd[l // 2].items():
+            if inv[y] in meet:
+                total += c * meet[inv[y]]
+        counts.append(total)
+    return tuple(counts)
 
 
 # -- girth boosting by 2-lifts ---------------------------------------------
@@ -386,28 +395,30 @@ def surgery_transform(g: MultiGraph, e: int, f: int) -> MultiGraph:
     return MultiGraph.from_pairs(nv + 4, pairs)
 
 
-def _short_cycle_through(g: MultiGraph, e: int, bound) -> float:
-    """Length of the shortest cycle through undirected edge e when it is
-    shorter than bound, else math.inf: one BFS in g minus e between its
-    endpoints that expands no vertex at depth bound - 2 or more."""
-    a, b = g.tail[e], g.head[e]
-    banned = {e, g.inv[e]}
-    dist = {a: 0}
-    q = deque([a])
-    while q:
-        v = q.popleft()
-        if v == b:
-            return dist[b] + 1
-        if dist[v] >= bound - 2:
-            continue            # b may still be queued at this depth
-        for x in g.out_edges(v):
-            if x in banned:
-                continue
-            w = g.head[x]
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return math.inf
+def _short_cycle_edges(g: MultiGraph, edges, bound):
+    """The edges of the list that lie on a cycle shorter than bound, in
+    list order.  One all-edges BFS in the style of graphs._spread: bit k
+    starts at the tail of edges[k] and crosses every directed edge but
+    edges[k]; after bound - 2 rounds it has reached the head iff edges[k]
+    closes a cycle of length at most bound - 1.  The inverse of edges[k]
+    needs no ban: it leaves the head, so no walk uses it before the head."""
+    ban = [0] * g.edge_count
+    rows = [0] * g.vertex_count
+    for k, e in enumerate(edges):
+        ban[e] |= 1 << k
+        rows[g.tail[e]] |= 1 << k
+    into = [[] for _ in rows]
+    for x in range(g.edge_count):
+        into[g.head[x]].append((g.tail[x], ~ban[x]))
+    for _ in range(bound - 2):
+        nxt = []
+        for v, pairs in enumerate(into):
+            r = rows[v]
+            for t, keep in pairs:
+                r |= rows[t] & keep
+            nxt.append(r)
+        rows = nxt
+    return [e for k, e in enumerate(edges) if rows[g.head[e]] >> k & 1]
 
 
 def _pick_max(items, key, rng):
@@ -435,7 +446,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
             return graph
         uv = _uv_edges(graph)
         if variant == "gd":
-            on_short = [e for e in uv if _short_cycle_through(graph, e, g) < g]
+            on_short = _short_cycle_edges(graph, uv, g)
             e = on_short[rng.randrange(len(on_short))]
             others = [f for f in uv if f != e]
             da = bfs(graph.adj, graph.tail[e])

@@ -30,11 +30,12 @@ class MultiGraph:
     """Immutable multigraph given by directed edges and an involution.
 
     Directed edge ``e`` has ``tail[e]``, ``head[e]`` and inverse ``inv[e]``;
-    ``adj[v]`` lists the head of every edge out of ``v``, in edge-id order.
+    ``out[v]`` lists the edges out of ``v`` in id order, and ``adj[v]`` their
+    heads.
     Vertex and edge ids are dense 0-based integers.
     """
 
-    __slots__ = ("vertex_count", "tail", "head", "inv", "adj", "_out", "_deg")
+    __slots__ = ("vertex_count", "tail", "head", "inv", "adj", "out", "_deg")
 
     def __init__(self, vertex_count, tail, head, inv):
         if vertex_count <= 0:
@@ -62,7 +63,7 @@ class MultiGraph:
         out = [[] for _ in range(vertex_count)]
         for e in range(m):
             out[tail[e]].append(e)
-        self._out = tuple(tuple(es) for es in out)
+        self.out = tuple(tuple(es) for es in out)
         self._deg = tuple(len(es) for es in out)
         self.adj = tuple(tuple(head[e] for e in es) for es in out)
 
@@ -74,7 +75,7 @@ class MultiGraph:
         return len(self.tail)
 
     def out_edges(self, v):
-        return self._out[v]
+        return self.out[v]
 
     def degree(self, v):
         return self._deg[v]

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
 
-from liftgirth import graphs
+from liftgirth import construct, graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
-from liftgirth.construct import (TrimState, _short_cycle_through, _uv_edges,
+from liftgirth.construct import (TrimState, _short_cycle_edges, _uv_edges,
                                  cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
@@ -16,6 +17,7 @@ from liftgirth.graphs import (GraphError, MultiGraph, diameter, farthest_pair,
                               girth)
 from liftgirth.lifts import (build_lift, normalize_tree_layers,
                              serialize_cover_map, verify_cover)
+from test_graphs import random_loopy_lift
 
 
 def to_nx(g):
@@ -23,6 +25,75 @@ def to_nx(g):
     gx.add_nodes_from(range(g.vertex_count))
     gx.add_edges_from((g.tail[e], g.head[e]) for e in g.undirected_edges())
     return gx
+
+
+def reference_nb_cycle_profile(g, e, g_max):
+    """nb_cycle_profile by a recursive walk along every non-backtracking
+    walk of at most g_max steps from e: exponential in g_max."""
+    counts = [0] * (g_max + 1)
+    start = g.tail[e]
+    first_inv = g.inv[e]
+
+    def walk(last, v, depth):
+        if depth > g_max:
+            return
+        if v == start and last != first_inv:
+            counts[depth] += 1
+        if depth == g_max:
+            return
+        forbidden = g.inv[last]
+        for f in g.out_edges(v):
+            if f != forbidden:
+                walk(f, g.head[f], depth + 1)
+
+    walk(e, g.head[e], 1)
+    return tuple(counts[1:])
+
+
+def reference_short_cycle_through(g, e, bound):
+    """Length of the shortest cycle through undirected edge e when it is
+    shorter than bound, else math.inf: one BFS in g minus e between its
+    endpoints that expands no vertex at depth bound - 2 or more."""
+    a, b = g.tail[e], g.head[e]
+    banned = {e, g.inv[e]}
+    dist = {a: 0}
+    q = deque([a])
+    while q:
+        v = q.popleft()
+        if v == b:
+            return dist[b] + 1
+        if dist[v] >= bound - 2:
+            continue            # b may still be queued at this depth
+        for x in g.out_edges(v):
+            if x in banned:
+                continue
+            w = g.head[x]
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                q.append(w)
+    return math.inf
+
+
+@pytest.fixture(scope="module")
+def loopy_lifts():
+    """Random lifts with half-loops, whole-loops and parallel edges."""
+    rng = random.Random(2024)
+    return [random_loopy_lift(rng) for _ in range(60)]
+
+
+@pytest.fixture(scope="module")
+def growth_runs():
+    """Every graph that grow("gf", 12) and grow("gd", 13) test for girth,
+    by (variant, seed) for seeds 0, 1, 2; the last one is the output."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for variant, g in (("gf", 12), ("gd", 13)):
+            for seed in (0, 1, 2):
+                seen = runs[variant, seed] = []
+                mp.setattr(construct, "girth",
+                           lambda x, seen=seen: seen.append(x) or girth(x))
+                grow(variant, g, random.Random(seed))
+    return runs
 
 
 class TestCycleCounting:
@@ -57,6 +128,26 @@ class TestNBProfile:
 
     def test_petersen_edge(self, petersen):
         assert nb_cycle_profile(petersen, 0, 5)[4] == 4
+
+    def test_matches_reference_on_growth(self, growth_runs):
+        """Every u-v edge of every graph that gf and gd step through, at
+        every g_max up to 12, so both parities of the meeting depth."""
+        for run in growth_runs.values():
+            for g in run:
+                for e in _uv_edges(g):
+                    full = reference_nb_cycle_profile(g, e, 12)
+                    for g_max in range(1, 13):
+                        assert nb_cycle_profile(g, e, g_max) == full[:g_max]
+
+    def test_matches_reference_on_loopy_lifts(self, loopy_lifts):
+        """Every directed edge, loops of both kinds included; the reference
+        walk is exponential in the degree, which loops drive up to 14 here,
+        so g_max stays small."""
+        for g in loopy_lifts:
+            for e in range(g.edge_count):
+                full = reference_nb_cycle_profile(g, e, 5)
+                for g_max in range(1, 6):
+                    assert nb_cycle_profile(g, e, g_max) == full[:g_max]
 
 
 class TestHighGirthCover:
@@ -209,15 +300,11 @@ def graph_digest(g):
     return hashlib.sha256(graphs.serialize_graph(g).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def gd13():
-    """grow("gd", 13) for seeds 0, 1, 2."""
-    return {s: grow("gd", 13, random.Random(s)) for s in (0, 1, 2)}
-
-
 class TestPinnedGrowth:
     """SHA-256 of serialize_graph for outputs that girth steers, recorded
-    before girth became an all-sources BFS."""
+    before girth became an all-sources BFS; the growth pins at other
+    girths were recorded before the cycle profiles met in the middle and
+    the short-cycle test became one all-edges pass."""
 
     GF12 = {
         0: "8df342922a325332b4a877da9dffec2293c8cdebaa37b909e5461b7acbb901b9",
@@ -237,13 +324,26 @@ class TestPinnedGrowth:
         4: "faada7290babbbb14bae9a2ad845688d5dd39ae89fc315ff7aa73243d051c6d9",
     }
 
-    def test_gf_g12(self):
+    def test_gf_g12(self, growth_runs):
         for seed, digest in self.GF12.items():
-            assert graph_digest(grow("gf", 12, random.Random(seed))) == digest
+            assert graph_digest(growth_runs["gf", seed][-1]) == digest
 
-    def test_gd_g13(self, gd13):
+    def test_gd_g13(self, growth_runs):
         for seed, digest in self.GD13.items():
-            assert graph_digest(gd13[seed]) == digest
+            assert graph_digest(growth_runs["gd", seed][-1]) == digest
+
+    @pytest.mark.parametrize("variant, g, digest", [
+        ("gf", 9,
+         "9c64c6aed4390270be8f9563ddaf8916fb674e7d45cb5c8a7dde909f1327c015"),
+        ("gf", 14,
+         "4658dc2f26378a67cd2904cb8c0a1f118686928fcbd778b88b1f7cef6b0cbe86"),
+        ("gd", 8,
+         "f79443378c9e42363345a598d99c6950a06894fcc2a63080d40b46ae3065c6be"),
+        ("gd", 15,
+         "3c75c565c1be9ba6857468a98a9ff7852e7e08fa85cd5d3d32afb5dacd45fa32"),
+    ], ids=["gf9", "gf14", "gd8", "gd15"])
+    def test_other_girths(self, variant, g, digest):
+        assert graph_digest(grow(variant, g, random.Random(0))) == digest
 
     def test_greedy_c_n24_g8(self):
         for seed, digest in self.C24_G8.items():
@@ -251,15 +351,28 @@ class TestPinnedGrowth:
             assert ok == (digest is not None)
             assert not ok or graph_digest(g) == digest
 
-    def test_short_cycle_bound(self, gd13):
-        """The bounded BFS gives the unbounded verdict on every u-v edge,
-        and the exact length when it is below the bound."""
-        for g in gd13.values():
-            for e in _uv_edges(g):
-                full = _short_cycle_through(g, e, math.inf)
+    def test_short_cycle_bound(self, growth_runs):
+        """The all-edges pass picks, at every bound, the u-v edges whose
+        shortest cycle by the unbounded reference BFS is shorter, on every
+        graph that gf and gd step through."""
+        for run in growth_runs.values():
+            for g in run:
+                uv = _uv_edges(g)
+                full = {e: reference_short_cycle_through(g, e, math.inf)
+                        for e in uv}
                 for bound in range(3, 17):
-                    got = _short_cycle_through(g, e, bound)
-                    assert got == (full if full < bound else math.inf)
+                    assert _short_cycle_edges(g, uv, bound) \
+                        == [e for e in uv if full[e] < bound]
+
+    def test_short_cycle_loopy_lifts(self, loopy_lifts):
+        """Loops, half-loops and parallel edges, with the edges given in
+        reverse order: the result keeps the order it was given."""
+        for g in loopy_lifts:
+            edges = g.undirected_edges()[::-1]
+            for bound in range(3, 11):
+                assert _short_cycle_edges(g, edges, bound) == [
+                    e for e in edges
+                    if reference_short_cycle_through(g, e, bound) < bound]
 
 
 class TestGreedyCycle:
