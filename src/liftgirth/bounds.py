@@ -30,7 +30,7 @@ def _bfs_tree_edges(h: MultiGraph, root):
     q = deque([root])
     while q:
         v = q.popleft()
-        for e in h.out_edges(v):
+        for e in h.out[v]:
             w = h.head[e]
             if not seen[w]:
                 seen[w] = 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import SpanningTreeInfo, spanning_tree
+from .cover_tree import nb_step
 from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
                      girth, h23, k4_minus_edge)
 from .lifts import (CoverMap, LiftAssignment, _perm_inverse, build_lift,
@@ -49,7 +50,7 @@ def cycles_of_length(g: MultiGraph, length: int):
 
     def extend(start, v, visited, path):
         depth = len(path)
-        for e in g.out_edges(v):
+        for e in g.out[v]:
             w = g.head[e]
             if depth == length - 1:
                 # closing edge; direction dedup: second vertex < last vertex
@@ -77,18 +78,12 @@ def nb_cycle_profile(g: MultiGraph, e: int, g_max: int):
     meet in the middle: c_l = sum over f of F_a(e)[f] * F_b(inv e)[inv f]
     with a = ceil(l/2), b = floor(l/2), where F_d(x) counts the walks of d
     steps from x by the directed edge they end on."""
-    head, inv, out = g.head, g.inv, g.out
+    inv = g.inv
 
     def fronts(x, depth):
         levels = [{x: 1}]
         for _ in range(depth):
-            nxt = {}
-            for z, c in levels[-1].items():
-                back = inv[z]
-                for y in out[head[z]]:
-                    if y != back:
-                        nxt[y] = nxt.get(y, 0) + c
-            levels.append(nxt)
+            levels.append(nb_step(g, levels[-1]))
         return levels
 
     fwd, bwd = fronts(e, (g_max + 1) // 2), fronts(inv[e], g_max // 2)

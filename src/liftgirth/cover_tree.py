@@ -4,6 +4,10 @@ Ball sizes are computed by counting non-backtracking walks in the base
 graph.  Frontier states are (arriving directed edge) keys with integer
 multiplicities, so layer sizes stay polynomial in the number of base
 edges even though the ball itself grows exponentially.
+
+`nb_step` is the one step of the non-backtracking matrix B that ball
+sizes, the Perron radius (`spectral`) and the cycle profiles of surgery
+growth (`construct.nb_cycle_profile`) share.
 """
 
 from __future__ import annotations
@@ -11,18 +15,30 @@ from __future__ import annotations
 from .graphs import GraphError, MultiGraph, validate
 
 
-def _expand(g: MultiGraph, counts):
-    """One non-backtracking step: state e (just-traversed edge) branches to
-    every edge leaving head(e) except e^-1."""
-    nxt = [0] * g.edge_count
-    for e, c in enumerate(counts):
-        if not c:
-            continue
-        inv_e = g.inv[e]
-        for f in g.out_edges(g.head[e]):
-            if f != inv_e:
-                nxt[f] += c
+def nb_step(g: MultiGraph, counts) -> dict:
+    """One step of B: walk counts keyed by the directed edge the walk ends
+    on, to the counts of the walks one step longer.  A walk ending on e
+    continues on every edge out of head(e) except e^-1; edges no walk
+    reaches are absent.  Each entry sums its predecessors in the order of
+    `counts`."""
+    head, inv, out = g.head, g.inv, g.out
+    nxt = {}
+    for e, c in counts.items():
+        back = inv[e]
+        for f in out[head[e]]:
+            if f != back:
+                nxt[f] = nxt.get(f, 0) + c
     return nxt
+
+
+def _layer_sums(g: MultiGraph, counts, r: int):
+    """Sizes of the first r layers grown from the start walks in counts:
+    sum the layer, then step."""
+    sums = []
+    for _ in range(r):
+        sums.append(sum(counts.values()))
+        counts = nb_step(g, counts)
+    return sums
 
 
 def layer_counts(base: MultiGraph, v: int, rmax: int):
@@ -30,14 +46,7 @@ def layer_counts(base: MultiGraph, v: int, rmax: int):
     vertex over v."""
     if rmax < 0:
         raise GraphError("rmax must be >= 0")
-    out = []
-    counts = [0] * base.edge_count
-    for e in base.out_edges(v):
-        counts[e] = 1
-    for _ in range(rmax):
-        out.append(sum(counts))
-        counts = _expand(base, counts)
-    return out[:rmax]
+    return _layer_sums(base, dict.fromkeys(base.out[v], 1), rmax)
 
 
 def ball_size_vertex(base: MultiGraph, v: int, r: int) -> int:
@@ -58,13 +67,8 @@ def ball_size_edge_two_sided(base: MultiGraph, e: int, r: int) -> int:
     total = 2
     for start_vertex, forbidden in ((base.tail[e], e),
                                     (base.head[e], base.inv[e])):
-        counts = [0] * base.edge_count
-        for f in base.out_edges(start_vertex):
-            if f != forbidden:
-                counts[f] = 1
-        for _ in range(r):
-            total += sum(counts)
-            counts = _expand(base, counts)
+        start = {f: 1 for f in base.out[start_vertex] if f != forbidden}
+        total += sum(_layer_sums(base, start, r))
     return total
 
 
@@ -85,5 +89,5 @@ def growth_estimate(base: MultiGraph, rmax: int) -> float:
     return ratio ** (1.0 / (rmax - half))
 
 
-__all__ = ["layer_counts", "ball_size_vertex", "ball_size_edge_two_sided",
-           "growth_estimate"]
+__all__ = ["nb_step", "layer_counts", "ball_size_vertex",
+           "ball_size_edge_two_sided", "growth_estimate"]

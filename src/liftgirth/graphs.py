@@ -74,9 +74,6 @@ class MultiGraph:
         """Number of directed edges (a half-loop counts once)."""
         return len(self.tail)
 
-    def out_edges(self, v):
-        return self.out[v]
-
     def degree(self, v):
         return self._deg[v]
 

@@ -120,8 +120,8 @@ def verify_cover(g: MultiGraph, h: MultiGraph, m: CoverMap) -> CoverReport:
     if bad:
         return CoverReport(False, bad)
     for v in range(g.vertex_count):
-        images = sorted(m.edge_map[e] for e in g.out_edges(v))
-        expected = sorted(h.out_edges(m.vertex_map[v]))
+        images = sorted(m.edge_map[e] for e in g.out[v])
+        expected = sorted(h.out[m.vertex_map[v]])
         if images != expected:
             bad.append(f"vertex {v}: emanating edges not a local bijection")
     vertex_fibers = [0] * h.vertex_count
@@ -210,7 +210,7 @@ def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
     stack = [0]
     while stack:
         v = stack.pop()
-        for e in h.out_edges(v):
+        for e in h.out[v]:
             if e not in tree_set:
                 continue
             w = h.head[e]

@@ -1,83 +1,61 @@
-"""Non-backtracking matrix, Perron radius, and degree-based invariants."""
+"""Perron radius of the non-backtracking matrix B (applied by
+`cover_tree.nb_step`), and degree-based invariants."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+from .cover_tree import nb_step
 from .graphs import GraphError, MultiGraph, bfs, validate
 
 
-class NBMatrix:
-    """0-1 matrix over directed edges: entry (f, e) is 1 when walks may
-    continue from e to f, i.e. tail(f) = head(e) and e != f^-1.
-
-    Stored as sparse rows; matvec over plain Python numbers stays exact
-    for integer inputs.
-    """
-
-    __slots__ = ("dimension", "rows")
-
-    def __init__(self, dimension, rows):
-        self.dimension = dimension
-        self.rows = tuple(tuple(r) for r in rows)
-
-    def matvec(self, x):
-        return [sum(x[e] for e in row) for row in self.rows]
-
-    def entry(self, f, e):
-        return 1 if e in self.rows[f] else 0
-
-
-def build_nb_matrix(h: MultiGraph) -> NBMatrix:
-    rows = []
-    for f in range(h.edge_count):
-        inv_f = h.inv[f]
-        t = h.tail[f]
-        rows.append(tuple(e for e in range(h.edge_count)
-                          if h.head[e] == t and e != inv_f))
-    return NBMatrix(h.edge_count, rows)
-
-
-def _strongly_connected(b: NBMatrix) -> bool:
-    if b.dimension == 0:
+def _strongly_connected(h: MultiGraph) -> bool:
+    """Whether B is irreducible: its digraph, with an arc e -> f when a
+    walk ending on e may continue on f, has an arc and is strongly
+    connected.  (So a 1x1 B, which is zero, counts as reducible.)"""
+    succ = [list(nb_step(h, {e: 1})) for e in range(h.edge_count)]
+    if not any(succ):
         return False
-    fwd = [[] for _ in range(b.dimension)]
-    bwd = [[] for _ in range(b.dimension)]
-    for f, row in enumerate(b.rows):
-        for e in row:
-            fwd[e].append(f)   # continuation arc e -> f
-            bwd[f].append(e)
-    return all(min(bfs(adj, 0)) >= 0 for adj in (fwd, bwd))
+    pred = [[] for _ in succ]
+    for e, fs in enumerate(succ):
+        for f in fs:
+            pred[f].append(e)
+    return all(min(bfs(adj, 0)) >= 0 for adj in (succ, pred))
 
 
 def is_irreducible(h: MultiGraph) -> bool:
-    """Structural admissibility test, cross-checked against strong
-    connectivity of the continuation digraph."""
+    """Structural admissibility test, cross-checked against the equivalent
+    property of B: strongly connected, some edge with at least two
+    continuations, and no isolated vertex."""
     structural = validate(h).admissible
-    direct = _strongly_connected(build_nb_matrix(h))
+    direct = (_strongly_connected(h) and min(h.degrees()) > 0
+              and any(len(nb_step(h, {e: 1})) > 1
+                      for e in range(h.edge_count)))
     if structural != direct:
         raise RuntimeError(
-            "structural irreducibility test disagrees with strong "
-            "connectivity; graph invariants are broken")
+            "structural irreducibility test disagrees with the "
+            "non-backtracking matrix; graph invariants are broken")
     return structural
 
 
-def spectral_radius(b: NBMatrix, tol: float = 1e-10, max_iter: int = 10**6):
-    """Perron radius by power iteration on B + I.
+def spectral_radius(h: MultiGraph, tol: float = 1e-10,
+                    max_iter: int = 10**6):
+    """Perron radius of the non-backtracking matrix B of h by power
+    iteration on B + I.
 
     The shift makes the iteration matrix primitive even when B has several
     peripheral eigenvalues (e.g. period 2 for bipartite-like bases), so
     plain power iteration converges.  Returns (rho, iterations, residual)
     with residual the scaled infinity norm of (B+I)x - (rho+1)x.
     """
-    if not _strongly_connected(b):
+    if not _strongly_connected(h):
         raise GraphError("spectral_radius requires an irreducible matrix")
-    n = b.dimension
+    n = h.edge_count
     x = [1.0] * n
     lam = 0.0
     for it in range(1, max_iter + 1):
-        bx = b.matvec(x)
+        bx = nb_step(h, dict(enumerate(x)))
         y = [x[i] + bx[i] for i in range(n)]
         norm = max(abs(v) for v in y)
         y = [v / norm for v in y]
@@ -119,7 +97,7 @@ def _chains(h: MultiGraph):
         e = start
         while h.degree(h.head[e]) == 2:
             v = h.head[e]
-            e = next(f for f in h.out_edges(v) if f != h.inv[e])
+            e = next(f for f in h.out[v] if f != h.inv[e])
             edges.append(e)
         key = min(tuple(edges), tuple(h.inv[e] for e in reversed(edges)))
         if key in seen:
@@ -164,7 +142,7 @@ def summarize(h: MultiGraph, tol: float = 1e-10) -> SpectralSummary:
     if not is_irreducible(h):
         raise GraphError("graph is not admissible (connected, mindeg >= 2, "
                          "maxdeg > 2)")
-    rho, iters, residual = spectral_radius(build_nb_matrix(h), tol)
+    rho, iters, residual = spectral_radius(h, tol)
     equal, _ = rho_lambda_equality(h)
     return SpectralSummary(
         rho=rho,
@@ -176,6 +154,5 @@ def summarize(h: MultiGraph, tol: float = 1e-10) -> SpectralSummary:
     )
 
 
-__all__ = ["NBMatrix", "build_nb_matrix", "is_irreducible", "spectral_radius",
-           "avg_degree", "lambda_ahl", "rho_lambda_equality",
-           "SpectralSummary", "summarize"]
+__all__ = ["is_irreducible", "spectral_radius", "avg_degree", "lambda_ahl",
+           "rho_lambda_equality", "SpectralSummary", "summarize"]

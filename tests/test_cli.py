@@ -49,6 +49,19 @@ class TestAnalyze:
         p.write_text(graphs.serialize_graph(graphs.cycle_graph(6)))
         assert cli.main(["analyze", "--graph", str(p)]) == cli.EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("text", [
+        "vertices 1\nhalfloop 0\n",
+        "vertices 1\nhalfloop 0\nhalfloop 0\n",
+        "vertices 2\nhalfloop 0\nedge 0 1\nhalfloop 1\n",
+        "vertices 5\nedge 0 1\nedge 0 2\nedge 0 3\nedge 1 2\nedge 1 3\n"
+        "edge 2 3\n",
+    ])
+    def test_degenerate_base_exit(self, tmp_path, capsys, text):
+        p = tmp_path / "base.g"
+        p.write_text(text)
+        assert cli.main(["analyze", "--graph", str(p)]) == cli.EXIT_PRECONDITION
+        assert "not admissible" in capsys.readouterr().err
+
     def test_bad_file_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.g"
         for text in ("vertices two\n", "vertices 0\n",

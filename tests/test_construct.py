@@ -42,7 +42,7 @@ def reference_nb_cycle_profile(g, e, g_max):
         if depth == g_max:
             return
         forbidden = g.inv[last]
-        for f in g.out_edges(v):
+        for f in g.out[v]:
             if f != forbidden:
                 walk(f, g.head[f], depth + 1)
 
@@ -64,7 +64,7 @@ def reference_short_cycle_through(g, e, bound):
             return dist[b] + 1
         if dist[v] >= bound - 2:
             continue            # b may still be queued at this depth
-        for x in g.out_edges(v):
+        for x in g.out[v]:
             if x in banned:
                 continue
             w = g.head[x]

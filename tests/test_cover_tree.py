@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from liftgirth import graphs
+from liftgirth.construct import high_girth_cover
 from liftgirth.cover_tree import (ball_size_edge_two_sided, ball_size_vertex,
                                   growth_estimate, layer_counts)
-from liftgirth.graphs import GraphError
+from liftgirth.graphs import GraphError, MultiGraph, bfs, girth
+from liftgirth.lifts import build_lift
 
 U = 1  # degree-3 vertex of H23
 V = 0
@@ -18,13 +22,13 @@ def bfs_ball_oracle(g, v, r):
     """
     total = 1
     frontier = {}
-    for e in g.out_edges(v):
+    for e in g.out[v]:
         frontier[e] = frontier.get(e, 0) + 1
     for _ in range(r):
         total += sum(frontier.values())
         nxt = {}
         for e, k in frontier.items():
-            for f in g.out_edges(g.head[e]):
+            for f in g.out[g.head[e]]:
                 if f != g.inv[e]:
                     nxt[f] = nxt.get(f, 0) + k
         frontier = nxt
@@ -62,6 +66,41 @@ class TestEdgeBalls:
     def test_h23_half_loop_edge(self, h23):
         assert ball_size_edge_two_sided(h23, 4, 1) == 6
         assert ball_size_edge_two_sided(h23, 4, 2) == 10
+
+
+class TestBallsInLifts:
+    """Ball sizes against BFS in a high-girth lift, counting no walks: below
+    the girth, the radius-r ball around a lifted vertex (or edge) is a copy
+    of the one in the universal cover."""
+
+    BASES = [
+        (graphs.h23(), 11),
+        (graphs.k32(), 10),
+        (graphs.petersen(), 9),
+        (graphs.complete_graph(5), 6),
+        (MultiGraph.build(2, [("wholeloop", 0), ("wholeloop", 1),
+                              ("edge", 0, 1), ("edge", 0, 1)]), 6),
+    ]
+
+    @pytest.mark.parametrize("h, g", BASES)
+    def test_vertex_and_edge_balls(self, h, g):
+        G, m = build_lift(high_girth_cover(h, g, random.Random(1)))
+        gamma = girth(G)
+        assert gamma >= g
+        for x in range(0, G.vertex_count, max(1, G.vertex_count // 32)):
+            r = 0
+            while gamma > 2 * r + 1:
+                reached = sum(d >= 0 for d in bfs(G.adj, x, r + 1))
+                assert reached == ball_size_vertex(h, m.vertex_map[x], r)
+                r += 1
+        for e in range(0, G.edge_count, max(1, G.edge_count // 32)):
+            r = 0
+            while gamma > 2 * r + 2:
+                da = bfs(G.adj, G.tail[e], r + 1)
+                db = bfs(G.adj, G.head[e], r + 1)
+                reached = sum(a >= 0 or b >= 0 for a, b in zip(da, db))
+                assert reached == ball_size_edge_two_sided(h, m.edge_map[e], r)
+                r += 1
 
 
 class TestGrowth:

@@ -15,7 +15,15 @@ from liftgirth.graphs import (GraphError, MultiGraph, ParseError, bfs,
                               serialize_graph, validate)
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift
-from liftgirth.spectral import build_nb_matrix
+
+
+def dense_nb_matrix(g):
+    """The non-backtracking matrix from its definition, as dense rows:
+    B[f][e] = 1 iff a walk may continue from e to f, that is tail(f) =
+    head(e) and f != inv(e)."""
+    m = g.edge_count
+    return [[int(g.tail[f] == g.head[e] and f != g.inv[e]) for e in range(m)]
+            for f in range(m)]
 
 
 def oracle_girth(g, cap=12):
@@ -24,9 +32,8 @@ def oracle_girth(g, cap=12):
     found by integer powers of the non-backtracking matrix."""
     if any(g.tail[e] == g.head[e] for e in range(g.edge_count)):
         return 1
-    b = build_nb_matrix(g)
-    m = b.dimension
-    dense = [[b.entry(f, e) for e in range(m)] for f in range(m)]
+    dense = dense_nb_matrix(g)
+    m = g.edge_count
     power = dense
     for length in range(2, cap + 1):
         power = [[sum(row[k] * dense[k][e] for k in range(m))
@@ -107,7 +114,7 @@ def reference_girth(g):
             if 2 * dist[u] >= best:
                 break
             pe = parent_edge[u]
-            for e in g.out_edges(u):
+            for e in g.out[u]:
                 if pe >= 0 and e == g.inv[pe]:
                     continue
                 w = g.head[e]

@@ -6,10 +6,10 @@ import pytest
 from liftgirth import graphs
 from liftgirth.graphs import GraphError
 from liftgirth.lifts import build_lift, random_two_lift
-from liftgirth.spectral import (NBMatrix, avg_degree, build_nb_matrix,
-                                is_irreducible, lambda_ahl,
+from liftgirth.spectral import (avg_degree, is_irreducible, lambda_ahl,
                                 rho_lambda_equality, spectral_radius,
                                 summarize)
+from test_graphs import dense_nb_matrix
 
 # edge-type quotients of the non-backtracking matrices, used as known
 # small fixtures: H23 collapses to 3 directed edge types and K32 to 2
@@ -31,36 +31,38 @@ def dense_radius(m, iters=3000):
 
 class TestRadius:
     def test_h23(self, h23):
-        rho, _, _ = spectral_radius(build_nb_matrix(h23))
+        rho, _, _ = spectral_radius(h23)
         assert abs(rho - 1.5214) < 1e-4
 
     def test_k32(self, k32):
-        rho, _, _ = spectral_radius(build_nb_matrix(k32))
+        rho, _, _ = spectral_radius(k32)
         assert abs(rho - math.sqrt(2)) < 1e-9
 
     def test_regular(self, k4, petersen):
         for g, k in ((k4, 3), (petersen, 3), (graphs.complete_graph(5), 4)):
-            rho, _, _ = spectral_radius(build_nb_matrix(g))
+            rho, _, _ = spectral_radius(g)
             assert abs(rho - (k - 1)) < 1e-9
 
     def test_c4_permutation_like(self):
-        b = build_nb_matrix(graphs.cycle_graph(4))
-        assert all(len(row) == 1 for row in b.rows)
-        dense = [[b.entry(f, e) for e in range(b.dimension)]
-                 for f in range(b.dimension)]
+        c4 = graphs.cycle_graph(4)
+        dense = dense_nb_matrix(c4)
+        assert all(sum(row) == 1 for row in dense)
         assert abs(dense_radius(dense) - 1.0) < 1e-9
         # the matrix splits into the two directed cycles, so the Perron
         # power iteration refuses it
         with pytest.raises(GraphError):
-            spectral_radius(b)
+            spectral_radius(c4)
+        # a single half-loop has the 1x1 zero matrix, which is reducible
+        with pytest.raises(GraphError):
+            spectral_radius(graphs.MultiGraph.build(1, [("halfloop", 0)]))
 
     def test_quotient_fixtures_agree(self, h23, k32):
         for g, q in ((h23, H23_QUOTIENT), (k32, K32_QUOTIENT)):
-            rho, _, _ = spectral_radius(build_nb_matrix(g))
+            rho, _, _ = spectral_radius(g)
             assert abs(rho - dense_radius(q)) < 1e-6
 
     def test_residual_reported(self, h23):
-        rho, iters, residual = spectral_radius(build_nb_matrix(h23))
+        rho, iters, residual = spectral_radius(h23)
         assert iters >= 1 and residual < 1e-9
 
 
@@ -77,7 +79,7 @@ class TestDegreeInvariants:
 
     def test_chain_inequality(self, h23, k32, k4, petersen):
         for g in (h23, k32, k4, petersen):
-            rho, _, _ = spectral_radius(build_nb_matrix(g))
+            rho, _, _ = spectral_radius(g)
             lam = lambda_ahl(g)
             assert rho >= lam - 1e-9
             assert lam >= avg_degree(g) - 1 - 1e-9
@@ -96,7 +98,7 @@ class TestEquality:
     def test_h23_not_equal(self, h23):
         equal, _ = rho_lambda_equality(h23)
         assert not equal
-        rho, _, _ = spectral_radius(build_nb_matrix(h23))
+        rho, _, _ = spectral_radius(h23)
         assert rho > lambda_ahl(h23)
 
     def test_regular_equal(self, k4, petersen):
@@ -111,6 +113,26 @@ class TestIrreducibility:
         assert is_irreducible(k4)
         assert not is_irreducible(graphs.cycle_graph(6))
 
+    def test_agrees_with_admissibility(self):
+        # random multigraphs with half-loops, whole-loops, parallel edges
+        # and isolated vertices; the cross-check never raises
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(2000):
+            nv = rng.randint(1, 5)
+            directives = [("edge", rng.randrange(nv), rng.randrange(nv))
+                          for _ in range(rng.randint(0, 7))]
+            directives += [("wholeloop", rng.randrange(nv))
+                           for _ in range(rng.randint(0, 2))]
+            directives += [("halfloop", rng.randrange(nv))
+                           for _ in range(rng.randint(0, 3))]
+            rng.shuffle(directives)
+            h = graphs.MultiGraph.build(nv, directives)
+            admissible = graphs.validate(h).admissible
+            assert is_irreducible(h) == admissible
+            seen.add(admissible)
+        assert seen == {False, True}
+
     def test_summarize_rejects_cycle(self):
         with pytest.raises(GraphError):
             summarize(graphs.cycle_graph(6))
@@ -119,27 +141,27 @@ class TestIrreducibility:
 class TestAHLInequality:
     def test_walk_counts_dominate_lambda_power(self, h23, k32, petersen):
         for g in (h23, k32, petersen):
-            b = build_nb_matrix(g)
+            b = dense_nb_matrix(g)
             lam = lambda_ahl(g)
-            x = [1] * b.dimension
+            x = [1] * len(b)
             for r in range(1, 21):
-                x = b.matvec(x)
-                assert sum(x) / b.dimension >= lam ** r - 1e-9
+                x = [sum(bfe * xe for bfe, xe in zip(row, x)) for row in b]
+                assert sum(x) / len(b) >= lam ** r - 1e-9
 
 
 class TestLiftInvariance:
     def test_rho_constant_along_lifts(self, k4me):
-        rho0, _, _ = spectral_radius(build_nb_matrix(k4me))
+        rho0, _, _ = spectral_radius(k4me)
         rng = random.Random(31)
         g = k4me
         for _ in range(5):  # heights 2, 4, 8, 16, 32 over the start graph
             g = random_two_lift(g, rng)
-            rho, _, _ = spectral_radius(build_nb_matrix(g))
+            rho, _, _ = spectral_radius(g)
             assert abs(rho - rho0) < 1e-6
 
     def test_h23_two_lift_matches_base(self, h23, k4me):
-        rho_base, _, _ = spectral_radius(build_nb_matrix(h23))
-        rho_lift, _, _ = spectral_radius(build_nb_matrix(k4me))
+        rho_base, _, _ = spectral_radius(h23)
+        rho_lift, _, _ = spectral_radius(k4me)
         assert abs(rho_base - rho_lift) < 1e-6
 
 
