@@ -11,7 +11,6 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import bounds_table, table_to_csv
 from .construct import es_construct, greedy_cycle, grow, high_girth_cover
@@ -149,6 +148,8 @@ def cmd_construct(args) -> int:
     seeds = [mix(args.seed, i) for i in range(args.trials)]
     jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]
     if args.jobs > 1:
+        # imported here: it costs every other invocation start-up time
+        from concurrent.futures import ProcessPoolExecutor
         # about four chunks per worker: few round trips, balanced load
         chunksize = -(-args.trials // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

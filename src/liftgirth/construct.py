@@ -201,6 +201,7 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
     tree_set = set(state.tree.tree_edges) | {h.inv[e]
                                              for e in state.tree.tree_edges}
     perms = []
+    rewired = []      # lifted ids of the new edges, one direction each
     for e in range(h.edge_count):
         if e in tree_set:
             perms.append(tuple(range(n - 2)))
@@ -215,9 +216,14 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
         q[p_inv[n - 2]] = p[n - 1]
         q[p_inv[n - 1]] = p[n - 2]
         perms.append(tuple(q))
+        if e <= h.inv[e]:
+            rewired += [p_inv[n - 2] * h.edge_count + e,
+                        p_inv[n - 1] * h.edge_count + e]
     new_a = LiftAssignment(h, n - 2, perms)
     graph, cover = build_lift(new_a)
-    if girth(graph) < g:
+    # the rest of graph is an induced subgraph of state.graph, so a cycle
+    # shorter than g would have to use a new edge
+    if _short_cycle_edges(graph, rewired, g):
         raise GraphError("trim produced a short cycle; internal invariant "
                          "violated")
     return TrimState(new_a, state.tree, graph, cover)

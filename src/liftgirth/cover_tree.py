@@ -33,11 +33,12 @@ def nb_step(g: MultiGraph, counts) -> dict:
 
 def _layer_sums(g: MultiGraph, counts, r: int):
     """Sizes of the first r layers grown from the start walks in counts:
-    sum the layer, then step."""
+    sum the layer, and step only to a layer that is summed next."""
     sums = []
-    for _ in range(r):
+    for k in range(r):
+        if k:
+            counts = nb_step(g, counts)
         sums.append(sum(counts.values()))
-        counts = nb_step(g, counts)
     return sums
 
 

@@ -71,18 +71,55 @@ class SearchCounter:
         self.nodes = 0
 
 
+def _cycle_balls(parts, top):
+    """ball[x] for every u-vertex x before any mu edge exists: the masks of
+    the u-vertices within distance r of x, r = 0..top, packed into one int
+    with the radius-r mask in bits (top-r)*n .. (top-r)*n + n - 1, so the
+    widest ball is the low n bits.  u-vertices k steps apart on one cycle
+    of sigma2 are at distance 2 min(k, L - k) (through the v-vertex between
+    each step), and different cycles are not yet joined."""
+    n = sum(parts)
+    ball = []
+    base = 0
+    for length in parts:
+        full = (1 << length) - 1
+        masks = []        # the radius-r mask around position 0 of the cycle
+        for r in range(top + 1):
+            reach = min(r // 2, length // 2)
+            masks.append(sum(1 << k for k in {d % length for d in
+                                               range(-reach, reach + 1)}))
+        for p in range(length):
+            ball.append(sum(
+                ((m << p | m >> length - p) & full) << base + (top - r) * n
+                for r, m in enumerate(masks)))
+        base += length
+    return ball
+
+
 def canonical_enumerate(n, g, counter: SearchCounter = None):
     """Connected girth >= g lifts of height n, as LiftAssignments over
     h23(): every isomorphism class at least once, and duplicates the
     normalizations do not rule out may appear.
 
-    sigma2 is canonical per cycle type and mu is built pairwise.  Each
-    search frame pairs the first unpaired u-vertex i.  One bounded BFS
-    from i per frame gives the vertices within distance g - 2 of i;
-    pairing i with such a j would close a cycle shorter than g, so j is
-    pruned.  The list serves every candidate of the frame because each
-    child restores adj before the next candidate is tried.  A leaf is
-    yielded only when one BFS over adj reaches every vertex."""
+    sigma2 is canonical per cycle type and mu is built pairwise.  A cycle
+    through the new mu edge i-j is one longer than d(i, j), so j is a legal
+    partner of i iff d(i, j) > g - 2.  The search keeps, for every unpaired
+    u-vertex x, the masks of the u-vertices within distance r of x for
+    r = 0..g-2, packed into one int ball[x] with radius g-2 in the low n
+    bits (_cycle_balls), so the legal partners of x are
+    unpaired & ~ball[x].  Pairing i-j can only shorten distances through
+    the new edge: an unpaired x at distance a < g - 2 from i gains, at
+    every radius s > a, the radius s-1-a ball of j, which is one right
+    shift of j's packed row; symmetrically for j.  A backtrack restores the
+    rows saved before the pairing.
+
+    Vertex 0 is paired first, over the orbit representatives of
+    _first_pair_reps.  After that each frame is pruned if some unpaired
+    vertex has no legal partner (forward checking), and otherwise branches
+    on the unpaired vertex with the fewest legal partners, the smallest on
+    a tie (first-fail).  counter.nodes counts the pairings made.  A leaf is
+    yielded only when one BFS over the search's adjacency lists reaches
+    every vertex."""
     if g < 3:
         raise GraphError("g must be >= 3")
     if n < 1:
@@ -92,6 +129,13 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     counter = counter or SearchCounter()
     base = h23()
     ident = tuple(range(n))
+    top = g - 2
+    # bit 0 of the fields of radii 1..top-1
+    spread = sum(1 << f * n for f in range(1, top))
+    # bit p = (top-a)*n + x of a packed row: the vertex x, and the shift
+    # that moves radius r to radius r + a + 1
+    vertex = [p % n for p in range(top * n)]
+    lift = [(top - p // n + 1) * n for p in range(top * n)]
     for parts in _partitions(n, (g + 1) // 2):
         sigma2 = _sigma_from_partition(parts)
         # base directed ids: 0 v->u, 1 u->v (pair A), 2 v->u, 3 u->v
@@ -103,33 +147,70 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
             adj[i] += [n + i, n + sigma2[i]]
             adj[n + i].append(i)
             adj[n + sigma2[i]].append(i)
-        first_reps = _first_pair_reps(parts)
+        ball = _cycle_balls(parts, top)
         mu = [-1] * n
+
+        def join(i, j, unpaired):
+            """Add the edge i-j to the rows of the unpaired vertices."""
+            for near, far in ((ball[i], ball[j]), (ball[j], ball[i])):
+                # bit (top-a)*n + x: x is unpaired, at distance exactly a
+                # from the near end and, as it gains nothing otherwise,
+                # farther than a + 1 from the far end
+                ring = near & ~(near >> n) & ~(far << n) & unpaired * spread
+                while ring:
+                    low = ring & -ring
+                    ring ^= low
+                    p = low.bit_length() - 1
+                    ball[vertex[p]] |= far >> lift[p]
+
+        def branch(i, candidates, unpaired):
+            for j in candidates:
+                counter.nodes += 1
+                rest = unpaired & ~(1 << i | 1 << j)
+                saved = ball[:]
+                mu[i], mu[j] = j, i
+                adj[i].append(j)
+                adj[j].append(i)
+                join(i, j, rest)
+                yield from extend(rest)
+                ball[:] = saved
+                adj[i].pop()
+                adj[j].pop()
+                mu[i] = mu[j] = -1
 
         def extend(unpaired):
             if not unpaired:
                 if min(bfs(adj, 0)) >= 0:
                     yield LiftAssignment(base, n, perms + [mu])
                 return
-            i = unpaired[0]
-            near = bfs(adj, i, g - 1)
-            candidates = first_reps if i == 0 else unpaired[1:]
-            for j in candidates:
-                if mu[j] >= 0 or j == i:
-                    continue
-                counter.nodes += 1
-                if near[j] >= 0:
-                    continue
-                mu[i], mu[j] = j, i
-                adj[i].append(j)
-                adj[j].append(i)
-                rest = [x for x in unpaired if x != i and x != j]
-                yield from extend(rest)
-                adj[i].pop()
-                adj[j].pop()
-                mu[i] = mu[j] = -1
+            fewest = n
+            rest = unpaired
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                legal = unpaired & ~ball[x]
+                count = legal.bit_count()
+                if count < fewest:
+                    if not count:
+                        return
+                    best, fewest, partners = x, count, legal
+            yield from branch(best, _members(partners), unpaired)
 
-        yield from extend(list(range(n)))
+        everyone = (1 << n) - 1
+        legal = everyone & ~ball[0]
+        yield from branch(0, [j for j in _first_pair_reps(parts)
+                              if legal >> j & 1], everyone)
+
+
+def _members(mask):
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from liftgirth.construct import (TrimState, _short_cycle_edges, _uv_edges,
                                  nb_cycle_profile, surgery_transform)
 from liftgirth.graphs import (GraphError, MultiGraph, diameter, farthest_pair,
                               girth)
-from liftgirth.lifts import (build_lift, normalize_tree_layers,
+from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
+                             normalize_tree_layers, relabel_layers,
                              serialize_cover_map, verify_cover)
 from test_graphs import random_loopy_lift
 
@@ -213,6 +214,57 @@ def es11():
             for s in (0, 1, 2)}
 
 
+def reference_es_trim_step(state, g, far):
+    """Reference for construct.es_trim_step: the same step, guarded by the
+    girth of the whole trimmed graph instead of the cycles through the
+    rewired edges."""
+    h = state.assignment.base
+    n = state.assignment.height
+    nv = h.vertex_count
+    d0 = state.tree.d0(g)
+    vp, up, dist = far
+    if dist <= d0:
+        raise GraphError(f"diameter {dist} <= D0 {d0}: nothing to trim")
+    i, j = vp // nv, up // nv
+    if i == j:
+        raise GraphError("farthest pair in one layer; tree normalization "
+                         "or the distance precondition is broken")
+    kept = [x for x in range(n) if x != i and x != j]
+    a = relabel_layers(state.assignment, _perm_inverse(kept + [j, i]))
+    tree_set = set(state.tree.tree_edges) | {h.inv[e]
+                                             for e in state.tree.tree_edges}
+    perms = []
+    for e in range(h.edge_count):
+        if e in tree_set:
+            perms.append(tuple(range(n - 2)))
+            continue
+        p, p_inv = a.perms[e], a.perms[h.inv[e]]
+        touching = (p[n - 1], p[n - 2], p_inv[n - 1], p_inv[n - 2])
+        if any(x >= n - 2 for x in touching):
+            raise GraphError(
+                f"red-edge count above base edge {e} is not two; the "
+                f"distance precondition did not actually hold")
+        q = list(p[:n - 2])
+        q[p_inv[n - 2]] = p[n - 1]
+        q[p_inv[n - 1]] = p[n - 2]
+        perms.append(tuple(q))
+    new_a = LiftAssignment(h, n - 2, perms)
+    graph, cover = build_lift(new_a)
+    if girth(graph) < g:
+        raise GraphError("trim produced a short cycle; internal invariant "
+                         "violated")
+    return TrimState(new_a, state.tree, graph, cover)
+
+
+def trim_outcome(step, state, g, far):
+    """The trimmed (perms, graph, cover) of one step, or its error text."""
+    try:
+        out = step(state, g, far)
+    except GraphError as exc:
+        return str(exc)
+    return out.assignment.perms, out.graph, out.cover
+
+
 def output_digest(g, m, h):
     text = graphs.serialize_graph(g) + serialize_cover_map(m, g, h)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -238,6 +290,36 @@ class TestTrim:
         state = states[0]
         with pytest.raises(GraphError, match="one layer"):
             es_trim_step(state, TRIM_G, (0, 1, state.tree.d0(TRIM_G) + 1))
+
+    def test_step_matches_reference(self, trim_run):
+        states, _ = trim_run
+        for state in states[:-1]:
+            far = farthest_pair(state.graph)
+            assert trim_outcome(es_trim_step, state, TRIM_G, far) \
+                == trim_outcome(reference_es_trim_step, state, TRIM_G, far)
+
+    def test_guard_matches_reference(self, trim_run):
+        # vertex 0 paired with every vertex of another layer and passed
+        # off as farther apart than D0: most of these close a short cycle
+        # through a rewired edge, a few break the red-edge count, and the
+        # rest trim cleanly
+        state = trim_run[0][0]
+        nv = state.assignment.base.vertex_count
+        fake = state.tree.d0(TRIM_G) + 1
+        outcomes = set()
+        for u in range(nv, state.graph.vertex_count):
+            mine = trim_outcome(es_trim_step, state, TRIM_G, (0, u, fake))
+            assert mine == trim_outcome(reference_es_trim_step, state,
+                                        TRIM_G, (0, u, fake)), u
+            outcomes.add(mine.split(";")[0] if isinstance(mine, str)
+                         else "trimmed")
+        assert {"trimmed", "trim produced a short cycle"} <= outcomes
+
+    def test_es_construct_matches_reference(self, h23, es11, monkeypatch):
+        monkeypatch.setattr(construct, "es_trim_step",
+                            reference_es_trim_step)
+        for seed, (out, m) in es11.items():
+            assert es_construct(h23, 11, random.Random(seed)) == (out, m)
 
     def test_es_construct_postconditions(self, h23):
         for g in (4, 5, 6):

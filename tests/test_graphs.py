@@ -374,3 +374,12 @@ def test_cli_import_leaves_networkx_out():
     code = "import sys, liftgirth.cli; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_leaves_process_pool_out():
+    """concurrent.futures is imported only by construct --jobs > 1."""
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    code = ("import sys, liftgirth.cli; "
+            "assert 'concurrent.futures' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -134,12 +134,13 @@ def orbit_first_pair_reps(parts):
     return reps
 
 
-def per_candidate_enumerate(n, g, counter):
-    """Reference for search.canonical_enumerate: the same frames, candidate
-    order and node count, but a fresh bounded BFS for every candidate
-    instead of one per frame, and the first pair from the orbit search.
-    Yields (sigma2, mu, connected) for every leaf, connected telling
-    whether one BFS over the reference's own adj reaches every vertex."""
+def reference_enumerate(n, g):
+    """Reference for search.canonical_enumerate: the enumerator it
+    replaced.  Each frame pairs the first unpaired u-vertex i with every
+    later unpaired j outside one bounded BFS ball from i, and the first
+    pair comes from the orbit search.  Yields (sigma2, mu, connected) for
+    every leaf, connected telling whether one BFS over the reference's own
+    adj reaches every vertex."""
     for parts in _partitions(n, (g + 1) // 2):
         sigma2 = _sigma_from_partition(parts)
         adj = [[] for _ in range(2 * n)]
@@ -155,11 +156,9 @@ def per_candidate_enumerate(n, g, counter):
                 yield tuple(mu), -1 not in bfs(adj, 0)
                 return
             i = unpaired[0]
+            near = bfs(adj, i, g - 1)
             for j in first_reps if i == 0 else unpaired[1:]:
-                if mu[j] >= 0 or j == i:
-                    continue
-                counter.nodes += 1
-                if bfs(adj, i, g - 1)[j] >= 0:
+                if mu[j] >= 0 or j == i or near[j] >= 0:
                     continue
                 mu[i], mu[j] = j, i
                 adj[i].append(j)
@@ -238,17 +237,21 @@ class TestEnumeration:
     def test_counter_records_nodes(self):
         counter = SearchCounter()
         list(canonical_enumerate(4, 5, counter))
-        assert counter.nodes == 3
+        assert counter.nodes == 2
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_matches_per_candidate_reference(self, n):
         for g in range(3, 10):
-            mine, ref = SearchCounter(), SearchCounter()
-            pairs = [(lift.perms[3], lift.perms[4])
-                     for lift in canonical_enumerate(n, g, mine)]
-            leaves = list(per_candidate_enumerate(n, g, ref))
-            assert pairs == [(s, m) for s, m, ok in leaves if ok], g
-            assert mine.nodes == ref.nodes, g
+            lifts = list(canonical_enumerate(n, g))
+            leaves = list(reference_enumerate(n, g))
+            pairs = [(lift.perms[3], lift.perms[4]) for lift in lifts]
+            assert len(set(pairs)) == len(pairs), g
+            assert set(pairs) == {(s, m) for s, m, ok in leaves if ok}, g
+            # building and checking every lift costs ~20 s at n = 12,
+            # where the equality with the reference already covers girth
+            # and connectivity
+            for lift in lifts if n <= 10 else lifts[::10]:
+                check_search_lift(lift, n, g)
             if n <= 10:
                 # the BFS over adj agrees with the lift built as a graph;
                 # building every leaf costs ~10 s at n = 12
@@ -274,12 +277,12 @@ class TestMinimumSize:
         assert not out.resolved and out.size is None
 
     @pytest.mark.parametrize("g, n_max, size, nodes, sha", [
-        (10, 40, 32, 1939, "92c4182aac55f8caa626d9dba0fdf269"
-                           "b4ccaad2954d12083b921e123f2c02e5"),
-        (11, 40, 48, 160653, "a975345b4dc81e46c81eb0e72e09a599"
-                             "6e939e0cc2390f4852b99e703e604f6f"),
-        (12, 30, 52, 2592167, "5b7dca3e83c9e8892c2f1df4a26bbbda"
-                              "d682b0d19f3ab408a94b819636579673"),
+        (10, 40, 32, 106, "92c4182aac55f8caa626d9dba0fdf269"
+                          "b4ccaad2954d12083b921e123f2c02e5"),
+        (11, 40, 48, 4657, "cdf7b4ccc0b3b540d1a63883affebfbd"
+                           "81c07d0a6e3bd296f172ecba47f00b2a"),
+        (12, 30, 52, 14184, "5b7dca3e83c9e8892c2f1df4a26bbbda"
+                            "d682b0d19f3ab408a94b819636579673"),
     ], ids=["g10", "g11", "g12"])
     def test_pinned_minima(self, g, n_max, size, nodes, sha):
         out = minimum_size(g, n_max)
@@ -293,10 +296,17 @@ class TestMinimumSize:
 
 class TestCertificates:
     def test_refutations(self):
-        for g, n, nodes in ((7, 8, 42), (9, 12, 164), (11, 22, 160529)):
+        for g, n, nodes in ((7, 8, 6), (9, 12, 13), (11, 22, 4560)):
             cert = certify_lower_bound(g, n)
             assert cert.refuted and cert.counterexample is None
             assert cert.line() == f"g,{g},refuted_up_to,{n},nodes,{nodes}"
+
+    def test_g13_refuted_to_height_30(self):
+        # n(H23, 13) >= 64: no lift of height <= 30 (60 vertices, the
+        # Moore bound) has girth 13
+        cert = certify_lower_bound(13, 30)
+        assert cert.refuted
+        assert cert.line() == "g,13,refuted_up_to,30,nodes,67250"
 
     def test_counterexample_when_not_refuted(self):
         cert = certify_lower_bound(6, 8)
