@@ -111,9 +111,9 @@ def cmd_analyze(args) -> int:
 # -- construct -------------------------------------------------------------
 
 def run_trial(alg, g, n, seed, base):
-    """One construction attempt; (size, serialized graph), or None when the
-    trial fails (a greedy dead end, or TrialFailed).  Other errors are
-    violated preconditions or invariants and propagate.
+    """One construction attempt; (size, graph), or None when the trial
+    fails (a greedy dead end, or TrialFailed).  Other errors are violated
+    preconditions or invariants and propagate.
 
     Top level so a process pool can dispatch it.
     """
@@ -131,7 +131,7 @@ def run_trial(alg, g, n, seed, base):
             graph, _ = build_lift(high_girth_cover(base, g, rng))
     except TrialFailed:
         return None
-    return graph.vertex_count, serialize_graph(graph)
+    return graph.vertex_count, graph
 
 
 CONSTRUCT_CSV_HEADER = "g,alg,trials,successes,best_size,seed_of_best"
@@ -157,11 +157,10 @@ def cmd_construct(args) -> int:
                                     chunksize=chunksize))
     else:
         results = [run_trial(*job) for job in jobs]
-    successes = [(res[0], seeds[i], res[1])
-                 for i, res in enumerate(results) if res is not None]
+    successes = [res + (seed,) for seed, res in zip(seeds, results) if res]
     n_succ = len(successes)
     if successes:
-        best_size, best_seed, best_text = min(successes, key=lambda t: t[0])
+        best_size, best, best_seed = min(successes, key=lambda t: t[0])
         row = (f"{args.g},{args.alg},{args.trials},{n_succ},"
                f"{best_size},{best_seed}")
     else:
@@ -173,7 +172,7 @@ def cmd_construct(args) -> int:
     if not successes:
         return EXIT_BUDGET
     if args.out:
-        _write(args.out, best_text)
+        _write(args.out, serialize_graph(best))
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
 from .lifts import (CoverMap, LiftAssignment, _perm_inverse, build_lift,
                     half_loop_elimination, normalize_tree_layers,
                     relabel_layers, verify_cover)
+from .search import _members, _pairing_kernel
 
 
 # -- cycle counting --------------------------------------------------------
@@ -68,33 +69,23 @@ def cycles_of_length(g: MultiGraph, length: int):
     return cycles
 
 
-def nb_cycle_profile(g: MultiGraph, e: int, g_max: int):
-    """(c_1, ..., c_gmax) where c_l counts closed non-backtracking walks of
-    length l through edge e, one per cyclic orientation class (the walk is
-    pinned to start with the directed edge e).
-
-    c_l is the diagonal entry (B^l)[e, e] of the non-backtracking matrix B.
-    Reversing walks gives (B^b)[f, e] = (B^b)[inv e, inv f], so the walks
-    meet in the middle: c_l = sum over f of F_a(e)[f] * F_b(inv e)[inv f]
-    with a = ceil(l/2), b = floor(l/2), where F_d(x) counts the walks of d
-    steps from x by the directed edge they end on."""
-    inv = g.inv
-
-    def fronts(x, depth):
-        levels = [{x: 1}]
-        for _ in range(depth):
-            levels.append(nb_step(g, levels[-1]))
-        return levels
-
-    fwd, bwd = fronts(e, (g_max + 1) // 2), fronts(inv[e], g_max // 2)
-    counts = []
-    for l in range(1, g_max + 1):
-        meet, total = fwd[(l + 1) // 2], 0
-        for y, c in bwd[l // 2].items():
-            if inv[y] in meet:
-                total += c * meet[inv[y]]
-        counts.append(total)
-    return tuple(counts)
+def nb_cycle_profile(g: MultiGraph, edges, g_max: int):
+    """The profiles (c_1, ..., c_gmax) of distinct edges, in list order:
+    c_l = (B^l)[e, e], B the non-backtracking matrix, counts the closed
+    non-backtracking walks of length l that start with the directed edge
+    e.  All edges walk at once, edges[k] in bit field k of one count per
+    end edge.  A walk has at most Delta - 1 continuations, Delta the
+    largest out-degree, so no count exceeds (Delta - 1)^g_max and fields
+    of its bit length never carry into each other."""
+    width = ((max(map(len, g.out)) - 1) ** g_max).bit_length()
+    mask = (1 << width) - 1
+    counts = {e: 1 << k * width for k, e in enumerate(edges)}
+    profiles = [[] for _ in edges]
+    for _ in range(g_max):
+        counts = nb_step(g, counts)
+        for k, e in enumerate(edges):
+            profiles[k].append(counts.get(e, 0) >> k * width & mask)
+    return [tuple(p) for p in profiles]
 
 
 # -- girth boosting by 2-lifts ---------------------------------------------
@@ -260,6 +251,9 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
       b - uniform deficient vertex, then uniform permissible partner,
       c - deficient vertex of minimal permissible degree, then partner.
     Returns (success, graph); a dead end is a failure, not an error.
+
+    C_n is the lift of H23 whose sigma2 is one n/2-cycle (u-vertex x at 2x),
+    so the search's pairing kernel gives x's partners: deficient & ~ball[x].
     """
     variant = variant.lower()
     if variant not in ("a", "b", "c"):
@@ -268,43 +262,38 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
         raise GraphError("n must be a positive multiple of 4")
     if g < 3:
         raise GraphError("g must be >= 3")
-    # the base n-cycle is too short (and no two of its vertices are g - 1
-    # apart, so the matching would dead-end anyway)
-    if n < g:
-        return False, None
-    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    ball, join = _pairing_kernel([n // 2], g - 2)
     matching = []
-    deficient = set(range(0, n, 2))
+    deficient = (1 << n // 2) - 1
 
     while deficient:
-        partners = {}
-        for u in sorted(deficient):
-            dist = bfs(adj, u, g - 1)
-            partners[u] = sorted(v for v in deficient if dist[v] < 0)
+        legal = {x: deficient & ~ball[x] for x in _members(deficient)}
         if variant == "a":
-            pairs = [(u, v) for u, vs in partners.items() for v in vs if u < v]
+            pairs = [(x, y) for x, ys in legal.items() for y in _members(ys)
+                     if x < y]
             if not pairs:
                 return False, None
-            u, v = pairs[rng.randrange(len(pairs))]
+            x, y = pairs[rng.randrange(len(pairs))]
         else:
             if variant == "b":
-                pool = [u for u in sorted(deficient) if partners[u]]
-                if not pool:
-                    return False, None
+                pool = [x for x, ys in legal.items() if ys]
             else:
-                low = min(len(vs) for vs in partners.values())
-                if low == 0:
-                    return False, None
-                pool = [u for u in sorted(deficient) if len(partners[u]) == low]
-            u = pool[rng.randrange(len(pool))]
-            v = partners[u][rng.randrange(len(partners[u]))]
-        matching.append((u, v))
-        adj[u].append(v)
-        adj[v].append(u)
-        deficient -= {u, v}
+                # a vertex without partners (low = 0) is a dead end
+                low = min(ys.bit_count() for ys in legal.values())
+                pool = [x for x, ys in legal.items()
+                        if ys and ys.bit_count() == low]
+            if not pool:
+                return False, None
+            x = pool[rng.randrange(len(pool))]
+            ys = _members(legal[x])
+            y = ys[rng.randrange(len(ys))]
+        matching.append((2 * x, 2 * y))
+        deficient &= ~(1 << x | 1 << y)
+        join(x, y, deficient)
 
-    # n >= g, and each matching edge joined vertices at distance >= g - 1,
-    # so every cycle through one has length >= g: the girth is >= g
+    # each matching edge joined vertices at distance >= g - 1, so every
+    # cycle through one has length >= g, and C_n is no shorter: its
+    # vertices are at most n/2 apart, so n >= 2(g - 1) >= g
     pairs = [(i, (i + 1) % n) for i in range(n)] + matching
     return True, MultiGraph.from_pairs(n, pairs)
 
@@ -456,7 +445,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
                 da[graph.tail[f]], da[graph.head[f]],
                 db[graph.tail[f]], db[graph.head[f]]), rng)
         else:
-            profiles = {x: nb_cycle_profile(graph, x, g - 1) for x in uv}
+            profiles = dict(zip(uv, nb_cycle_profile(graph, uv, g - 1)))
             e = _pick_max(uv, lambda x: profiles[x], rng)
             degs = graph.degrees()
 

@@ -6,8 +6,8 @@ multiplicities, so layer sizes stay polynomial in the number of base
 edges even though the ball itself grows exponentially.
 
 `nb_step` is the one step of the non-backtracking matrix B that ball
-sizes, the Perron radius (`spectral`) and the cycle profiles of surgery
-growth (`construct.nb_cycle_profile`) share.
+sizes, the Perron radius (`spectral`) and the all-edge cycle profiles of
+surgery growth (`construct.nb_cycle_profile`) share.
 """
 
 from __future__ import annotations

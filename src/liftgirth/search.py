@@ -71,29 +71,56 @@ class SearchCounter:
         self.nodes = 0
 
 
-def _cycle_balls(parts, top):
-    """ball[x] for every u-vertex x before any mu edge exists: the masks of
-    the u-vertices within distance r of x, r = 0..top, packed into one int
-    with the radius-r mask in bits (top-r)*n .. (top-r)*n + n - 1, so the
-    widest ball is the low n bits.  u-vertices k steps apart on one cycle
-    of sigma2 are at distance 2 min(k, L - k) (through the v-vertex between
-    each step), and different cycles are not yet joined."""
+def _pairing_kernel(parts, top):
+    """(ball, join) over the u-vertices on cycles of sigma2 of the given
+    lengths.  ball[x] packs the masks of the u-vertices within distance r
+    of x, r = 0..top, into one int, radius r in bits (top-r)*n .. +n-1, so
+    the widest ball is the low n bits.  At first, u-vertices k steps apart
+    on one cycle of length L are at distance 2 min(k, L - k), and
+    different cycles are not joined.  join(i, j, unpaired) adds the edge
+    i-j to the rows of the unpaired vertices: an unpaired x at distance
+    a < top from i gains, at every radius s > a, the radius s-1-a ball of
+    j, one right shift of j's row; symmetrically for j.  So the rows of i
+    and j must be current, and a paired vertex's row goes stale."""
     n = sum(parts)
     ball = []
     base = 0
     for length in parts:
-        full = (1 << length) - 1
-        masks = []        # the radius-r mask around position 0 of the cycle
+        # the cycle's bits in every field, and the first of them
+        window = sum(((1 << length) - 1) << base + f * n
+                     for f in range(top + 1))
+        first = sum(1 << base + f * n for f in range(top + 1))
+        row = 0           # the balls around position 0 of the cycle
         for r in range(top + 1):
             reach = min(r // 2, length // 2)
-            masks.append(sum(1 << k for k in {d % length for d in
-                                               range(-reach, reach + 1)}))
-        for p in range(length):
-            ball.append(sum(
-                ((m << p | m >> length - p) & full) << base + (top - r) * n
-                for r, m in enumerate(masks)))
+            row |= sum(1 << k for k in {d % length for d in
+                                        range(-reach, reach + 1)}) \
+                << base + (top - r) * n
+        for _ in range(length):
+            ball.append(row)
+            # one step along the cycle: rotate every field's window by one
+            row = row << 1 & window & ~first | row >> length - 1 & first
         base += length
-    return ball
+    # bit 0 of the fields of radii 1..top-1
+    spread = sum(1 << f * n for f in range(1, top))
+    # bit p = (top-a)*n + x of a packed row: the vertex x, and the shift
+    # that moves radius r to radius r + a + 1
+    vertex = [p % n for p in range(top * n)]
+    lift = [(top - p // n + 1) * n for p in range(top * n)]
+
+    def join(i, j, unpaired):
+        for near, far in ((ball[i], ball[j]), (ball[j], ball[i])):
+            # bit (top-a)*n + x: x is unpaired, at distance exactly a
+            # from the near end and, as it gains nothing otherwise,
+            # farther than a + 1 from the far end
+            ring = near & ~(near >> n) & ~(far << n) & unpaired * spread
+            while ring:
+                low = ring & -ring
+                ring ^= low
+                p = low.bit_length() - 1
+                ball[vertex[p]] |= far >> lift[p]
+
+    return ball, join
 
 
 def canonical_enumerate(n, g, counter: SearchCounter = None):
@@ -103,15 +130,9 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
 
     sigma2 is canonical per cycle type and mu is built pairwise.  A cycle
     through the new mu edge i-j is one longer than d(i, j), so j is a legal
-    partner of i iff d(i, j) > g - 2.  The search keeps, for every unpaired
-    u-vertex x, the masks of the u-vertices within distance r of x for
-    r = 0..g-2, packed into one int ball[x] with radius g-2 in the low n
-    bits (_cycle_balls), so the legal partners of x are
-    unpaired & ~ball[x].  Pairing i-j can only shorten distances through
-    the new edge: an unpaired x at distance a < g - 2 from i gains, at
-    every radius s > a, the radius s-1-a ball of j, which is one right
-    shift of j's packed row; symmetrically for j.  A backtrack restores the
-    rows saved before the pairing.
+    partner of i iff d(i, j) > g - 2.  With the balls of radius g-2 of the
+    unpaired u-vertices (_pairing_kernel), the legal partners of x are
+    unpaired & ~ball[x]; a backtrack restores the rows saved before.
 
     Vertex 0 is paired first, over the orbit representatives of
     _first_pair_reps.  After that each frame is pruned if some unpaired
@@ -129,13 +150,6 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     counter = counter or SearchCounter()
     base = h23()
     ident = tuple(range(n))
-    top = g - 2
-    # bit 0 of the fields of radii 1..top-1
-    spread = sum(1 << f * n for f in range(1, top))
-    # bit p = (top-a)*n + x of a packed row: the vertex x, and the shift
-    # that moves radius r to radius r + a + 1
-    vertex = [p % n for p in range(top * n)]
-    lift = [(top - p // n + 1) * n for p in range(top * n)]
     for parts in _partitions(n, (g + 1) // 2):
         sigma2 = _sigma_from_partition(parts)
         # base directed ids: 0 v->u, 1 u->v (pair A), 2 v->u, 3 u->v
@@ -147,21 +161,8 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
             adj[i] += [n + i, n + sigma2[i]]
             adj[n + i].append(i)
             adj[n + sigma2[i]].append(i)
-        ball = _cycle_balls(parts, top)
+        ball, join = _pairing_kernel(parts, g - 2)
         mu = [-1] * n
-
-        def join(i, j, unpaired):
-            """Add the edge i-j to the rows of the unpaired vertices."""
-            for near, far in ((ball[i], ball[j]), (ball[j], ball[i])):
-                # bit (top-a)*n + x: x is unpaired, at distance exactly a
-                # from the near end and, as it gains nothing otherwise,
-                # farther than a + 1 from the far end
-                ring = near & ~(near >> n) & ~(far << n) & unpaired * spread
-                while ring:
-                    low = ring & -ring
-                    ring ^= low
-                    p = low.bit_length() - 1
-                    ball[vertex[p]] |= far >> lift[p]
 
         def branch(i, candidates, unpaired):
             for j in candidates:

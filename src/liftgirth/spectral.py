@@ -9,12 +9,18 @@ from dataclasses import dataclass
 from .cover_tree import nb_step
 from .graphs import GraphError, MultiGraph, bfs, validate
 
+_MAX_ITER = 10**6
 
-def _strongly_connected(h: MultiGraph) -> bool:
-    """Whether B is irreducible: its digraph, with an arc e -> f when a
-    walk ending on e may continue on f, has an arc and is strongly
-    connected.  (So a 1x1 B, which is zero, counts as reducible.)"""
-    succ = [list(nb_step(h, {e: 1})) for e in range(h.edge_count)]
+
+def _successors(h: MultiGraph):
+    """B as successor lists: the edges a walk ending on e may continue on."""
+    return [list(nb_step(h, {e: 1})) for e in range(h.edge_count)]
+
+
+def _strongly_connected(succ) -> bool:
+    """Whether B, as successor lists, is irreducible: its digraph (an arc
+    e -> f when a walk ending on e may continue on f) has an arc and is
+    strongly connected.  (So a 1x1 B, which is zero, counts as reducible.)"""
     if not any(succ):
         return False
     pred = [[] for _ in succ]
@@ -28,10 +34,10 @@ def is_irreducible(h: MultiGraph) -> bool:
     """Structural admissibility test, cross-checked against the equivalent
     property of B: strongly connected, some edge with at least two
     continuations, and no isolated vertex."""
+    succ = _successors(h)
     structural = validate(h).admissible
-    direct = (_strongly_connected(h) and min(h.degrees()) > 0
-              and any(len(nb_step(h, {e: 1})) > 1
-                      for e in range(h.edge_count)))
+    direct = (_strongly_connected(succ) and min(h.degrees()) > 0
+              and any(len(fs) > 1 for fs in succ))
     if structural != direct:
         raise RuntimeError(
             "structural irreducibility test disagrees with the "
@@ -40,7 +46,7 @@ def is_irreducible(h: MultiGraph) -> bool:
 
 
 def spectral_radius(h: MultiGraph, tol: float = 1e-10,
-                    max_iter: int = 10**6):
+                    max_iter: int = _MAX_ITER):
     """Perron radius of the non-backtracking matrix B of h by power
     iteration on B + I.
 
@@ -49,8 +55,12 @@ def spectral_radius(h: MultiGraph, tol: float = 1e-10,
     plain power iteration converges.  Returns (rho, iterations, residual)
     with residual the scaled infinity norm of (B+I)x - (rho+1)x.
     """
-    if not _strongly_connected(h):
+    if not _strongly_connected(_successors(h)):
         raise GraphError("spectral_radius requires an irreducible matrix")
+    return _power_iteration(h, tol, max_iter)
+
+
+def _power_iteration(h: MultiGraph, tol: float, max_iter: int):
     n = h.edge_count
     x = [1.0] * n
     lam = 0.0
@@ -139,10 +149,11 @@ class SpectralSummary:
 
 
 def summarize(h: MultiGraph, tol: float = 1e-10) -> SpectralSummary:
+    # an admissible base has an irreducible B: no second check
     if not is_irreducible(h):
         raise GraphError("graph is not admissible (connected, mindeg >= 2, "
                          "maxdeg > 2)")
-    rho, iters, residual = spectral_radius(h, tol)
+    rho, iters, residual = _power_iteration(h, tol, _MAX_ITER)
     equal, _ = rho_lambda_equality(h)
     return SpectralSummary(
         rho=rho,

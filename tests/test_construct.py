@@ -8,6 +8,7 @@ import pytest
 
 from liftgirth import construct, graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
+from liftgirth.cover_tree import nb_step
 from liftgirth.construct import (TrimState, _short_cycle_edges, _uv_edges,
                                  cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
@@ -75,6 +76,45 @@ def reference_short_cycle_through(g, e, bound):
     return math.inf
 
 
+def reference_greedy_cycle(variant, n, g, rng):
+    """greedy_cycle with one bounded BFS per deficient vertex at every
+    matching step, over the adjacency lists of the growing graph."""
+    if n < g:
+        return False, None
+    adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    matching = []
+    deficient = set(range(0, n, 2))
+    while deficient:
+        partners = {}
+        for u in sorted(deficient):
+            dist = graphs.bfs(adj, u, g - 1)
+            partners[u] = sorted(v for v in deficient if dist[v] < 0)
+        if variant == "a":
+            pairs = [(u, v) for u, vs in partners.items() for v in vs if u < v]
+            if not pairs:
+                return False, None
+            u, v = pairs[rng.randrange(len(pairs))]
+        else:
+            if variant == "b":
+                pool = [u for u in sorted(deficient) if partners[u]]
+                if not pool:
+                    return False, None
+            else:
+                low = min(len(vs) for vs in partners.values())
+                if low == 0:
+                    return False, None
+                pool = [u for u in sorted(deficient)
+                        if len(partners[u]) == low]
+            u = pool[rng.randrange(len(pool))]
+            v = partners[u][rng.randrange(len(partners[u]))]
+        matching.append((u, v))
+        adj[u].append(v)
+        adj[v].append(u)
+        deficient -= {u, v}
+    pairs = [(i, (i + 1) % n) for i in range(n)] + matching
+    return True, MultiGraph.from_pairs(n, pairs)
+
+
 @pytest.fixture(scope="module")
 def loopy_lifts():
     """Random lifts with half-loops, whole-loops and parallel edges."""
@@ -120,35 +160,64 @@ class TestCycleCounting:
 class TestNBProfile:
     def test_c5_edge(self):
         c5 = graphs.cycle_graph(5)
-        profile = nb_cycle_profile(c5, 0, 6)
+        [profile] = nb_cycle_profile(c5, [0], 6)
         assert profile[4] == 1                      # one 5-cycle
         assert all(x == 0 for i, x in enumerate(profile) if i != 4)
 
     def test_k4_edge(self, k4):
-        assert nb_cycle_profile(k4, 0, 3)[2] == 2   # two triangles per edge
+        [profile] = nb_cycle_profile(k4, [0], 3)
+        assert profile[2] == 2                      # two triangles per edge
 
     def test_petersen_edge(self, petersen):
-        assert nb_cycle_profile(petersen, 0, 5)[4] == 4
+        [profile] = nb_cycle_profile(petersen, [0], 5)
+        assert profile[4] == 4
 
     def test_matches_reference_on_growth(self, growth_runs):
-        """Every u-v edge of every graph that gf and gd step through, at
-        every g_max up to 12, so both parities of the meeting depth."""
+        """All u-v edges of every graph that gf and gd step through, at
+        every g_max up to 12."""
         for run in growth_runs.values():
             for g in run:
-                for e in _uv_edges(g):
-                    full = reference_nb_cycle_profile(g, e, 12)
-                    for g_max in range(1, 13):
-                        assert nb_cycle_profile(g, e, g_max) == full[:g_max]
+                uv = _uv_edges(g)
+                full = [reference_nb_cycle_profile(g, e, 12) for e in uv]
+                for g_max in range(1, 13):
+                    assert nb_cycle_profile(g, uv, g_max) \
+                        == [p[:g_max] for p in full]
 
     def test_matches_reference_on_loopy_lifts(self, loopy_lifts):
         """Every directed edge, loops of both kinds included; the reference
         walk is exponential in the degree, which loops drive up to 14 here,
         so g_max stays small."""
         for g in loopy_lifts:
-            for e in range(g.edge_count):
-                full = reference_nb_cycle_profile(g, e, 5)
-                for g_max in range(1, 6):
-                    assert nb_cycle_profile(g, e, g_max) == full[:g_max]
+            edges = range(g.edge_count)
+            full = [reference_nb_cycle_profile(g, e, 5) for e in edges]
+            for g_max in range(1, 6):
+                assert nb_cycle_profile(g, edges, g_max) \
+                    == [p[:g_max] for p in full]
+
+    def test_packed_fields(self, monkeypatch):
+        """A one-vertex bouquet of whole loops and a half-loop, where the
+        walks of one start edge number (Delta - 1)^l after l steps, its
+        directed edges listed in shuffled order: edges[k] starts in bit
+        field k of width bit_length((Delta - 1)^g_max), and the profiles
+        come back in list order."""
+        bouquet = MultiGraph.build(
+            1, [("wholeloop", 0), ("wholeloop", 0), ("halfloop", 0)])
+        delta = 5
+        edges = list(range(bouquet.edge_count))
+        random.Random(7).shuffle(edges)
+        full = [reference_nb_cycle_profile(bouquet, e, 8) for e in edges]
+        for g_max in range(1, 9):
+            steps = []
+            monkeypatch.setattr(construct, "nb_step", lambda g, counts:
+                                steps.append(counts) or nb_step(g, counts))
+            assert nb_cycle_profile(bouquet, edges, g_max) \
+                == [p[:g_max] for p in full]
+            width = ((delta - 1) ** g_max).bit_length()
+            assert steps[0] == {e: 1 << k * width for k, e in enumerate(edges)}
+            # every walk continues on delta - 1 edges
+            assert sum(steps[-1].values()) == sum(
+                (delta - 1) ** (g_max - 1) << k * width
+                for k in range(len(edges)))
 
 
 class TestHighGirthCover:
@@ -489,6 +558,19 @@ class TestGreedyCycle:
         for n in (0, -4):
             with pytest.raises(GraphError):
                 greedy_cycle("a", n, 3, random.Random(0))
+
+    def test_matches_reference(self):
+        """Same result and the same draws as the per-vertex BFS, which
+        leaves both generators in the same state: n = 4..40, g = 3..13,
+        every variant, seeds 0..5."""
+        for variant in "abc":
+            for n in range(4, 44, 4):
+                for g in range(3, 14):
+                    for seed in range(6):
+                        mine, ref = random.Random(seed), random.Random(seed)
+                        assert greedy_cycle(variant, n, g, mine) \
+                            == reference_greedy_cycle(variant, n, g, ref)
+                        assert mine.random() == ref.random()
 
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     def test_base_cycle_shorter_than_g_fails(self, variant):
