@@ -156,11 +156,16 @@ def cmd_construct(args) -> int:
             results = list(pool.map(run_trial, *zip(*jobs),
                                     chunksize=chunksize))
     else:
-        results = [run_trial(*job) for job in jobs]
-    successes = [res + (seed,) for seed, res in zip(seeds, results) if res]
-    n_succ = len(successes)
-    if successes:
-        best_size, best, best_seed = min(successes, key=lambda t: t[0])
+        results = map(run_trial, *zip(*jobs))
+    # keep only the running best: the smallest, the earliest seed on a tie
+    n_succ, best = 0, None
+    for seed, res in zip(seeds, results):
+        if res:
+            n_succ += 1
+            if best is None or res[0] < best[0]:
+                best = res + (seed,)
+    if best:
+        best_size, best, best_seed = best
         row = (f"{args.g},{args.alg},{args.trials},{n_succ},"
                f"{best_size},{best_seed}")
     else:
@@ -169,7 +174,7 @@ def cmd_construct(args) -> int:
     print(row)
     if args.csv:
         _write(args.csv, CONSTRUCT_CSV_HEADER + "\n" + row + "\n")
-    if not successes:
+    if not best:
         return EXIT_BUDGET
     if args.out:
         _write(args.out, serialize_graph(best))

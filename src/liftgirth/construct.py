@@ -21,7 +21,7 @@ from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
 from .lifts import (CoverMap, LiftAssignment, _perm_inverse, build_lift,
                     half_loop_elimination, normalize_tree_layers,
                     relabel_layers, verify_cover)
-from .search import _members, _pairing_kernel
+from .search import members, pairing_kernel
 
 
 # -- cycle counting --------------------------------------------------------
@@ -262,14 +262,14 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
         raise GraphError("n must be a positive multiple of 4")
     if g < 3:
         raise GraphError("g must be >= 3")
-    ball, join = _pairing_kernel([n // 2], g - 2)
+    ball, join = pairing_kernel([n // 2], g - 2)
     matching = []
     deficient = (1 << n // 2) - 1
 
     while deficient:
-        legal = {x: deficient & ~ball[x] for x in _members(deficient)}
+        legal = {x: deficient & ~ball[x] for x in members(deficient)}
         if variant == "a":
-            pairs = [(x, y) for x, ys in legal.items() for y in _members(ys)
+            pairs = [(x, y) for x, ys in legal.items() for y in members(ys)
                      if x < y]
             if not pairs:
                 return False, None
@@ -285,7 +285,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
             if not pool:
                 return False, None
             x = pool[rng.randrange(len(pool))]
-            ys = _members(legal[x])
+            ys = members(legal[x])
             y = ys[rng.randrange(len(ys))]
         matching.append((2 * x, 2 * y))
         deficient &= ~(1 << x | 1 << y)

@@ -9,7 +9,8 @@ canonical permutation per cycle type and the first matching pair {0, j}
 of mu over the orbits of the centralizer of sigma2, which have a closed
 form (the cage-search normalisation of McKay, Myrvold and Nadon, SODA
 1998).  mu is built pairwise on the search's own adjacency lists, which
-also give the connectivity test at each leaf.
+also give the connectivity test at each leaf.  construct.greedy_cycle
+shares pairing_kernel and members.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class SearchCounter:
         self.nodes = 0
 
 
-def _pairing_kernel(parts, top):
+def pairing_kernel(parts, top):
     """(ball, join) over the u-vertices on cycles of sigma2 of the given
     lengths.  ball[x] packs the masks of the u-vertices within distance r
     of x, r = 0..top, into one int, radius r in bits (top-r)*n .. +n-1, so
@@ -131,7 +132,7 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     sigma2 is canonical per cycle type and mu is built pairwise.  A cycle
     through the new mu edge i-j is one longer than d(i, j), so j is a legal
     partner of i iff d(i, j) > g - 2.  With the balls of radius g-2 of the
-    unpaired u-vertices (_pairing_kernel), the legal partners of x are
+    unpaired u-vertices (pairing_kernel), the legal partners of x are
     unpaired & ~ball[x]; a backtrack restores the rows saved before.
 
     Vertex 0 is paired first, over the orbit representatives of
@@ -161,7 +162,7 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
             adj[i] += [n + i, n + sigma2[i]]
             adj[n + i].append(i)
             adj[n + sigma2[i]].append(i)
-        ball, join = _pairing_kernel(parts, g - 2)
+        ball, join = pairing_kernel(parts, g - 2)
         mu = [-1] * n
 
         def branch(i, candidates, unpaired):
@@ -196,7 +197,7 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
                     if not count:
                         return
                     best, fewest, partners = x, count, legal
-            yield from branch(best, _members(partners), unpaired)
+            yield from branch(best, members(partners), unpaired)
 
         everyone = (1 << n) - 1
         legal = everyone & ~ball[0]
@@ -204,7 +205,7 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
                               if legal >> j & 1], everyone)
 
 
-def _members(mask):
+def members(mask):
     """The set bits of mask, in increasing order."""
     out = []
     while mask:
@@ -267,5 +268,6 @@ def certify_lower_bound(g: int, n: int) -> Certificate:
     return Certificate(g, n, lift is None, nodes, lift)
 
 
-__all__ = ["SearchCounter", "canonical_enumerate", "SearchOutcome",
-           "minimum_size", "Certificate", "certify_lower_bound"]
+__all__ = ["SearchCounter", "pairing_kernel", "canonical_enumerate",
+           "members", "SearchOutcome", "minimum_size", "Certificate",
+           "certify_lower_bound"]

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from .cover_tree import nb_step
 from .graphs import GraphError, MultiGraph, bfs, validate
 
-_MAX_ITER = 10**6
-
 
 def _successors(h: MultiGraph):
     """B as successor lists: the edges a walk ending on e may continue on."""
@@ -46,7 +44,7 @@ def is_irreducible(h: MultiGraph) -> bool:
 
 
 def spectral_radius(h: MultiGraph, tol: float = 1e-10,
-                    max_iter: int = _MAX_ITER):
+                    max_iter: int = 10**6):
     """Perron radius of the non-backtracking matrix B of h by power
     iteration on B + I.
 
@@ -57,10 +55,6 @@ def spectral_radius(h: MultiGraph, tol: float = 1e-10,
     """
     if not _strongly_connected(_successors(h)):
         raise GraphError("spectral_radius requires an irreducible matrix")
-    return _power_iteration(h, tol, max_iter)
-
-
-def _power_iteration(h: MultiGraph, tol: float, max_iter: int):
     n = h.edge_count
     x = [1.0] * n
     lam = 0.0
@@ -149,11 +143,10 @@ class SpectralSummary:
 
 
 def summarize(h: MultiGraph, tol: float = 1e-10) -> SpectralSummary:
-    # an admissible base has an irreducible B: no second check
     if not is_irreducible(h):
         raise GraphError("graph is not admissible (connected, mindeg >= 2, "
                          "maxdeg > 2)")
-    rho, iters, residual = _power_iteration(h, tol, _MAX_ITER)
+    rho, iters, residual = spectral_radius(h, tol)
     equal, _ = rho_lambda_equality(h)
     return SpectralSummary(
         rho=rho,
