@@ -2,8 +2,7 @@
 
 from .graphs import (GraphError, MultiGraph, ParseError, diameter, girth,
                      h23, k32, parse_graph, serialize_graph)
-from .lifts import (CoverMap, LiftAssignment, build_lift, random_two_lift,
-                    verify_cover)
+from .lifts import CoverMap, LiftAssignment, build_lift, verify_cover
 from .bounds import bounds_table, es_upper_bound, moore_lift_bound
 from .spectral import lambda_ahl, spectral_radius, summarize
 from .construct import es_construct, greedy_cycle, grow, high_girth_cover
@@ -15,7 +14,6 @@ __all__ = [
     "GraphError", "ParseError", "MultiGraph", "girth", "diameter",
     "parse_graph", "serialize_graph", "h23", "k32",
     "LiftAssignment", "CoverMap", "build_lift", "verify_cover",
-    "random_two_lift",
     "moore_lift_bound", "es_upper_bound", "bounds_table",
     "spectral_radius", "lambda_ahl", "summarize",
     "high_girth_cover", "es_construct", "greedy_cycle", "grow",

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover_tree import ball_size_edge_two_sided, ball_size_vertex, layer_counts
 from .graphs import GraphError, MultiGraph, bfs, validate
 from .spectral import lambda_ahl
 
 
-@dataclass(frozen=True)
-class SpanningTreeInfo:
+class SpanningTreeInfo(NamedTuple):
     tree_edges: tuple      # undirected representatives, subset of base edges
     diam: int
 
@@ -132,8 +131,7 @@ def ahl_moore_polynomial(x_plus_1: float, g: int) -> float:
             + sum(x ** i for i in range(even_terms + 1)))
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     g: int
     moore_raw: int
     moore_adjusted: int

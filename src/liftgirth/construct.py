@@ -12,7 +12,7 @@ Three families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import SpanningTreeInfo, spanning_tree
 from .cover_tree import nb_step
@@ -90,6 +90,19 @@ def nb_cycle_profile(g: MultiGraph, edges, g_max: int):
 
 # -- girth boosting by 2-lifts ---------------------------------------------
 
+_DRAW_CHARS = b"1" * 128 + b"0" * 128     # byte -> "1" iff its top bit is 0
+
+
+def _coin_string(rng, m: int) -> str:
+    """The m draws "1" if rng.random() < 0.5 else "0", in one call that
+    leaves rng in the same state.  random() takes two 32-bit words and is
+    below 0.5 iff the first has bit 31 clear; getrandbits(64 m) takes the
+    same 2m words, least significant first, so draw i is the top bit of
+    byte 8i + 3 of its little-endian bytes."""
+    raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+    return raw[3::8].translate(_DRAW_CHARS).decode()
+
+
 def high_girth_cover(h: MultiGraph, g: int, rng,
                      budget: int = 1000) -> LiftAssignment:
     """A lift of h with girth >= g by iterated random 2-lifts.
@@ -120,10 +133,11 @@ def high_girth_cover(h: MultiGraph, g: int, rng,
         cycles = cycles_of_length(G, gamma)
         phi = len(cycles)
         und = G.undirected_edges()
-        # draw i is character i of a candidate's string, so bit
-        # len(und) - 1 - i of its value word; a cycle keeps even parity
-        # iff word & (its edge mask) has an even popcount
-        bit = {e: len(und) - 1 - i for i, e in enumerate(und)}
+        # draw i is character i of a candidate's string, so bit m - 1 - i
+        # of its value word; a cycle keeps even parity iff word & (its
+        # edge mask) has an even popcount
+        m = len(und)
+        bit = {e: m - 1 - i for i, e in enumerate(und)}
         masks = []
         for c in cycles:
             mask = 0
@@ -132,8 +146,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng,
             masks.append(mask)
         best_draws, best_phi = None, phi
         for _ in range(budget):
-            draws = "".join(["1" if rng.random() < 0.5 else "0"
-                             for _ in und])
+            draws = _coin_string(rng, m)
             word = int(draws, 2)
             odd = sum([(word & mask).bit_count() & 1 for mask in masks])
             phi2 = 2 * (phi - odd)
@@ -154,8 +167,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng,
 
 # -- Erdos-Sachs layer trimming --------------------------------------------
 
-@dataclass
-class TrimState:
+class TrimState(NamedTuple):
     """A connected cover in tree-normalized permutation form.
 
     Layers are the connected components of the preimage of the spanning
@@ -214,7 +226,7 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
     graph, cover = build_lift(new_a)
     # the rest of graph is an induced subgraph of state.graph, so a cycle
     # shorter than g would have to use a new edge
-    if _short_cycle_edges(graph, rewired, g):
+    if any(_on_short_cycle(graph, e, g) for e in rewired):
         raise GraphError("trim produced a short cycle; internal invariant "
                          "violated")
     return TrimState(new_a, state.tree, graph, cover)
@@ -411,6 +423,29 @@ def _short_cycle_edges(g: MultiGraph, edges, bound):
     return [e for k, e in enumerate(edges) if rows[g.head[e]] >> k & 1]
 
 
+def _on_short_cycle(g: MultiGraph, e: int, bound: int) -> bool:
+    """Whether edge e lies on a cycle shorter than bound, by a search
+    around its ends in g minus e: a path of length <= bound - 2 joins them
+    iff the ball of radius ceil((bound - 2) / 2) about the tail meets the
+    ball of radius floor((bound - 2) / 2) about the head."""
+    banned = (e, g.inv[e])
+    balls = []
+    for v, radius in ((g.tail[e], (bound - 1) // 2),
+                      (g.head[e], (bound - 2) // 2)):
+        ball, frontier = {v}, [v]
+        for _ in range(radius):
+            nxt = []
+            for x in frontier:
+                for f in g.out[x]:
+                    w = g.head[f]
+                    if w not in ball and f not in banned:
+                        ball.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        balls.append(ball)
+    return not balls[0].isdisjoint(balls[1])
+
+
 def _pick_max(items, key, rng):
     best = max(key(x) for x in items)
     pool = [x for x in items if key(x) == best]
@@ -424,6 +459,10 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
     gd: surger a random edge on a short cycle against a most distant edge.
     gf: surger the edge on the most short cycles (lexicographic census)
         against a partner keeping new cycles long.
+
+    The u-u edges of a cover form a matching, so every cycle has a u-v
+    edge: the girth is >= g exactly when gd finds no u-v edge on a cycle
+    shorter than g, or every profile of gf is zero, and growth stops there.
     """
     variant = variant.lower()
     if variant not in ("gd", "gf"):
@@ -432,11 +471,11 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
         raise GraphError("g must be >= 3")
     graph = k4_minus_edge()
     for _ in range(max_steps):
-        if girth(graph) >= g:
-            return graph
         uv = _uv_edges(graph)
         if variant == "gd":
             on_short = _short_cycle_edges(graph, uv, g)
+            if not on_short:
+                return graph
             e = on_short[rng.randrange(len(on_short))]
             others = [f for f in uv if f != e]
             da = bfs(graph.adj, graph.tail[e])
@@ -446,6 +485,8 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
                 db[graph.tail[f]], db[graph.head[f]]), rng)
         else:
             profiles = dict(zip(uv, nb_cycle_profile(graph, uv, g - 1)))
+            if not any(map(any, profiles.values())):
+                return graph
             e = _pick_max(uv, lambda x: profiles[x], rng)
             degs = graph.degrees()
 

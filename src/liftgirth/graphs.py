@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(Exception):
@@ -142,8 +142,7 @@ class MultiGraph:
         return MultiGraph.build(vertex_count, [("edge", a, b) for a, b in pairs])
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     connected: bool
     min_degree: int
     max_degree: int

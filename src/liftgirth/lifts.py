@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (GraphError, MultiGraph, ParseError, file_edge_ids,
                      serialize_graph, tokenize)
@@ -55,16 +55,14 @@ class LiftAssignment:
         return LiftAssignment(self.base, 2 * n, perms)
 
 
-@dataclass(frozen=True)
-class CoverMap:
+class CoverMap(NamedTuple):
     """Projection G -> H as dense vertex and directed-edge maps."""
 
     vertex_map: tuple
     edge_map: tuple
 
 
-@dataclass
-class CoverReport:
+class CoverReport(NamedTuple):
     ok: bool
     violations: list
 
@@ -136,57 +134,11 @@ def verify_cover(g: MultiGraph, h: MultiGraph, m: CoverMap) -> CoverReport:
     return CoverReport(not bad, bad)
 
 
-def random_two_lift_assignment(g: MultiGraph, rng) -> LiftAssignment:
-    """Independent identity/swap choice per undirected edge (one choice per
-    whole-loop; both S2 elements are involutions)."""
-    for e in range(g.edge_count):
-        if g.is_half_loop(e):
-            raise GraphError(
-                f"edge {e} is a half-loop; apply half_loop_elimination first")
-    flips = [False] * g.edge_count
-    for e in g.undirected_edges():
-        flips[e] = flips[g.inv[e]] = rng.random() < 0.5
-    return LiftAssignment.identity(g, 1).double(flips)
-
-
-def random_two_lift(g: MultiGraph, rng) -> MultiGraph:
-    return build_lift(random_two_lift_assignment(g, rng))[0]
-
-
 def half_loop_elimination(h: MultiGraph) -> LiftAssignment:
     """The 2-lift in which each half-loop becomes the cross edge between the
     two copies of its vertex and every other edge lifts by identity."""
     return LiftAssignment.identity(h, 1).double(
         [h.is_half_loop(e) for e in range(h.edge_count)])
-
-
-def assignment_from_cover(g: MultiGraph, h: MultiGraph,
-                          m: CoverMap) -> tuple:
-    """Express an arbitrary cover as a LiftAssignment over h.
-
-    Fibers are labelled in increasing vertex-id order; edge fibers inherit
-    the tail labelling.  Returns (assignment, relabel) where relabel maps
-    each vertex of g to its (base vertex, layer) id in the rebuilt lift.
-    """
-    rep = verify_cover(g, h, m)
-    if not rep.ok:
-        raise GraphError(f"not a cover: {rep.violations[:3]}")
-    n = g.vertex_count // h.vertex_count
-    layer = [0] * g.vertex_count
-    counter = [0] * h.vertex_count
-    for v in range(g.vertex_count):
-        b = m.vertex_map[v]
-        layer[v] = counter[b]
-        counter[b] += 1
-    # lifted edge over base e leaving layer i of t(e): find it per vertex
-    perms = [[None] * n for _ in range(h.edge_count)]
-    for ge in range(g.edge_count):
-        be = m.edge_map[ge]
-        perms[be][layer[g.tail[ge]]] = layer[g.head[ge]]
-    a = LiftAssignment(h, n, [tuple(p) for p in perms])
-    relabel = tuple(layer[v] * h.vertex_count + m.vertex_map[v]
-                    for v in range(g.vertex_count))
-    return a, relabel
 
 
 def relabel_layers(a: LiftAssignment, lam) -> LiftAssignment:
@@ -265,7 +217,6 @@ def parse_cover_map(text: str, g: MultiGraph, h: MultiGraph) -> CoverMap:
 
 __all__ = [
     "LiftAssignment", "CoverMap", "CoverReport", "build_lift", "verify_cover",
-    "random_two_lift", "random_two_lift_assignment", "half_loop_elimination",
-    "assignment_from_cover", "relabel_layers", "normalize_tree_layers",
+    "half_loop_elimination", "relabel_layers", "normalize_tree_layers",
     "serialize_graph", "serialize_cover_map", "parse_cover_map",
 ]

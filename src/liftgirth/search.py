@@ -15,7 +15,7 @@ shares pairing_kernel and members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import GraphError, bfs, h23
 from .lifts import LiftAssignment, _perm_inverse
@@ -215,8 +215,7 @@ def members(mask):
     return out
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     g: int
     size: int | None          # vertices of the smallest witness, if any
     witness: LiftAssignment | None
@@ -249,8 +248,7 @@ def minimum_size(g: int, n_max: int) -> SearchOutcome:
     return SearchOutcome(g, size, lift, n_max, nodes)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     g: int
     height: int
     refuted: bool

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover_tree import nb_step
 from .graphs import GraphError, MultiGraph, bfs, validate
@@ -132,8 +132,7 @@ def rho_lambda_equality(h: MultiGraph, tol: float = 1e-9):
     return True, None
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     rho: float
     lam: float
     avg_degree_minus_one: float

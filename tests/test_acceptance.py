@@ -15,11 +15,11 @@ from liftgirth.bounds import es_upper_bound, moore_lift_bound
 from liftgirth.construct import es_construct, greedy_cycle, grow
 from liftgirth.cover_tree import ball_size_vertex
 from liftgirth.graphs import diameter, girth, is_connected
-from liftgirth.lifts import (build_lift, random_two_lift,
-                             random_two_lift_assignment, verify_cover)
+from liftgirth.lifts import build_lift, verify_cover
 from liftgirth.search import certify_lower_bound, minimum_size
 from liftgirth.spectral import lambda_ahl, spectral_radius, summarize
 from test_graphs import dense_nb_matrix
+from test_lifts import random_two_lift, random_two_lift_assignment
 
 MOORE_COLUMN = [4, 8, 8, 12, 16, 20, 24, 32, 40, 48, 60, 76, 96, 116, 144,
                 176, 224, 272, 340, 412, 520, 628, 792, 960, 1208, 1456,

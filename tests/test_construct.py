@@ -9,7 +9,8 @@ import pytest
 from liftgirth import construct, graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.cover_tree import nb_step
-from liftgirth.construct import (TrimState, _short_cycle_edges, _uv_edges,
+from liftgirth.construct import (TrimState, _coin_string, _on_short_cycle,
+                                 _short_cycle_edges, _uv_edges,
                                  cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
@@ -122,18 +123,23 @@ def loopy_lifts():
     return [random_loopy_lift(rng) for _ in range(60)]
 
 
+GROWTH_GIRTHS = {"gf": 12, "gd": 13}
+
+
 @pytest.fixture(scope="module")
 def growth_runs():
-    """Every graph that grow("gf", 12) and grow("gd", 13) test for girth,
-    by (variant, seed) for seeds 0, 1, 2; the last one is the output."""
+    """Every graph that grow("gf", 12) and grow("gd", 13) step through, as
+    each step lists its u-v edges, by (variant, seed) for seeds 0, 1, 2;
+    the last one is the output."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
-        for variant, g in (("gf", 12), ("gd", 13)):
+        for variant, g in GROWTH_GIRTHS.items():
             for seed in (0, 1, 2):
                 seen = runs[variant, seed] = []
-                mp.setattr(construct, "girth",
-                           lambda x, seen=seen: seen.append(x) or girth(x))
-                grow(variant, g, random.Random(seed))
+                mp.setattr(construct, "_uv_edges",
+                           lambda x, seen=seen: seen.append(x) or _uv_edges(x))
+                out = grow(variant, g, random.Random(seed))
+                assert seen[-1] is out
     return runs
 
 
@@ -256,6 +262,17 @@ class TestHighGirthCover:
         with pytest.raises(GraphError):
             high_girth_cover(path, 3, random.Random(0))
 
+    def test_coin_string_matches_random(self):
+        """The one-call draws equal the per-draw loop and leave the
+        generator in the same state: seeds 0..49, each length 1..700 once,
+        drawn one after another from one generator per side."""
+        for seed in range(50):
+            mine, ref = random.Random(seed), random.Random(seed)
+            for m in range(seed + 1, 701, 50):
+                assert _coin_string(mine, m) == "".join(
+                    "1" if ref.random() < 0.5 else "0" for _ in range(m))
+                assert mine.getstate() == ref.getstate()
+
 
 TRIM_G = 11     # H23 lifts need trimming here; at g <= 10 they rarely do
 
@@ -281,6 +298,36 @@ def es11():
     """es_construct(H23, 11) for seeds 0, 1, 2."""
     return {s: es_construct(graphs.h23(), 11, random.Random(s))
             for s in (0, 1, 2)}
+
+
+@pytest.fixture(scope="module")
+def trim_checks():
+    """Every (graph, edge, g) whose short cycles es_trim_step tests: in the
+    trim steps of es_construct on H23 at g = 7..11, K32 at g = 13 and
+    Petersen at g = 10, seeds 0, 1, 2, and in the steps from each first
+    trim state with vertex 0 paired with the next 16 vertices outside its
+    layer and passed off as farther apart than D0; many of these rewire an
+    edge onto a short cycle."""
+    checks = []
+    cases = [(graphs.h23(), g) for g in range(7, 12)]
+    cases += [(graphs.k32(), 13), (graphs.petersen(), 10)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_on_short_cycle", lambda graph, e, bound:
+                   checks.append((graph, e, bound))
+                   or _on_short_cycle(graph, e, bound))
+        for h, g in cases:
+            tree = spanning_tree(h)
+            for seed in (0, 1, 2):
+                es_construct(h, g, random.Random(seed))
+                a = normalize_tree_layers(
+                    high_girth_cover(h, g, random.Random(seed)),
+                    tree.tree_edges)
+                state = TrimState(a, tree, *build_lift(a))
+                nv = h.vertex_count
+                fake = tree.d0(g) + 1
+                for u in range(nv, min(nv + 16, state.graph.vertex_count)):
+                    trim_outcome(es_trim_step, state, g, (0, u, fake))
+    return checks
 
 
 def reference_es_trim_step(state, g, far):
@@ -383,6 +430,30 @@ class TestTrim:
             outcomes.add(mine.split(";")[0] if isinstance(mine, str)
                          else "trimmed")
         assert {"trimmed", "trim produced a short cycle"} <= outcomes
+
+    def test_local_check_matches_all_edge_pass(self, trim_checks):
+        """The search around a rewired edge agrees with the all-edges
+        pass at the step's g and at the bounds below and above it."""
+        by_graph = {}
+        for graph, e, g in trim_checks:
+            by_graph.setdefault(id(graph), (graph, g, []))[2].append(e)
+        found = set()
+        for graph, g, edges in by_graph.values():
+            for bound in range(3, g + 3):
+                mine = [e for e in edges if _on_short_cycle(graph, e, bound)]
+                assert mine == _short_cycle_edges(graph, edges, bound)
+                found |= {(bound == g, e in mine) for e in edges}
+        assert found == {(True, True), (True, False), (False, True),
+                         (False, False)}
+
+    def test_local_check_loopy_lifts(self, loopy_lifts):
+        """Every directed edge of lifts with loops, half-loops and
+        parallel edges, at bounds 3..8."""
+        for g in loopy_lifts:
+            edges = range(g.edge_count)
+            for bound in range(3, 9):
+                assert [e for e in edges if _on_short_cycle(g, e, bound)] \
+                    == _short_cycle_edges(g, edges, bound)
 
     def test_es_construct_matches_reference(self, h23, es11, monkeypatch):
         monkeypatch.setattr(construct, "es_trim_step",
@@ -619,6 +690,14 @@ class TestSurgery:
         g = grow(variant, 6, random.Random(2))
         assert girth(g) >= 6
         assert verify_cover(g, h23, h23_cover_map(g))
+
+    def test_grow_stops_at_girth(self, growth_runs):
+        """grow stops on its own short-cycle test: every graph it steps
+        through has whole-graph girth below g, and its output reaches g."""
+        for (variant, _), run in growth_runs.items():
+            g = GROWTH_GIRTHS[variant]
+            assert all(girth(x) < g for x in run[:-1])
+            assert girth(run[-1]) >= g
 
     def test_gf_g6_reaches_minimum(self, h23):
         best = min(grow("gf", 6, random.Random(seed)).vertex_count

@@ -383,3 +383,14 @@ def test_cli_import_leaves_process_pool_out():
             "assert 'concurrent.futures' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_leaves_dataclasses_out():
+    """The records are named tuples: importing the CLI adds neither
+    dataclasses nor the inspect module it pulls in to what a bare
+    interpreter has loaded."""
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    code = ("import sys; bare = set(sys.modules); import liftgirth.cli; "
+            "assert not {'dataclasses', 'inspect'} & (set(sys.modules) - bare)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -6,16 +6,59 @@ import pytest
 from liftgirth import graphs
 from liftgirth.graphs import (GraphError, MultiGraph, ParseError, girth,
                               is_connected)
-from liftgirth.lifts import (CoverMap, LiftAssignment, assignment_from_cover,
-                             build_lift, half_loop_elimination,
-                             normalize_tree_layers, random_two_lift,
-                             random_two_lift_assignment, relabel_layers,
-                             serialize_cover_map, parse_cover_map,
-                             verify_cover)
+from liftgirth.lifts import (CoverMap, LiftAssignment, build_lift,
+                             half_loop_elimination, normalize_tree_layers,
+                             relabel_layers, serialize_cover_map,
+                             parse_cover_map, verify_cover)
 from liftgirth.construct import cycles_of_length
 
 IDENT = (0, 1)
 SWAP = (1, 0)
+
+
+def random_two_lift_assignment(g, rng):
+    """Independent identity/swap choice per undirected edge (one choice per
+    whole-loop; both S2 elements are involutions)."""
+    for e in range(g.edge_count):
+        if g.is_half_loop(e):
+            raise GraphError(
+                f"edge {e} is a half-loop; apply half_loop_elimination first")
+    flips = [False] * g.edge_count
+    for e in g.undirected_edges():
+        flips[e] = flips[g.inv[e]] = rng.random() < 0.5
+    return LiftAssignment.identity(g, 1).double(flips)
+
+
+def random_two_lift(g, rng):
+    return build_lift(random_two_lift_assignment(g, rng))[0]
+
+
+def assignment_from_cover(g, h, m):
+    """Express an arbitrary cover as a LiftAssignment over h.
+
+    Fibers are labelled in increasing vertex-id order; edge fibers inherit
+    the tail labelling.  Returns (assignment, relabel) where relabel maps
+    each vertex of g to its (base vertex, layer) id in the rebuilt lift.
+    """
+    rep = verify_cover(g, h, m)
+    if not rep.ok:
+        raise GraphError(f"not a cover: {rep.violations[:3]}")
+    n = g.vertex_count // h.vertex_count
+    layer = [0] * g.vertex_count
+    counter = [0] * h.vertex_count
+    for v in range(g.vertex_count):
+        b = m.vertex_map[v]
+        layer[v] = counter[b]
+        counter[b] += 1
+    # lifted edge over base e leaving layer i of t(e): find it per vertex
+    perms = [[None] * n for _ in range(h.edge_count)]
+    for ge in range(g.edge_count):
+        be = m.edge_map[ge]
+        perms[be][layer[g.tail[ge]]] = layer[g.head[ge]]
+    a = LiftAssignment(h, n, [tuple(p) for p in perms])
+    relabel = tuple(layer[v] * h.vertex_count + m.vertex_map[v]
+                    for v in range(g.vertex_count))
+    return a, relabel
 
 
 def to_nx(g):

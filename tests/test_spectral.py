@@ -5,11 +5,12 @@ import pytest
 
 from liftgirth import graphs
 from liftgirth.graphs import GraphError
-from liftgirth.lifts import build_lift, random_two_lift
+from liftgirth.lifts import build_lift
 from liftgirth.spectral import (avg_degree, is_irreducible, lambda_ahl,
                                 rho_lambda_equality, spectral_radius,
                                 summarize)
 from test_graphs import dense_nb_matrix
+from test_lifts import random_two_lift
 
 # edge-type quotients of the non-backtracking matrices, used as known
 # small fixtures: H23 collapses to 3 directed edge types and K32 to 2
