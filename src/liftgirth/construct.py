@@ -18,9 +18,8 @@ from .bounds import SpanningTreeInfo, spanning_tree
 from .cover_tree import nb_step
 from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
                      girth, h23, k4_minus_edge)
-from .lifts import (CoverMap, LiftAssignment, _perm_inverse, build_lift,
-                    half_loop_elimination, normalize_tree_layers,
-                    relabel_layers, verify_cover)
+from .lifts import (CoverMap, LiftAssignment, build_lift,
+                    half_loop_elimination, normalize_tree_layers, verify_cover)
 from .search import members, pairing_kernel
 
 
@@ -28,34 +27,20 @@ from .search import members, pairing_kernel
 
 def cycles_of_length(g: MultiGraph, length: int):
     """All vertex-simple cycles of exactly the given length, as tuples of
-    directed edges, each cycle listed once."""
-    if length == 1:
-        return [(e,) for e in g.undirected_edges() if g.is_loop(e)]
-    if length == 2:
-        by_pair = {}
-        for e in g.undirected_edges():
-            if g.is_loop(e):
-                key = (g.tail[e], g.tail[e])
-            else:
-                key = (min(g.tail[e], g.head[e]), max(g.tail[e], g.head[e]))
-            by_pair.setdefault(key, []).append(e)
-        out = []
-        for edges in by_pair.values():
-            for i in range(len(edges)):
-                for j in range(i + 1, len(edges)):
-                    out.append((edges[i], g.inv[edges[j]]))
-        return out
-
+    directed edges, each cycle listed once: from its smallest vertex, in
+    the direction whose first edge has a smaller id than the inverse of
+    its last.  A whole-loop is listed once, a half-loop (its own inverse)
+    as it is, and a backtrack e, e^-1 is no cycle."""
     cycles = []
-    nv = g.vertex_count
 
     def extend(start, v, visited, path):
         depth = len(path)
         for e in g.out[v]:
             w = g.head[e]
             if depth == length - 1:
-                # closing edge; direction dedup: second vertex < last vertex
-                if w == start and g.head[path[0]] < g.tail[e]:
+                first = path[0] if path else e
+                if w == start and (first < g.inv[e]
+                                   or first == e == g.inv[e]):
                     cycles.append(tuple(path) + (e,))
             elif w > start and w not in visited:
                 visited.add(w)
@@ -64,7 +49,7 @@ def cycles_of_length(g: MultiGraph, length: int):
                 path.pop()
                 visited.remove(w)
 
-    for s in range(nv):
+    for s in range(g.vertex_count):
         extend(s, s, {s}, [])
     return cycles
 
@@ -185,8 +170,8 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
     dist) of state.graph and reconnect the deficient vertices; girth >= g
     and the cover property persist when the pair is farther apart than
     D0 = g + 2 diam(T)."""
-    h = state.assignment.base
-    n = state.assignment.height
+    a = state.assignment
+    h, n = a.base, a.height
     nv = h.vertex_count
     d0 = state.tree.d0(g)
     vp, up, dist = far
@@ -197,9 +182,8 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
         raise GraphError("farthest pair in one layer; tree normalization "
                          "or the distance precondition is broken")
 
-    # old layer -> new layer: i and j go last, the rest keep their order
-    kept = [x for x in range(n) if x != i and x != j]
-    a = relabel_layers(state.assignment, _perm_inverse(kept + [j, i]))
+    # old layer -> new layer for the kept layers, which keep their order
+    new = [x - (x > i) - (x > j) for x in range(n)]
 
     tree_set = set(state.tree.tree_edges) | {h.inv[e]
                                              for e in state.tree.tree_edges}
@@ -210,18 +194,18 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
             perms.append(tuple(range(n - 2)))
             continue
         p, p_inv = a.perms[e], a.perms[h.inv[e]]
-        touching = (p[n - 1], p[n - 2], p_inv[n - 1], p_inv[n - 2])
-        if any(x >= n - 2 for x in touching):
+        if {p[i], p[j], p_inv[i], p_inv[j]} & {i, j}:
             raise GraphError(
                 f"red-edge count above base edge {e} is not two; the "
                 f"distance precondition did not actually hold")
-        q = list(p[:n - 2])
-        q[p_inv[n - 2]] = p[n - 1]
-        q[p_inv[n - 1]] = p[n - 2]
+        q = [new[p[x]] for x in range(n) if x != i and x != j]
+        # the edges into j and out of i fuse, as do those into i and out of j
+        q[new[p_inv[j]]] = new[p[i]]
+        q[new[p_inv[i]]] = new[p[j]]
         perms.append(tuple(q))
         if e <= h.inv[e]:
-            rewired += [p_inv[n - 2] * h.edge_count + e,
-                        p_inv[n - 1] * h.edge_count + e]
+            rewired += [new[p_inv[j]] * h.edge_count + e,
+                        new[p_inv[i]] * h.edge_count + e]
     new_a = LiftAssignment(h, n - 2, perms)
     graph, cover = build_lift(new_a)
     # the rest of graph is an induced subgraph of state.graph, so a cycle
@@ -232,7 +216,7 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
     return TrimState(new_a, state.tree, graph, cover)
 
 
-def es_construct(h: MultiGraph, g: int, rng, budget: int = 1000):
+def es_construct(h: MultiGraph, g: int, rng):
     """Girth >= g cover of h with diameter <= g + 2 diam(T): boost the
     girth by 2-lifts, then trim layers until the diameter bound holds.
 
@@ -242,7 +226,7 @@ def es_construct(h: MultiGraph, g: int, rng, budget: int = 1000):
     tree = spanning_tree(h)
     if g < tree.g0:
         raise GraphError(f"g={g} below g0={tree.g0}")
-    a = normalize_tree_layers(high_girth_cover(h, g, rng, budget),
+    a = normalize_tree_layers(high_girth_cover(h, g, rng),
                               tree.tree_edges)
     state = TrimState(a, tree, *build_lift(a))
     d0 = tree.d0(g)
@@ -424,26 +408,19 @@ def _short_cycle_edges(g: MultiGraph, edges, bound):
 
 
 def _on_short_cycle(g: MultiGraph, e: int, bound: int) -> bool:
-    """Whether edge e lies on a cycle shorter than bound, by a search
-    around its ends in g minus e: a path of length <= bound - 2 joins them
-    iff the ball of radius ceil((bound - 2) / 2) about the tail meets the
-    ball of radius floor((bound - 2) / 2) about the head."""
-    banned = (e, g.inv[e])
-    balls = []
-    for v, radius in ((g.tail[e], (bound - 1) // 2),
-                      (g.head[e], (bound - 2) // 2)):
-        ball, frontier = {v}, [v]
-        for _ in range(radius):
-            nxt = []
-            for x in frontier:
-                for f in g.out[x]:
-                    w = g.head[f]
-                    if w not in ball and f not in banned:
-                        ball.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        balls.append(ball)
-    return not balls[0].isdisjoint(balls[1])
+    """Whether edge e lies on a cycle shorter than bound: e is a loop, or
+    a BFS of radius bound - 2 from its tail in g minus e reaches its head."""
+    tail, head = g.tail[e], g.head[e]
+    if tail == head:
+        return True
+    adj = list(g.adj)
+    for v, w in ((tail, head), (head, tail)):
+        adj[v] = list(adj[v])
+        adj[v].remove(w)
+    return bfs(adj, tail, bound - 1)[head] >= 0
+
+
+_MAX_STEPS = 10000          # surgery steps before grow gives up
 
 
 def _pick_max(items, key, rng):
@@ -452,7 +429,7 @@ def _pick_max(items, key, rng):
     return pool[rng.randrange(len(pool))]
 
 
-def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
+def grow(variant: str, g: int, rng) -> MultiGraph:
     """Grow a cover of the half-loop base from K4 minus an edge by edge
     surgery until girth >= g.
 
@@ -470,7 +447,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
     if g < 3:
         raise GraphError("g must be >= 3")
     graph = k4_minus_edge()
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         uv = _uv_edges(graph)
         if variant == "gd":
             on_short = _short_cycle_edges(graph, uv, g)
@@ -504,7 +481,7 @@ def grow(variant: str, g: int, rng, max_steps: int = 10000) -> MultiGraph:
                 f = _pick_max(far, lambda f: profiles[f], rng)
         graph = surgery_transform(graph, e, f)
     raise TrialFailed(
-        f"max_steps={max_steps} exceeded at girth {girth(graph)}")
+        f"max_steps={_MAX_STEPS} exceeded at girth {girth(graph)}")
 
 
 __all__ = [

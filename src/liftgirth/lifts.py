@@ -168,8 +168,7 @@ def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
             w = h.head[e]
             if tau[w] is None:
                 # want tau_w o perm(e) o tau_v^-1 = id
-                tau[w] = _perm_inverse(
-                    tuple(a.perms[e][tau[v].index(i)] for i in range(n)))
+                tau[w] = tuple(tau[v][x] for x in a.perms[h.inv[e]])
                 stack.append(w)
     if any(t is None for t in tau):
         raise GraphError("tree does not span the base graph")
@@ -184,20 +183,14 @@ def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
 
 # -- cover map files -------------------------------------------------------
 
-def serialize_cover_map(m: CoverMap, g: MultiGraph = None,
-                        h: MultiGraph = None) -> str:
-    """Write a cover map; when the graphs are given, edge ids are the ones
-    parse_graph reassigns after a serialize_graph round trip, so the file
-    stays consistent with saved graph files."""
-    gid = file_edge_ids(g) if g is not None else range(len(m.edge_map))
-    hid = file_edge_ids(h) if h is not None else None
-    lines = []
-    for v, hv in enumerate(m.vertex_map):
-        lines.append(f"vmap {v} {hv}")
-    rows = sorted((gid[e], he if hid is None else hid[he])
-                  for e, he in enumerate(m.edge_map))
-    for e, he in rows:
-        lines.append(f"emap {e} {he}")
+def serialize_cover_map(m: CoverMap, g: MultiGraph, h: MultiGraph) -> str:
+    """Write the cover map m of g onto h, with the edge ids parse_graph
+    reassigns after a serialize_graph round trip, so the file stays
+    consistent with saved graph files."""
+    gid, hid = file_edge_ids(g), file_edge_ids(h)
+    lines = [f"vmap {v} {hv}" for v, hv in enumerate(m.vertex_map)]
+    lines += [f"emap {e} {he}" for e, he in
+              sorted((gid[e], hid[he]) for e, he in enumerate(m.edge_map))]
     return "\n".join(lines) + "\n"
 
 

@@ -8,9 +8,9 @@ simultaneously then conjugates (sigma2, mu), so sigma2 ranges over one
 canonical permutation per cycle type and the first matching pair {0, j}
 of mu over the orbits of the centralizer of sigma2, which have a closed
 form (the cage-search normalisation of McKay, Myrvold and Nadon, SODA
-1998).  mu is built pairwise on the search's own adjacency lists, which
-also give the connectivity test at each leaf.  construct.greedy_cycle
-shares pairing_kernel and members.
+1998).  mu is built pairwise; v_i joins u_i and u_sigma2(i), so a lift
+is connected iff mu's pairs join all the cycles of sigma2.
+construct.greedy_cycle shares pairing_kernel and members.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     vertex has no legal partner (forward checking), and otherwise branches
     on the unpaired vertex with the fewest legal partners, the smallest on
     a tie (first-fail).  counter.nodes counts the pairings made.  A leaf is
-    yielded only when one BFS over the search's adjacency lists reaches
-    every vertex."""
+    yielded only when one BFS over the cycles of sigma2, joined by mu's
+    pairs, reaches every cycle."""
     if g < 3:
         raise GraphError("g must be >= 3")
     if n < 1:
@@ -156,12 +156,8 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
         # base directed ids: 0 v->u, 1 u->v (pair A), 2 v->u, 3 u->v
         # (pair B), 4 the half-loop at u
         perms = [ident, ident, _perm_inverse(sigma2), sigma2]
-        # vertices: u_i = i, v_i = n + i; edges u_i-v_i and u_i-v_sigma2(i)
-        adj = [[] for _ in range(2 * n)]
-        for i in range(n):
-            adj[i] += [n + i, n + sigma2[i]]
-            adj[n + i].append(i)
-            adj[n + sigma2[i]].append(i)
+        # v_i joins u_i and u_sigma2(i): each cycle of sigma2 is connected
+        cycle = [k for k, length in enumerate(parts) for _ in range(length)]
         ball, join = pairing_kernel(parts, g - 2)
         mu = [-1] * n
 
@@ -171,18 +167,16 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
                 rest = unpaired & ~(1 << i | 1 << j)
                 saved = ball[:]
                 mu[i], mu[j] = j, i
-                adj[i].append(j)
-                adj[j].append(i)
                 join(i, j, rest)
                 yield from extend(rest)
                 ball[:] = saved
-                adj[i].pop()
-                adj[j].pop()
-                mu[i] = mu[j] = -1
 
         def extend(unpaired):
             if not unpaired:
-                if min(bfs(adj, 0)) >= 0:
+                links = [[] for _ in parts]
+                for x in range(n):
+                    links[cycle[x]].append(cycle[mu[x]])
+                if min(bfs(links, 0)) >= 0:
                     yield LiftAssignment(base, n, perms + [mu])
                 return
             fewest = n

@@ -43,8 +43,12 @@ def is_irreducible(h: MultiGraph) -> bool:
     return structural
 
 
-def spectral_radius(h: MultiGraph, tol: float = 1e-10,
-                    max_iter: int = 10**6):
+_TOL = 1e-10           # power iteration stops at residual <= _TOL * (rho + 1)
+_MAX_ITER = 10**6
+_EQUALITY_TOL = 1e-9   # rho_lambda_equality's slack per chain
+
+
+def spectral_radius(h: MultiGraph):
     """Perron radius of the non-backtracking matrix B of h by power
     iteration on B + I.
 
@@ -58,7 +62,7 @@ def spectral_radius(h: MultiGraph, tol: float = 1e-10,
     n = h.edge_count
     x = [1.0] * n
     lam = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         bx = nb_step(h, dict(enumerate(x)))
         y = [x[i] + bx[i] for i in range(n)]
         norm = max(abs(v) for v in y)
@@ -67,11 +71,11 @@ def spectral_radius(h: MultiGraph, tol: float = 1e-10,
         residual = max(abs(x[i] + bx[i] - lam * x[i]) for i in range(n)) \
             / max(abs(v) for v in x)
         x = y
-        if residual <= tol * lam:
+        if residual <= _TOL * lam:
             return lam - 1.0, it, residual
     raise GraphError(
         f"power iteration did not converge: residual {residual:.3e} "
-        f"after {max_iter} iterations")
+        f"after {_MAX_ITER} iterations")
 
 
 def avg_degree(h: MultiGraph) -> float:
@@ -111,7 +115,7 @@ def _chains(h: MultiGraph):
         yield tuple(edges), tuple(vertices)
 
 
-def rho_lambda_equality(h: MultiGraph, tol: float = 1e-9):
+def rho_lambda_equality(h: MultiGraph):
     """Whether the Perron radius equals the degree-geometric mean.
 
     Checks, for every maximal degree-two chain P between branch vertices,
@@ -127,7 +131,7 @@ def rho_lambda_equality(h: MultiGraph, tol: float = 1e-9):
         for v in vertices:
             prod *= h.degree(v) - 1
         val = prod ** (1.0 / (2 * len(edges)))
-        if abs(val - lam) > tol:
+        if abs(val - lam) > _EQUALITY_TOL:
             return False, vertices
     return True, None
 
@@ -141,11 +145,11 @@ class SpectralSummary(NamedTuple):
     residual: float
 
 
-def summarize(h: MultiGraph, tol: float = 1e-10) -> SpectralSummary:
+def summarize(h: MultiGraph) -> SpectralSummary:
     if not is_irreducible(h):
         raise GraphError("graph is not admissible (connected, mindeg >= 2, "
                          "maxdeg > 2)")
-    rho, iters, residual = spectral_radius(h, tol)
+    rho, iters, residual = spectral_radius(h)
     equal, _ = rho_lambda_equality(h)
     return SpectralSummary(
         rho=rho,

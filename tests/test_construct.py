@@ -77,6 +77,28 @@ def reference_short_cycle_through(g, e, bound):
     return math.inf
 
 
+def reference_cycles(g, length):
+    """Every vertex-simple cycle of the given length, as its set of
+    undirected edge ids: the closed walks from every vertex, in both
+    directions, that repeat no vertex and no undirected edge."""
+    found = set()
+
+    def walk(start, v, path, visited):
+        if len(path) == length:
+            edges = frozenset(min(e, g.inv[e]) for e in path)
+            if v == start and len(edges) == length:
+                found.add(edges)
+            return
+        for e in g.out[v]:
+            w = g.head[e]
+            if w not in visited or w == start and len(path) == length - 1:
+                walk(start, w, path + [e], visited | {w})
+
+    for s in range(g.vertex_count):
+        walk(s, s, [], {s})
+    return found
+
+
 def reference_greedy_cycle(variant, n, g, rng):
     """greedy_cycle with one bounded BFS per deficient vertex at every
     matching step, over the adjacency lists of the growing graph."""
@@ -154,6 +176,27 @@ class TestCycleCounting:
         assert len(cycles_of_length(parallel, 2)) == 1
         assert len(cycles_of_length(h23, 1)) == 1   # the half-loop
         assert len(cycles_of_length(h23, 2)) == 1   # the parallel pair
+
+    def test_matches_reference(self, loopy_lifts):
+        """Lifts with half-loops, whole-loops and parallel edges: each
+        cycle listed once, as a closed walk, at lengths 1..6."""
+        for g in loopy_lifts:
+            for length in range(1, 7):
+                cycles = cycles_of_length(g, length)
+                for c in cycles:
+                    assert len(c) == length
+                    assert all(g.head[a] == g.tail[b]
+                               for a, b in zip(c, c[1:] + c[:1]))
+                sets = {frozenset(min(e, g.inv[e]) for e in c)
+                        for c in cycles}
+                assert len(sets) == len(cycles)
+                assert sets == reference_cycles(g, length)
+
+    def test_two_loops_are_no_2_cycle(self):
+        for second in ("wholeloop", "halfloop"):
+            g = MultiGraph.build(1, [("wholeloop", 0), (second, 0)])
+            assert len(cycles_of_length(g, 1)) == 2
+            assert cycles_of_length(g, 2) == []
 
     def test_cycles_are_closed_walks(self, petersen):
         for c in cycles_of_length(petersen, 5):
