@@ -11,10 +11,11 @@ import argparse
 import os
 import random
 import sys
+from itertools import accumulate
 
 from .bounds import bounds_table, table_to_csv
 from .construct import es_construct, greedy_cycle, grow, high_girth_cover
-from .cover_tree import ball_size_vertex
+from .cover_tree import layer_counts
 from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
                      h23, parse_graph, serialize_graph)
 from .lifts import build_lift, parse_cover_map, verify_cover
@@ -92,8 +93,8 @@ def cmd_analyze(args) -> int:
     print(f"rho == Lambda: {'yes' if s.equality_rho_lambda else 'no'}")
     if args.balls:
         for v in range(base.vertex_count):
-            sizes = [ball_size_vertex(base, v, r)
-                     for r in range(args.balls + 1)]
+            # layer_counts(v, r) is a prefix of layer_counts(v, R)
+            sizes = accumulate([1] + layer_counts(base, v, args.balls))
             print(f"ball sizes from vertex {v}: "
                   + " ".join(str(x) for x in sizes))
     print()
@@ -111,7 +112,7 @@ def cmd_analyze(args) -> int:
 # -- construct -------------------------------------------------------------
 
 def run_trial(alg, g, n, seed, base):
-    """One construction attempt; (size, graph), or None when the trial
+    """One construction attempt; the graph, or None when the trial
     fails (a greedy dead end, or TrialFailed).  Other errors are violated
     preconditions or invariants and propagate.
 
@@ -131,7 +132,7 @@ def run_trial(alg, g, n, seed, base):
             graph, _ = build_lift(high_girth_cover(base, g, rng))
     except TrialFailed:
         return None
-    return graph.vertex_count, graph
+    return graph
 
 
 CONSTRUCT_CSV_HEADER = "g,alg,trials,successes,best_size,seed_of_best"
@@ -158,23 +159,22 @@ def cmd_construct(args) -> int:
     else:
         results = map(run_trial, *zip(*jobs))
     # keep only the running best: the smallest, the earliest seed on a tie
-    n_succ, best = 0, None
-    for seed, res in zip(seeds, results):
-        if res:
+    n_succ, best, best_seed = 0, None, None
+    for seed, graph in zip(seeds, results):
+        if graph is not None:
             n_succ += 1
-            if best is None or res[0] < best[0]:
-                best = res + (seed,)
-    if best:
-        best_size, best, best_seed = best
-        row = (f"{args.g},{args.alg},{args.trials},{n_succ},"
-               f"{best_size},{best_seed}")
-    else:
+            if best is None or graph.vertex_count < best.vertex_count:
+                best, best_seed = graph, seed
+    if best is None:
         row = f"{args.g},{args.alg},{args.trials},0,,"
+    else:
+        row = (f"{args.g},{args.alg},{args.trials},{n_succ},"
+               f"{best.vertex_count},{best_seed}")
     print(CONSTRUCT_CSV_HEADER)
     print(row)
     if args.csv:
         _write(args.csv, CONSTRUCT_CSV_HEADER + "\n" + row + "\n")
-    if not best:
+    if best is None:
         return EXIT_BUDGET
     if args.out:
         _write(args.out, serialize_graph(best))
@@ -185,24 +185,16 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     _check_output_dirs(args.out)
-    if args.certify:
-        cert = certify_lower_bound(args.g, args.max_n)
-        print(cert.line())
-        if not cert.refuted:
-            graph, _ = build_lift(cert.counterexample)
-            print(f"counterexample of size {graph.vertex_count}")
-            if args.out:
-                _write(args.out, serialize_graph(graph))
-        return EXIT_OK
-    outcome = minimum_size(args.g, args.max_n)
-    if not outcome.resolved:
-        print(f"g,{args.g},unresolved_up_to,{args.max_n},"
-              f"nodes,{outcome.nodes}")
-        return EXIT_BUDGET
-    graph, _ = build_lift(outcome.witness)
+    search = certify_lower_bound if args.certify else minimum_size
+    outcome = search(args.g, args.max_n)
+    if outcome.witness is None:
+        # with --certify, no lift up to max-n is the answer, not a failure
+        word = "refuted" if args.certify else "unresolved"
+        print(f"g,{args.g},{word}_up_to,{args.max_n},nodes,{outcome.nodes}")
+        return EXIT_OK if args.certify else EXIT_BUDGET
     print(f"g,{args.g},minimum,{outcome.size},nodes,{outcome.nodes}")
     if args.out:
-        _write(args.out, serialize_graph(graph))
+        _write(args.out, serialize_graph(build_lift(outcome.witness)[0]))
     return EXIT_OK
 
 

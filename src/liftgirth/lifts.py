@@ -141,16 +141,6 @@ def half_loop_elimination(h: MultiGraph) -> LiftAssignment:
         [h.is_half_loop(e) for e in range(h.edge_count)])
 
 
-def relabel_layers(a: LiftAssignment, lam) -> LiftAssignment:
-    """Apply one layer permutation at every vertex: perm'(e) = lam o perm(e)
-    o lam^-1.  Tree-identity permutations stay identity."""
-    lam = tuple(lam)
-    lam_inv = _perm_inverse(lam)
-    perms = [tuple(lam[p[lam_inv[i]]] for i in range(a.height))
-             for p in a.perms]
-    return LiftAssignment(a.base, a.height, perms)
-
-
 def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
     """Relabel fibers per base vertex so every spanning-tree edge lifts by
     the identity (each copy of the tree then lies in one layer)."""
@@ -210,6 +200,6 @@ def parse_cover_map(text: str, g: MultiGraph, h: MultiGraph) -> CoverMap:
 
 __all__ = [
     "LiftAssignment", "CoverMap", "CoverReport", "build_lift", "verify_cover",
-    "half_loop_elimination", "relabel_layers", "normalize_tree_layers",
+    "half_loop_elimination", "normalize_tree_layers",
     "serialize_graph", "serialize_cover_map", "parse_cover_map",
 ]

@@ -125,8 +125,8 @@ def pairing_kernel(parts, top):
 
 
 def canonical_enumerate(n, g, counter: SearchCounter = None):
-    """Connected girth >= g lifts of height n, as LiftAssignments over
-    h23(): every isomorphism class at least once, and duplicates the
+    """Connected girth >= g lifts of height n, as pairs (sigma2, mu) of
+    tuples: every isomorphism class at least once, and duplicates the
     normalizations do not rule out may appear.
 
     sigma2 is canonical per cycle type and mu is built pairwise.  A cycle
@@ -149,13 +149,8 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     if n % 2:
         return
     counter = counter or SearchCounter()
-    base = h23()
-    ident = tuple(range(n))
     for parts in _partitions(n, (g + 1) // 2):
         sigma2 = _sigma_from_partition(parts)
-        # base directed ids: 0 v->u, 1 u->v (pair A), 2 v->u, 3 u->v
-        # (pair B), 4 the half-loop at u
-        perms = [ident, ident, _perm_inverse(sigma2), sigma2]
         # v_i joins u_i and u_sigma2(i): each cycle of sigma2 is connected
         cycle = [k for k, length in enumerate(parts) for _ in range(length)]
         ball, join = pairing_kernel(parts, g - 2)
@@ -177,7 +172,7 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
                 for x in range(n):
                     links[cycle[x]].append(cycle[mu[x]])
                 if min(bfs(links, 0)) >= 0:
-                    yield LiftAssignment(base, n, perms + [mu])
+                    yield sigma2, tuple(mu)
                 return
             fewest = n
             rest = unpaired
@@ -211,55 +206,40 @@ def members(mask):
 
 class SearchOutcome(NamedTuple):
     g: int
-    size: int | None          # vertices of the smallest witness, if any
-    witness: LiftAssignment | None
     n_max: int
+    witness: LiftAssignment | None    # a lift of least height, if any
     nodes: int
 
     @property
-    def resolved(self):
-        return self.size is not None
+    def size(self):
+        """Vertices of the witness, two per layer, or None."""
+        return None if self.witness is None else 2 * self.witness.height
 
 
-def _first_lift(g: int, n_max: int):
-    """(lift, nodes): the first connected girth-g lift over the heights
-    2, 4, ..., n_max, or None (odd heights are impossible: mu would need a
-    fixed point), and the search nodes spent."""
+def minimum_size(g: int, n_max: int) -> SearchOutcome:
+    """The first connected girth-g lift over the heights 2, 4, ..., n_max
+    (odd heights are impossible: mu would need a fixed point), so one of
+    least height, and the search nodes spent; no witness when no height in
+    range has one."""
     if g < 3:
         raise GraphError("g must be >= 3")
     counter = SearchCounter()
     for n in range(2, n_max + 1, 2):
-        for lift in canonical_enumerate(n, g, counter):
-            return lift, counter.nodes
-    return None, counter.nodes
+        for sigma2, mu in canonical_enumerate(n, g, counter):
+            # H23's directed edge ids: 0 v->u, 1 u->v (pair A), 2 v->u,
+            # 3 u->v (pair B), 4 the half-loop at u
+            ident = tuple(range(n))
+            witness = LiftAssignment(
+                h23(), n, [ident, ident, _perm_inverse(sigma2), sigma2, mu])
+            return SearchOutcome(g, n_max, witness, counter.nodes)
+    return SearchOutcome(g, n_max, None, counter.nodes)
 
 
-def minimum_size(g: int, n_max: int) -> SearchOutcome:
-    """Smallest 2n over heights n <= n_max admitting a connected girth-g
-    lift, with a witness; unresolved outcome when none exists in range."""
-    lift, nodes = _first_lift(g, n_max)
-    size = None if lift is None else 2 * lift.height
-    return SearchOutcome(g, size, lift, n_max, nodes)
-
-
-class Certificate(NamedTuple):
-    g: int
-    height: int
-    refuted: bool
-    nodes: int
-    counterexample: LiftAssignment | None   # set when refuted is False
-
-    def line(self):
-        return f"g,{self.g},refuted_up_to,{self.height},nodes,{self.nodes}"
-
-
-def certify_lower_bound(g: int, n: int) -> Certificate:
-    """Exhaustively check that no connected girth-g lift of height <= n
-    exists."""
-    lift, nodes = _first_lift(g, n)
-    return Certificate(g, n, lift is None, nodes, lift)
+def certify_lower_bound(g: int, n: int) -> SearchOutcome:
+    """minimum_size(g, n): without a witness, it certifies that no
+    connected girth-g lift of height <= n exists."""
+    return minimum_size(g, n)
 
 
 __all__ = ["SearchCounter", "pairing_kernel", "canonical_enumerate",
-           "members", "SearchOutcome", "minimum_size", "Certificate",
-           "certify_lower_bound"]
+           "members", "SearchOutcome", "minimum_size", "certify_lower_bound"]

@@ -82,8 +82,8 @@ def test_criterion_3_es_column(capsys):
 def test_criterion_4_exact_minima(capsys):
     start = time.time()
     got = [minimum_size(g, 16).size for g in range(3, 10)]
-    refuted = (certify_lower_bound(7, 8).refuted
-               and certify_lower_bound(9, 12).refuted)
+    refuted = (certify_lower_bound(7, 8).witness is None
+               and certify_lower_bound(9, 12).witness is None)
     elapsed = time.time() - start
     ok = got == EXACT_MINIMA and refuted and elapsed < 1800.0
     report(capsys, 4, ok, f"minima {got}, refutations at (7,8) and (9,12): "

@@ -231,6 +231,17 @@ class TestSearch:
         assert cli.main(["search", *argv]) == cli.EXIT_PRECONDITION
         assert capsys.readouterr().out == ""
 
+    def test_certify_prints_the_minimum_it_finds(self, tmp_path, capsys):
+        # a lift of height <= max-n refutes the certificate: the outcome is
+        # the minimum, as plain search prints it
+        argv = ["search", "--g", "6", "--max-n", "8", "--certify"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "g,6,minimum,12,nodes,3\n"
+        out = tmp_path / "witness.g"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        graph = graphs.parse_graph(out.read_text())
+        assert graph.vertex_count == 12 and graphs.girth(graph) >= 6
+
     def test_unresolved_budget_exit(self, capsys):
         assert cli.main(["search", "--g", "9", "--max-n", "4"]) \
             == cli.EXIT_BUDGET

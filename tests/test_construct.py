@@ -18,8 +18,8 @@ from liftgirth.construct import (TrimState, _coin_string, _on_short_cycle,
 from liftgirth.graphs import (GraphError, MultiGraph, diameter, farthest_pair,
                               girth)
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
-                             normalize_tree_layers, relabel_layers,
-                             serialize_cover_map, verify_cover)
+                             normalize_tree_layers, serialize_cover_map,
+                             verify_cover)
 from test_graphs import random_loopy_lift
 
 
@@ -371,6 +371,16 @@ def trim_checks():
                 for u in range(nv, min(nv + 16, state.graph.vertex_count)):
                     trim_outcome(es_trim_step, state, g, (0, u, fake))
     return checks
+
+
+def relabel_layers(a, lam):
+    """Apply one layer permutation at every vertex: perm'(e) = lam o perm(e)
+    o lam^-1.  Tree-identity permutations stay identity."""
+    lam = tuple(lam)
+    lam_inv = _perm_inverse(lam)
+    perms = [tuple(lam[p[lam_inv[i]]] for i in range(a.height))
+             for p in a.perms]
+    return LiftAssignment(a.base, a.height, perms)
 
 
 def reference_es_trim_step(state, g, far):

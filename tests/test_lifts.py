@@ -8,9 +8,10 @@ from liftgirth.graphs import (GraphError, MultiGraph, ParseError, girth,
                               is_connected)
 from liftgirth.lifts import (CoverMap, LiftAssignment, build_lift,
                              half_loop_elimination, normalize_tree_layers,
-                             relabel_layers, serialize_cover_map,
-                             parse_cover_map, verify_cover)
+                             serialize_cover_map, parse_cover_map,
+                             verify_cover)
 from liftgirth.construct import cycles_of_length
+from test_construct import relabel_layers
 
 IDENT = (0, 1)
 SWAP = (1, 0)

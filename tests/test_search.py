@@ -28,11 +28,12 @@ def h23_lift(n, sigma2, mu):
                           [ident, ident, _perm_inverse(sigma2), sigma2, mu])
 
 
-def iso_classes(lifts):
-    """One networkx graph per isomorphism class among the lifts' graphs."""
+def iso_classes(n, pairs):
+    """One networkx graph per isomorphism class among the graphs of the
+    height-n lifts given as (sigma2, mu) pairs."""
     classes = []
-    for lift in lifts:
-        gx = to_nx(build_lift(lift)[0])
+    for sigma2, mu in pairs:
+        gx = to_nx(build_lift(h23_lift(n, sigma2, mu))[0])
         if not any(nx.is_isomorphic(gx, seen) for seen in classes):
             classes.append(gx)
     return classes
@@ -201,7 +202,7 @@ class TestPermLift:
 
 class TestEnumeration:
     def test_n2_g3_single_class(self):
-        classes = iso_classes(canonical_enumerate(2, 3))
+        classes = iso_classes(2, canonical_enumerate(2, 3))
         assert len(classes) == 1
         assert nx.is_isomorphic(classes[0], to_nx(k4_minus_edge()))
 
@@ -213,10 +214,10 @@ class TestEnumeration:
 
     def test_yields_valid_lifts(self):
         for n, g in ((4, 3), (6, 5), (8, 5), (10, 6)):
-            lifts = list(canonical_enumerate(n, g))
-            assert lifts, (n, g)
-            for lift in lifts:
-                check_search_lift(lift, n, g)
+            pairs = list(canonical_enumerate(n, g))
+            assert pairs, (n, g)
+            for sigma2, mu in pairs:
+                check_search_lift(h23_lift(n, sigma2, mu), n, g)
 
     def test_height_must_be_positive(self):
         with pytest.raises(GraphError):
@@ -231,7 +232,7 @@ class TestEnumeration:
     def test_matches_brute_force(self):
         for n in (2, 4):
             for g in range(3, n + 3):
-                mine = len(iso_classes(canonical_enumerate(n, g)))
+                mine = len(iso_classes(n, canonical_enumerate(n, g)))
                 assert mine == brute_class_count(n, g), (n, g)
 
     def test_counter_records_nodes(self):
@@ -242,16 +243,15 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_matches_per_candidate_reference(self, n):
         for g in range(3, 10):
-            lifts = list(canonical_enumerate(n, g))
+            pairs = list(canonical_enumerate(n, g))
             leaves = list(reference_enumerate(n, g))
-            pairs = [(lift.perms[3], lift.perms[4]) for lift in lifts]
             assert len(set(pairs)) == len(pairs), g
             assert set(pairs) == {(s, m) for s, m, ok in leaves if ok}, g
             # building and checking every lift costs ~20 s at n = 12,
             # where the equality with the reference already covers girth
             # and connectivity
-            for lift in lifts if n <= 10 else lifts[::10]:
-                check_search_lift(lift, n, g)
+            for sigma2, mu in pairs if n <= 10 else pairs[::10]:
+                check_search_lift(h23_lift(n, sigma2, mu), n, g)
             if n <= 10:
                 # the BFS over adj agrees with the lift built as a graph;
                 # building every leaf costs ~10 s at n = 12
@@ -265,7 +265,7 @@ class TestMinimumSize:
         expected = {3: 4, 4: 8, 5: 8, 6: 12, 7: 20, 8: 20, 9: 28}
         for g, size in expected.items():
             out = minimum_size(g, 16)
-            assert out.resolved and out.size == size, g
+            assert out.size == size, g
             check_search_lift(out.witness, size // 2, g)
 
     def test_monotone_in_g(self):
@@ -274,7 +274,7 @@ class TestMinimumSize:
 
     def test_unresolved(self):
         out = minimum_size(9, 12)
-        assert not out.resolved and out.size is None
+        assert out.witness is None and out.size is None
 
     @pytest.mark.parametrize("g, n_max, size, nodes, sha", [
         (10, 40, 32, 106, "92c4182aac55f8caa626d9dba0fdf269"
@@ -298,18 +298,16 @@ class TestCertificates:
     def test_refutations(self):
         for g, n, nodes in ((7, 8, 6), (9, 12, 13), (11, 22, 4560)):
             cert = certify_lower_bound(g, n)
-            assert cert.refuted and cert.counterexample is None
-            assert cert.line() == f"g,{g},refuted_up_to,{n},nodes,{nodes}"
+            assert cert.witness is None and cert.nodes == nodes
 
     def test_g13_refuted_to_height_30(self):
         # n(H23, 13) >= 64: no lift of height <= 30 (60 vertices, the
         # Moore bound) has girth 13
         cert = certify_lower_bound(13, 30)
-        assert cert.refuted
-        assert cert.line() == "g,13,refuted_up_to,30,nodes,67250"
+        assert cert.witness is None and cert.nodes == 67250
 
     def test_counterexample_when_not_refuted(self):
         cert = certify_lower_bound(6, 8)
-        assert not cert.refuted
-        graph, _ = build_lift(cert.counterexample)
-        assert girth(graph) >= 6 and graph.vertex_count <= 16
+        assert (cert.size, cert.nodes) == (12, 3)
+        graph, _ = build_lift(cert.witness)
+        assert girth(graph) >= 6 and graph.vertex_count == 12
