@@ -6,7 +6,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .cover_tree import ball_size_edge_two_sided, ball_size_vertex, layer_counts
-from .graphs import GraphError, MultiGraph, bfs, validate
+from .graphs import GraphError, MultiGraph, admissible, bfs, is_connected
 from .spectral import lambda_ahl
 
 
@@ -51,7 +51,7 @@ def _tree_diameter(h: MultiGraph, tree_edges):
 
 def spanning_tree(h: MultiGraph) -> SpanningTreeInfo:
     """BFS spanning tree minimizing tree diameter over all roots."""
-    if not validate(h).connected:
+    if not is_connected(h):
         raise GraphError("spanning_tree requires a connected graph")
     best = None
     for root in range(h.vertex_count):
@@ -84,7 +84,7 @@ def moore_lift_bound(h: MultiGraph, g: int):
     still permits).  adjusted rounds raw up to the nearest feasible lift
     size, a multiple of lift_size_step.
     """
-    if not validate(h).admissible:
+    if not admissible(h):
         raise GraphError("moore_lift_bound needs an admissible graph")
     if g < 3:
         raise GraphError("g must be >= 3")

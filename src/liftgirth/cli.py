@@ -113,17 +113,15 @@ def cmd_analyze(args) -> int:
 
 def run_trial(alg, g, n, seed, base):
     """One construction attempt; the graph, or None when the trial
-    fails (a greedy dead end, or TrialFailed).  Other errors are violated
-    preconditions or invariants and propagate.
+    fails (TrialFailed).  Other errors are violated preconditions or
+    invariants and propagate.
 
     Top level so a process pool can dispatch it.
     """
     rng = random.Random(seed)
     try:
         if alg in ("a", "b", "c"):
-            ok, graph = greedy_cycle(alg, n, g, rng)
-            if not ok:
-                return None
+            graph = greedy_cycle(alg, n, g, rng)
         elif alg in ("gd", "gf"):
             graph = grow(alg, g, rng)
         elif alg == "es":

@@ -88,14 +88,16 @@ def _coin_string(rng, m: int) -> str:
     return raw[3::8].translate(_DRAW_CHARS).decode()
 
 
-def high_girth_cover(h: MultiGraph, g: int, rng,
-                     budget: int = 1000) -> LiftAssignment:
+_BUDGET = 1000              # candidate 2-lifts per girth-boosting step
+
+
+def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
     """A lift of h with girth >= g by iterated random 2-lifts.
 
     At girth level gamma the shortest cycles are enumerated once; each
     candidate 2-lift is scored by the parity of its edge choices along
     those cycles (a cycle survives as two copies iff the product of its
-    fiber swaps is the identity).  The best candidate in the budget is
+    fiber swaps is the identity).  The best of _BUDGET candidates is
     accepted as long as it strictly reduces the census; a candidate with
     census zero raises the girth level.
 
@@ -130,7 +132,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng,
                 mask ^= 1 << bit[min(e, G.inv[e])]
             masks.append(mask)
         best_draws, best_phi = None, phi
-        for _ in range(budget):
+        for _ in range(_BUDGET):
             draws = _coin_string(rng, m)
             word = int(draws, 2)
             odd = sum([(word & mask).bit_count() & 1 for mask in masks])
@@ -141,7 +143,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng,
                     break
         if best_draws is None:
             raise TrialFailed(
-                f"no 2-lift in budget {budget} reduced the census "
+                f"no 2-lift in budget {_BUDGET} reduced the census "
                 f"(girth {gamma}, {phi} shortest cycles)")
         flips = [False] * G.edge_count
         for i, e in enumerate(und):
@@ -246,7 +248,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
       a - uniform over all permissible pairs,
       b - uniform deficient vertex, then uniform permissible partner,
       c - deficient vertex of minimal permissible degree, then partner.
-    Returns (success, graph); a dead end is a failure, not an error.
+    A dead end raises TrialFailed, the expected failure of one trial.
 
     C_n is the lift of H23 whose sigma2 is one n/2-cycle (u-vertex x at 2x),
     so the search's pairing kernel gives x's partners: deficient & ~ball[x].
@@ -268,7 +270,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
             pairs = [(x, y) for x, ys in legal.items() for y in members(ys)
                      if x < y]
             if not pairs:
-                return False, None
+                raise TrialFailed("greedy matching reached a dead end")
             x, y = pairs[rng.randrange(len(pairs))]
         else:
             if variant == "b":
@@ -279,7 +281,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
                 pool = [x for x, ys in legal.items()
                         if ys and ys.bit_count() == low]
             if not pool:
-                return False, None
+                raise TrialFailed("greedy matching reached a dead end")
             x = pool[rng.randrange(len(pool))]
             ys = members(legal[x])
             y = ys[rng.randrange(len(ys))]
@@ -291,7 +293,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
     # cycle through one has length >= g, and C_n is no shorter: its
     # vertices are at most n/2 apart, so n >= 2(g - 1) >= g
     pairs = [(i, (i + 1) % n) for i in range(n)] + matching
-    return True, MultiGraph.from_pairs(n, pairs)
+    return MultiGraph.from_pairs(n, pairs)
 
 
 # -- covers of the half-loop base by structure -----------------------------

@@ -12,7 +12,7 @@ surgery growth (`construct.nb_cycle_profile`) share.
 
 from __future__ import annotations
 
-from .graphs import GraphError, MultiGraph, validate
+from .graphs import GraphError, MultiGraph, admissible
 
 
 def nb_step(g: MultiGraph, counts) -> dict:
@@ -83,7 +83,7 @@ def growth_estimate(base: MultiGraph, rmax: int) -> float:
     """
     if rmax < 10:
         raise GraphError("rmax must be >= 10 for a meaningful estimate")
-    if not validate(base).admissible:
+    if not admissible(base):
         raise GraphError("growth_estimate needs an admissible base graph")
     half = rmax // 2
     ratio = ball_size_vertex(base, 0, rmax) / ball_size_vertex(base, 0, half)

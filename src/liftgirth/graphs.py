@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
 
 
 class GraphError(Exception):
@@ -142,27 +141,6 @@ class MultiGraph:
         return MultiGraph.build(vertex_count, [("edge", a, b) for a, b in pairs])
 
 
-class GraphClass(NamedTuple):
-    connected: bool
-    min_degree: int
-    max_degree: int
-
-    @property
-    def admissible(self):
-        return self.connected and self.min_degree >= 2 and self.max_degree > 2
-
-
-def validate(g: MultiGraph) -> GraphClass:
-    """Connectivity and degree statistics; admissibility for the spectral
-    and bound machinery (connected, min degree >= 2, max degree > 2)."""
-    degs = g.degrees()
-    return GraphClass(
-        connected=is_connected(g),
-        min_degree=min(degs),
-        max_degree=max(degs),
-    )
-
-
 def bfs(adj, source, cutoff=None):
     """Distances from source over neighbour sequences adj (adj[v] lists
     the neighbours of v); -1 marks a vertex that is unreached or, when a
@@ -186,6 +164,13 @@ def bfs(adj, source, cutoff=None):
 
 def is_connected(g: MultiGraph) -> bool:
     return min(bfs(g.adj, 0)) >= 0
+
+
+def admissible(g: MultiGraph) -> bool:
+    """The bases the bounds and rho are stated for: connected, minimum
+    degree >= 2, and not a cycle (maximum degree > 2)."""
+    degs = g.degrees()
+    return min(degs) >= 2 and max(degs) > 2 and is_connected(g)
 
 
 # -- all-sources BFS -------------------------------------------------------

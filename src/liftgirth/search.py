@@ -205,8 +205,6 @@ def members(mask):
 
 
 class SearchOutcome(NamedTuple):
-    g: int
-    n_max: int
     witness: LiftAssignment | None    # a lift of least height, if any
     nodes: int
 
@@ -231,8 +229,8 @@ def minimum_size(g: int, n_max: int) -> SearchOutcome:
             ident = tuple(range(n))
             witness = LiftAssignment(
                 h23(), n, [ident, ident, _perm_inverse(sigma2), sigma2, mu])
-            return SearchOutcome(g, n_max, witness, counter.nodes)
-    return SearchOutcome(g, n_max, None, counter.nodes)
+            return SearchOutcome(witness, counter.nodes)
+    return SearchOutcome(None, counter.nodes)
 
 
 def certify_lower_bound(g: int, n: int) -> SearchOutcome:

@@ -7,7 +7,7 @@ import math
 from typing import NamedTuple
 
 from .cover_tree import nb_step
-from .graphs import GraphError, MultiGraph, bfs, validate
+from .graphs import GraphError, MultiGraph, admissible, bfs
 
 
 def _successors(h: MultiGraph):
@@ -28,21 +28,6 @@ def _strongly_connected(succ) -> bool:
     return all(min(bfs(adj, 0)) >= 0 for adj in (succ, pred))
 
 
-def is_irreducible(h: MultiGraph) -> bool:
-    """Structural admissibility test, cross-checked against the equivalent
-    property of B: strongly connected, some edge with at least two
-    continuations, and no isolated vertex."""
-    succ = _successors(h)
-    structural = validate(h).admissible
-    direct = (_strongly_connected(succ) and min(h.degrees()) > 0
-              and any(len(fs) > 1 for fs in succ))
-    if structural != direct:
-        raise RuntimeError(
-            "structural irreducibility test disagrees with the "
-            "non-backtracking matrix; graph invariants are broken")
-    return structural
-
-
 _TOL = 1e-10           # power iteration stops at residual <= _TOL * (rho + 1)
 _MAX_ITER = 10**6
 _EQUALITY_TOL = 1e-9   # rho_lambda_equality's slack per chain
@@ -56,6 +41,10 @@ def spectral_radius(h: MultiGraph):
     peripheral eigenvalues (e.g. period 2 for bipartite-like bases), so
     plain power iteration converges.  Returns (rho, iterations, residual)
     with residual the scaled infinity norm of (B+I)x - (rho+1)x.
+
+    The precondition is on B itself, which the iteration needs, not
+    `graphs.admissible`: B is also irreducible on some inadmissible bases
+    (two half-loops at one vertex, B one cyclic permutation: rho = 1).
     """
     if not _strongly_connected(_successors(h)):
         raise GraphError("spectral_radius requires an irreducible matrix")
@@ -123,7 +112,7 @@ def rho_lambda_equality(h: MultiGraph):
     matches lambda_ahl; returns (equal, witness) with witness the first
     failing chain's vertex list (None when equal).
     """
-    if not validate(h).admissible:
+    if not admissible(h):
         raise GraphError("rho_lambda_equality needs an admissible graph")
     lam = lambda_ahl(h)
     for edges, vertices in _chains(h):
@@ -146,7 +135,7 @@ class SpectralSummary(NamedTuple):
 
 
 def summarize(h: MultiGraph) -> SpectralSummary:
-    if not is_irreducible(h):
+    if not admissible(h):
         raise GraphError("graph is not admissible (connected, mindeg >= 2, "
                          "maxdeg > 2)")
     rho, iters, residual = spectral_radius(h)
@@ -161,5 +150,5 @@ def summarize(h: MultiGraph) -> SpectralSummary:
     )
 
 
-__all__ = ["is_irreducible", "spectral_radius", "avg_degree", "lambda_ahl",
+__all__ = ["spectral_radius", "avg_degree", "lambda_ahl",
            "rho_lambda_equality", "SpectralSummary", "summarize"]

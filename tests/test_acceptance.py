@@ -12,12 +12,13 @@ import pytest
 
 from liftgirth import graphs
 from liftgirth.bounds import es_upper_bound, moore_lift_bound
-from liftgirth.construct import es_construct, greedy_cycle, grow
+from liftgirth.construct import es_construct, grow
 from liftgirth.cover_tree import ball_size_vertex
 from liftgirth.graphs import diameter, girth, is_connected
 from liftgirth.lifts import build_lift, verify_cover
 from liftgirth.search import certify_lower_bound, minimum_size
 from liftgirth.spectral import lambda_ahl, spectral_radius, summarize
+from test_construct import greedy_outcome
 from test_graphs import dense_nb_matrix
 from test_lifts import random_two_lift, random_two_lift_assignment
 
@@ -112,7 +113,7 @@ def test_criterion_5_greedy_reproduction(capsys):
         best = best_of_gf(g, 100, cap)
         if best > cap:
             for n in range(cap - cap % 4, 0, -4):
-                if any(greedy_cycle("c", n, g, random.Random(s))[0]
+                if any(greedy_outcome("c", n, g, random.Random(s))[0]
                        for s in range(100)):
                     best = min(best, n)
                     break

@@ -15,8 +15,8 @@ from liftgirth.construct import (TrimState, _coin_string, _on_short_cycle,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
                                  nb_cycle_profile, surgery_transform)
-from liftgirth.graphs import (GraphError, MultiGraph, diameter, farthest_pair,
-                              girth)
+from liftgirth.graphs import (GraphError, MultiGraph, TrialFailed, diameter,
+                              farthest_pair, girth)
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              normalize_tree_layers, serialize_cover_map,
                              verify_cover)
@@ -97,6 +97,15 @@ def reference_cycles(g, length):
     for s in range(g.vertex_count):
         walk(s, s, [], {s})
     return found
+
+
+def greedy_outcome(variant, n, g, rng):
+    """greedy_cycle as (True, graph) on success and (False, None) on a
+    dead end, the form of reference_greedy_cycle."""
+    try:
+        return True, greedy_cycle(variant, n, g, rng)
+    except TrialFailed:
+        return False, None
 
 
 def reference_greedy_cycle(variant, n, g, rng):
@@ -288,13 +297,13 @@ class TestHighGirthCover:
         b = high_girth_cover(h23, 7, random.Random(42))
         assert a.perms == b.perms
 
-    def test_g9_budget_200_success_rate(self, h23):
+    def test_g9_budget_200_success_rate(self, h23, monkeypatch):
+        monkeypatch.setattr(construct, "_BUDGET", 200)
         wins = 0
         for seed in range(10):
             try:
-                g, m = build_lift(high_girth_cover(h23, 9, random.Random(seed),
-                                                   budget=200))
-            except GraphError:
+                g, m = build_lift(high_girth_cover(h23, 9, random.Random(seed)))
+            except TrialFailed:
                 continue
             assert girth(g) >= 9 and verify_cover(g, h23, m)
             wins += 1
@@ -622,7 +631,7 @@ class TestPinnedGrowth:
 
     def test_greedy_c_n24_g8(self):
         for seed, digest in self.C24_G8.items():
-            ok, g = greedy_cycle("c", 24, 8, random.Random(seed))
+            ok, g = greedy_outcome("c", 24, 8, random.Random(seed))
             assert ok == (digest is not None)
             assert not ok or graph_digest(g) == digest
 
@@ -653,7 +662,7 @@ class TestPinnedGrowth:
 class TestGreedyCycle:
     def test_n4_g3_is_k4_minus_edge(self, h23, k4me):
         for seed in range(20):
-            ok, g = greedy_cycle("a", 4, 3, random.Random(seed))
+            ok, g = greedy_outcome("a", 4, 3, random.Random(seed))
             if ok:
                 assert nx.is_isomorphic(to_nx(g), to_nx(k4me))
                 return
@@ -662,7 +671,7 @@ class TestGreedyCycle:
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     def test_n8_g5_success_exists(self, variant, h23):
         for seed in range(200):
-            ok, g = greedy_cycle(variant, 8, 5, random.Random(seed))
+            ok, g = greedy_outcome(variant, 8, 5, random.Random(seed))
             if ok:
                 assert girth(g) >= 5 and g.vertex_count == 8
                 assert verify_cover(g, h23, h23_cover_map(g))
@@ -671,17 +680,16 @@ class TestGreedyCycle:
 
     def test_n12_g7_always_fails(self):
         for seed in range(100):
-            ok, _ = greedy_cycle("a", 12, 7, random.Random(seed))
+            ok, _ = greedy_outcome("a", 12, 7, random.Random(seed))
             assert not ok
 
     def test_bad_arguments(self):
-        with pytest.raises(GraphError):
-            greedy_cycle("x", 8, 5, random.Random(0))
-        with pytest.raises(GraphError):
-            greedy_cycle("a", 7, 5, random.Random(0))  # odd n
-        for n in (0, -4):
-            with pytest.raises(GraphError):
-                greedy_cycle("a", n, 3, random.Random(0))
+        # a bad argument is a precondition error, never a failed trial
+        bad = [("x", 8, 5), ("a", 7, 5), ("a", 0, 3), ("a", -4, 3)]
+        for variant, n, g in bad:
+            with pytest.raises(GraphError) as info:
+                greedy_cycle(variant, n, g, random.Random(0))
+            assert not isinstance(info.value, TrialFailed)
 
     def test_matches_reference(self):
         """Same result and the same draws as the per-vertex BFS, which
@@ -692,7 +700,7 @@ class TestGreedyCycle:
                 for g in range(3, 14):
                     for seed in range(6):
                         mine, ref = random.Random(seed), random.Random(seed)
-                        assert greedy_cycle(variant, n, g, mine) \
+                        assert greedy_outcome(variant, n, g, mine) \
                             == reference_greedy_cycle(variant, n, g, ref)
                         assert mine.random() == ref.random()
 
@@ -700,7 +708,7 @@ class TestGreedyCycle:
     def test_base_cycle_shorter_than_g_fails(self, variant):
         for n, g in ((4, 5), (8, 9), (12, 13), (20, 21)):
             for seed in range(5):
-                assert greedy_cycle(variant, n, g, random.Random(seed)) \
+                assert greedy_outcome(variant, n, g, random.Random(seed)) \
                     == (False, None)
 
 

@@ -9,10 +9,10 @@ import networkx as nx
 import pytest
 
 from liftgirth import graphs
-from liftgirth.graphs import (GraphError, MultiGraph, ParseError, bfs,
-                              diameter, distance, farthest_pair,
+from liftgirth.graphs import (GraphError, MultiGraph, ParseError, admissible,
+                              bfs, diameter, distance, farthest_pair,
                               girth, is_connected, parse_graph,
-                              serialize_graph, validate)
+                              serialize_graph)
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift
 
@@ -24,6 +24,20 @@ def dense_nb_matrix(g):
     m = g.edge_count
     return [[int(g.tail[f] == g.head[e] and f != g.inv[e]) for e in range(m)]
             for f in range(m)]
+
+
+def reference_admissible(h):
+    """Admissibility read off B, built from its definition: B has an arc
+    and is strongly connected, some edge has at least two continuations,
+    and no vertex is isolated."""
+    dense = dense_nb_matrix(h)
+    arcs = nx.DiGraph()
+    arcs.add_nodes_from(range(h.edge_count))
+    arcs.add_edges_from((e, f) for f, row in enumerate(dense)
+                        for e, x in enumerate(row) if x)
+    return (arcs.number_of_edges() > 0 and nx.is_strongly_connected(arcs)
+            and any(d >= 2 for _, d in arcs.out_degree())
+            and min(h.degrees()) > 0)
 
 
 def oracle_girth(g, cap=12):
@@ -82,6 +96,11 @@ def random_matching(n, rng):
 def random_lift(base, n, rng, involution):
     """A height-n lift of base with uniform permutations on its edges and
     involution(n, rng) on its half-loops."""
+    return build_lift(random_assignment(base, n, rng, involution))[0]
+
+
+def random_assignment(base, n, rng, involution):
+    """The LiftAssignment that random_lift builds."""
     perms = [None] * base.edge_count
     for e in base.undirected_edges():
         if base.is_half_loop(e):
@@ -91,7 +110,7 @@ def random_lift(base, n, rng, involution):
             rng.shuffle(p)
             perms[e] = tuple(p)
             perms[base.inv[e]] = tuple(sorted(range(n), key=p.__getitem__))
-    return build_lift(LiftAssignment(base, n, perms))[0]
+    return LiftAssignment(base, n, perms)
 
 
 def reference_girth(g):
@@ -167,14 +186,14 @@ class TestStructure:
             MultiGraph(1, (0,), (0,), (1,))
 
     def test_admissibility(self, h23, k4):
-        c = validate(h23)
-        assert c.connected and c.min_degree == 2 and c.max_degree == 3
-        assert c.admissible
-        assert not validate(graphs.cycle_graph(5)).admissible
-        assert validate(k4).admissible
+        assert admissible(h23) and admissible(k4)
+        assert not admissible(graphs.cycle_graph(5))
         two_triangles = MultiGraph.from_pairs(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert not validate(two_triangles).connected
+        assert not is_connected(two_triangles)
+        assert not admissible(two_triangles)
+        pendant = MultiGraph.from_pairs(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        assert is_connected(pendant) and not admissible(pendant)
 
 
 class TestGirth:

@@ -10,8 +10,10 @@ from liftgirth.lifts import (CoverMap, LiftAssignment, build_lift,
                              half_loop_elimination, normalize_tree_layers,
                              serialize_cover_map, parse_cover_map,
                              verify_cover)
+from liftgirth.bounds import spanning_tree
 from liftgirth.construct import cycles_of_length
 from test_construct import relabel_layers
+from test_graphs import random_assignment, random_involution, random_loopy_lift
 
 IDENT = (0, 1)
 SWAP = (1, 0)
@@ -232,6 +234,25 @@ class TestCoverAlgebra:
         g1, _ = build_lift(a)
         g2, _ = build_lift(b)
         assert nx.is_isomorphic(to_nx(g1), to_nx(g2))
+
+    def test_normalize_multi_edge_trees(self, k32, petersen, k4me):
+        """Spanning trees of several edges, on fixtures and on a base
+        with half-loops, whole-loops and parallel edges: every tree edge
+        lifts by the identity and the lift keeps its shape."""
+        loopy = random_loopy_lift(random.Random(43))
+        rng = random.Random(5)
+        for base in (k32, petersen, k4me, loopy):
+            tree = spanning_tree(base).tree_edges
+            assert len(tree) > 1
+            for n in (2, 3, 5):
+                a = random_assignment(base, n, rng, random_involution)
+                b = normalize_tree_layers(a, tree)
+                for e in tree:
+                    assert b.perms[e] == b.perms[base.inv[e]] \
+                        == tuple(range(n))
+                g2, m2 = build_lift(b)
+                assert verify_cover(g2, base, m2)
+                assert nx.is_isomorphic(to_nx(build_lift(a)[0]), to_nx(g2))
 
 
 class TestLiftFiles:

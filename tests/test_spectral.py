@@ -6,10 +6,9 @@ import pytest
 from liftgirth import graphs
 from liftgirth.graphs import GraphError
 from liftgirth.lifts import build_lift
-from liftgirth.spectral import (avg_degree, is_irreducible, lambda_ahl,
-                                rho_lambda_equality, spectral_radius,
-                                summarize)
-from test_graphs import dense_nb_matrix
+from liftgirth.spectral import (avg_degree, lambda_ahl, rho_lambda_equality,
+                                spectral_radius, summarize)
+from test_graphs import dense_nb_matrix, reference_admissible
 from test_lifts import random_two_lift
 
 # edge-type quotients of the non-backtracking matrices, used as known
@@ -110,13 +109,24 @@ class TestEquality:
 
 class TestIrreducibility:
     def test_fixtures(self, h23, k4):
-        assert is_irreducible(h23)
-        assert is_irreducible(k4)
-        assert not is_irreducible(graphs.cycle_graph(6))
+        for h, expected in ((h23, True), (k4, True),
+                            (graphs.cycle_graph(6), False)):
+            assert graphs.admissible(h) == reference_admissible(h) == expected
+
+    def test_radius_beyond_admissible(self):
+        """spectral_radius checks B itself, so it accepts two inadmissible
+        bases where B is one cyclic permutation (its refusals of C4 and of
+        one half-loop are in TestRadius)."""
+        build = graphs.MultiGraph.build
+        for h in (build(1, [("halfloop", 0), ("halfloop", 0)]),
+                  build(2, [("halfloop", 0), ("edge", 0, 1),
+                            ("halfloop", 1)])):
+            assert not graphs.admissible(h)
+            assert spectral_radius(h)[0] == 1.0
 
     def test_agrees_with_admissibility(self):
         # random multigraphs with half-loops, whole-loops, parallel edges
-        # and isolated vertices; the cross-check never raises
+        # and isolated vertices, against the reading of B
         rng = random.Random(8)
         seen = set()
         for _ in range(2000):
@@ -129,8 +139,8 @@ class TestIrreducibility:
                            for _ in range(rng.randint(0, 3))]
             rng.shuffle(directives)
             h = graphs.MultiGraph.build(nv, directives)
-            admissible = graphs.validate(h).admissible
-            assert is_irreducible(h) == admissible
+            admissible = graphs.admissible(h)
+            assert reference_admissible(h) == admissible
             seen.add(admissible)
         assert seen == {False, True}
 
