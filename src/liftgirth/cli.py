@@ -13,14 +13,15 @@ import random
 import sys
 from itertools import accumulate
 
-from .bounds import bounds_table, table_to_csv
-from .construct import es_construct, greedy_cycle, grow, high_girth_cover
-from .cover_tree import layer_counts
 from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
                      h23, parse_graph, serialize_graph)
-from .lifts import build_lift, parse_cover_map, verify_cover
-from .search import certify_lower_bound, minimum_size
-from .spectral import summarize
+
+# Each command imports the modules it runs, since every invocation compiles
+# what it imports when bytecode is not cached.  A library import still
+# loads them all: `perfbench/run.py --trace 1` imports this module and
+# then looks each traced function up in sys.modules.
+if __name__ != "__main__":
+    from . import bounds, construct, search, spectral  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,6 +78,10 @@ def _int_at_least(low):
 # -- analyze ---------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .bounds import bounds_table, table_to_csv
+    from .cover_tree import layer_counts
+    from .spectral import summarize
+
     gmin = args.gmin if args.g is None else args.g
     gmax = args.gmax if args.g is None else args.g
     if not 3 <= gmin <= gmax:
@@ -118,6 +123,9 @@ def run_trial(alg, g, n, seed, base):
 
     Top level so a process pool can dispatch it.
     """
+    from .construct import es_construct, greedy_cycle, grow, high_girth_cover
+    from .lifts import build_lift
+
     rng = random.Random(seed)
     try:
         if alg in ("a", "b", "c"):
@@ -137,6 +145,8 @@ CONSTRUCT_CSV_HEADER = "g,alg,trials,successes,best_size,seed_of_best"
 
 
 def cmd_construct(args) -> int:
+    if args.g < 3:
+        raise GraphError("g must be >= 3")
     if (args.alg in ("a", "b", "c")) != (args.n is not None):
         raise GraphError("--alg a/b/c need --n, and no other --alg takes it")
     if args.graph is not None and args.alg not in ("es", "2lift"):
@@ -149,6 +159,8 @@ def cmd_construct(args) -> int:
     if args.jobs > 1:
         # imported here: it costs every other invocation start-up time
         from concurrent.futures import ProcessPoolExecutor
+        # loaded before the pool forks, so the workers inherit them
+        from . import construct, lifts  # noqa: F401
         # about four chunks per worker: few round trips, balanced load
         chunksize = -(-args.trials // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -182,6 +194,9 @@ def cmd_construct(args) -> int:
 # -- search ----------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    from .lifts import build_lift
+    from .search import certify_lower_bound, minimum_size
+
     _check_output_dirs(args.out)
     search = certify_lower_bound if args.certify else minimum_size
     outcome = search(args.g, args.max_n)
@@ -199,6 +214,8 @@ def cmd_search(args) -> int:
 # -- verify ----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .lifts import parse_cover_map, verify_cover
+
     graph = _load_graph(args.graph)
     base = _load_graph(args.base)
     with open(args.map, encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ import pytest
 from liftgirth import cli, graphs
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift, serialize_cover_map
+from test_names import loaded_after
 
 
 @pytest.fixture
@@ -109,6 +110,14 @@ class TestConstruct:
                          "--trials", "30", "--seed", "0"])
         assert code == cli.EXIT_BUDGET
         assert capsys.readouterr().out.splitlines()[1] == "7,a,30,0,,"
+
+    @pytest.mark.parametrize("g", ["0", "1", "2"])
+    @pytest.mark.parametrize("alg", ["es", "2lift", "gf"])
+    def test_small_girth_precondition(self, alg, g, capsys):
+        code = cli.main(["construct", "--alg", alg, "--g", g,
+                         "--trials", "3"])
+        assert code == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
 
     def test_missing_n_precondition(self, capsys):
         code = cli.main(["construct", "--alg", "a", "--g", "5",
@@ -317,3 +326,33 @@ class TestVerify:
             assert code == cli.EXIT_PRECONDITION and out[1] == "cover: FAIL"
         else:
             assert code == cli.EXIT_OK and out[1:] == ["cover: pass"]
+
+
+# Runs the CLI as `python -m liftgirth.cli` does.
+RUN_CLI = """
+import runpy, sys
+sys.argv = ["liftgirth.cli", *{argv!r}]
+try:
+    runpy.run_module("liftgirth.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], {"graphs"}),
+    (["analyze", "--g", "5", "--balls", "2"], ANALYZE),
+    (["verify"], {"graphs", "lifts"}),
+    (["search", "--g", "6", "--max-n", "6"], {"graphs", "lifts", "search"}),
+    (["construct", "--alg", "gf", "--g", "5", "--trials", "2"],
+     ANALYZE | {"construct", "lifts", "search"}),
+])
+def test_command_loads_only_its_modules(argv, loaded, tmp_path):
+    """Each invocation compiles what it imports when bytecode is not
+    cached, so a command imports only the modules it runs."""
+    if argv == ["verify"]:
+        gp, hp, mp = TestVerify().make_files(tmp_path)
+        argv = ["verify", "--graph", gp, "--base", hp, "--map", mp]
+    assert loaded_after(RUN_CLI.format(argv=argv)) == loaded

@@ -6,7 +6,10 @@ only show up there as a broken `--trace 1` run.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,35 @@ def test_traced_spans_resolve(monkeypatch):
         fn = getattr(module, fn_name, None)
         assert callable(fn), span
         assert fn.__module__ == module.__name__, span
+
+
+def loaded_after(code):
+    """The liftgirth submodules a fresh interpreter has loaded after
+    running `code` (which must not fail)."""
+    src = os.path.dirname(os.path.dirname(liftgirth.__file__))
+    code += ("\nimport sys\nprint(*sorted(m[10:] for m in sys.modules "
+             "if m.startswith('liftgirth.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import liftgirth") == set()
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        liftgirth.no_such_name
+
+
+def test_cli_import_loads_traced_modules(monkeypatch):
+    """`perfbench/run.py --trace 1` imports liftgirth.cli, then looks every
+    traced module up in sys.modules."""
+    if not (PERFBENCH / "run.py").is_file():
+        pytest.skip("perfbench is absent")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    traced = {span.rsplit(".", 1)[0] for span in run.SPANS}
+    assert traced <= loaded_after("import liftgirth.cli")

@@ -5,8 +5,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from liftgirth.graphs import MultiGraph, admissible
-from test_graphs import reference_admissible
+import networkx as nx
+
+from liftgirth.graphs import (MultiGraph, admissible, is_connected,
+                              parse_graph, serialize_graph)
+from liftgirth.lifts import (LiftAssignment, build_lift, parse_cover_map,
+                             serialize_cover_map, verify_cover)
+from test_graphs import (random_assignment, random_involution,
+                         reference_admissible)
+
+SETTINGS = hypothesis.settings(max_examples=200, deadline=None,
+                               database=None)
 
 
 @st.composite
@@ -22,7 +31,54 @@ def multigraphs(draw):
     return MultiGraph.build(nv, directives)
 
 
-@hypothesis.settings(max_examples=200, deadline=None, database=None)
+def to_nx(g):
+    """g as a networkx multigraph; networkx has no half-edges, so each
+    vertex counts its half-loops in a `half` attribute."""
+    gx = nx.MultiGraph()
+    gx.add_nodes_from(range(g.vertex_count), half=0)
+    for e in g.undirected_edges():
+        if g.is_half_loop(e):
+            gx.nodes[g.tail[e]]["half"] += 1
+        else:
+            gx.add_edge(g.tail[e], g.head[e])
+    return gx
+
+
+@SETTINGS
 @hypothesis.given(multigraphs())
 def test_admissible_reads_b(h):
     assert admissible(h) == reference_admissible(h)
+
+
+@SETTINGS
+@hypothesis.given(multigraphs())
+def test_graph_text_round_trip(h):
+    assert parse_graph(serialize_graph(h)) == h
+
+
+# fewer examples: about half the draws miss the filter or the assume
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(multigraphs().filter(admissible), st.integers(1, 4),
+                  st.randoms(use_true_random=False))
+def test_cover_files_round_trip(h, n, rng):
+    """A connected lift and its cover map, written and parsed back,
+    still verify as a cover."""
+    g, m = build_lift(random_assignment(h, n, rng, random_involution))
+    hypothesis.assume(is_connected(g))
+    g2 = parse_graph(serialize_graph(g))
+    m2 = parse_cover_map(serialize_cover_map(m, g, h), g2, h)
+    assert verify_cover(g2, h, m2)
+
+
+@SETTINGS
+@hypothesis.given(multigraphs(), st.integers(1, 3),
+                  st.randoms(use_true_random=False))
+def test_double_is_the_graph_level_two_lift(h, n, rng):
+    a = random_assignment(h, n, rng, random_involution)
+    g1 = build_lift(a)[0]
+    flips = [False] * g1.edge_count
+    for e in g1.undirected_edges():
+        flips[e] = flips[g1.inv[e]] = rng.random() < 0.5
+    g2 = build_lift(LiftAssignment.identity(g1, 1).double(flips))[0]
+    assert nx.is_isomorphic(to_nx(build_lift(a.double(flips))[0]), to_nx(g2),
+                            node_match=lambda x, y: x["half"] == y["half"])
