@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .cover_tree import ball_size_edge_two_sided, ball_size_vertex, layer_counts
+from .cover_tree import ball_size_edge_two_sided, ball_size_vertex
 from .graphs import GraphError, MultiGraph, admissible, bfs, is_connected
 from .spectral import lambda_ahl
 
@@ -81,8 +81,8 @@ def moore_lift_bound(h: MultiGraph, g: int):
     into the lift, so raw is the largest vertex ball.  Even g = 2r: the
     two-sided radius r-1 ball around a lifted edge injects (a radius-r
     collision would only force a cycle of length 2r = g, which girth >= g
-    still permits).  adjusted rounds raw up to the nearest feasible lift
-    size, a multiple of lift_size_step.
+    still permits); e and e^-1 have the same ball.  adjusted rounds raw up
+    to the nearest feasible lift size, a multiple of lift_size_step.
     """
     if not admissible(h):
         raise GraphError("moore_lift_bound needs an admissible graph")
@@ -94,7 +94,7 @@ def moore_lift_bound(h: MultiGraph, g: int):
     else:
         r = g // 2
         raw = max(ball_size_edge_two_sided(h, e, r - 1)
-                  for e in range(h.edge_count))
+                  for e in h.undirected_edges())
     q = lift_size_step(h, g)
     return raw, -(-raw // q) * q
 
@@ -113,8 +113,7 @@ def es_upper_bound(h: MultiGraph, g: int, t: SpanningTreeInfo = None) -> int:
     if g < t.g0:
         raise GraphError(f"g={g} below g0={t.g0}")
     radius = t.d0(g)
-    raw = 1 + min(sum(layer_counts(h, v, radius))
-                  for v in range(h.vertex_count))
+    raw = min(ball_size_vertex(h, v, radius) for v in range(h.vertex_count))
     q = lift_size_step(h, g)
     return raw // q * q if raw >= q else raw
 

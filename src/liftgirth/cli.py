@@ -149,6 +149,8 @@ def cmd_construct(args) -> int:
         raise GraphError("g must be >= 3")
     if (args.alg in ("a", "b", "c")) != (args.n is not None):
         raise GraphError("--alg a/b/c need --n, and no other --alg takes it")
+    if args.n is not None and (args.n <= 0 or args.n % 4):
+        raise GraphError("n must be a positive multiple of 4")
     if args.graph is not None and args.alg not in ("es", "2lift"):
         raise GraphError(f"--alg {args.alg} builds covers of H23; --graph "
                          f"applies only to --alg es/2lift")
@@ -195,11 +197,10 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     from .lifts import build_lift
-    from .search import certify_lower_bound, minimum_size
+    from .search import minimum_size
 
     _check_output_dirs(args.out)
-    search = certify_lower_bound if args.certify else minimum_size
-    outcome = search(args.g, args.max_n)
+    outcome = minimum_size(args.g, args.max_n)
     if outcome.witness is None:
         # with --certify, no lift up to max-n is the answer, not a failure
         word = "refuted" if args.certify else "unresolved"

@@ -298,52 +298,38 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
 
 # -- covers of the half-loop base by structure -----------------------------
 
+def _uv_edges(g: MultiGraph):
+    degs = g.degrees()
+    return [e for e in g.undirected_edges()
+            if {degs[g.tail[e]], degs[g.head[e]]} == {2, 3}]
+
+
 def h23_cover_map(g: MultiGraph) -> CoverMap:
     """Cover map onto the two-vertex half-loop base read off the degrees:
     degree-2 vertices form the fiber of v, degree-3 of u; u-u edges lift
     the half-loop and the u-v edges 2-color along their alternating
-    cycles."""
+    cycles, each from its first edge with color 0."""
     base = h23()
     degs = g.degrees()
     if set(degs) != {2, 3}:
         raise GraphError("vertex degrees must be exactly {2, 3}")
-    vmap = tuple(1 if d == 3 else 0 for d in degs)
-    emap = [None] * g.edge_count
-    uv = []
-    for e in range(g.edge_count):
-        a, b = degs[g.tail[e]], degs[g.head[e]]
-        if a == 2 and b == 2:
+    for e in g.undirected_edges():
+        if degs[g.tail[e]] == degs[g.head[e]] == 2:
             raise GraphError(f"edge {e} joins two degree-2 vertices")
-        if a == 3 and b == 3:
-            emap[e] = 4
-        elif e <= g.inv[e]:
-            uv.append(e)
-    # alternate colors along the uv cycles; color 0 -> first parallel pair
-    incident = {}
-    for e in uv:
-        incident.setdefault(g.tail[e], []).append(e)
-        incident.setdefault(g.head[e], []).append(g.inv[e])
-    colored = {}
-    for e0 in uv:
-        if e0 in colored or g.inv[e0] in colored:
-            continue
-        e, color = e0, 0
-        while True:
-            colored[min(e, g.inv[e])] = color
-            nxt = [f for f in incident[g.head[e]]
-                   if min(f, g.inv[f]) not in colored]
-            if not nxt:
-                break
-            e, color = nxt[0], 1 - color
-    for e in uv:
-        color = colored[min(e, g.inv[e])]
-        # base directed ids: pair A = (0: v->u, 1: u->v), pair B = (2, 3)
-        down = 1 if color == 0 else 3     # u -> v
-        up = 0 if color == 0 else 2       # v -> u
-        if degs[g.tail[e]] == 3:
+    vmap = tuple(1 if d == 3 else 0 for d in degs)
+    emap = [4 if degs[g.tail[e]] == degs[g.head[e]] == 3 else None
+            for e in range(g.edge_count)]
+    for e in _uv_edges(g):
+        color = 0
+        while emap[e] is None:
+            # base directed ids: pair A = (0: v->u, 1: u->v), pair B = (2, 3)
+            down, up = (1, 0) if color == 0 else (3, 2)
+            if degs[g.tail[e]] == 2:
+                down, up = up, down
             emap[e], emap[g.inv[e]] = down, up
-        else:
-            emap[e], emap[g.inv[e]] = up, down
+            # on to the uncolored u-v edge at the head, if any
+            e = next((f for f in g.out[g.head[e]] if emap[f] is None), e)
+            color = 1 - color
     m = CoverMap(vmap, tuple(emap))
     rep = verify_cover(g, base, m)
     if not rep.ok:
@@ -352,12 +338,6 @@ def h23_cover_map(g: MultiGraph) -> CoverMap:
 
 
 # -- surgery growth (variants gd/gf) ---------------------------------------
-
-def _uv_edges(g: MultiGraph):
-    degs = g.degrees()
-    return [e for e in g.undirected_edges()
-            if {degs[g.tail[e]], degs[g.head[e]]} == {2, 3}]
-
 
 def surgery_transform(g: MultiGraph, e: int, f: int) -> MultiGraph:
     """Replace edges e and f (each with a degree-3 and a degree-2 end) by

@@ -7,12 +7,15 @@ edges even though the ball itself grows exponentially.
 
 `nb_step` is the one step of the non-backtracking matrix B that ball
 sizes, the Perron radius (`spectral`) and the all-edge cycle profiles of
-surgery growth (`construct.nb_cycle_profile`) share.
+surgery growth (`construct.nb_cycle_profile`) share.  The balls grow at
+the rate of that radius, rho (`spectral.spectral_radius`).
 """
 
 from __future__ import annotations
 
-from .graphs import GraphError, MultiGraph, admissible
+from collections import Counter
+
+from .graphs import GraphError, MultiGraph
 
 
 def nb_step(g: MultiGraph, counts) -> dict:
@@ -58,37 +61,15 @@ def ball_size_vertex(base: MultiGraph, v: int, r: int) -> int:
 def ball_size_edge_two_sided(base: MultiGraph, e: int, r: int) -> int:
     """Vertices within distance r of either endpoint of a tree edge over e.
 
-    Each side expands away from the edge: the first step from the tail
-    excludes e itself, the first step from the head excludes e^-1.  For a
-    half-loop the two sides coincide over one base vertex and both exclude
-    the single directed edge.
+    The walks that leave the head away from the edge are one B-step of e,
+    and those that leave the tail are one B-step of e^-1.  A half-loop is
+    its own inverse, so its one side over one base vertex counts twice.
     """
     if r < 0:
         raise GraphError("r must be >= 0")
-    total = 2
-    for start_vertex, forbidden in ((base.tail[e], e),
-                                    (base.head[e], base.inv[e])):
-        start = {f: 1 for f in base.out[start_vertex] if f != forbidden}
-        total += sum(_layer_sums(base, start, r))
-    return total
-
-
-def growth_estimate(base: MultiGraph, rmax: int) -> float:
-    """Growth rate of universal cover balls around a fixed root.
-
-    Uses the two-point ratio (|B_rmax| / |B_rmax/2|)^(1/(rmax - rmax/2)),
-    which cancels the constant in front of rho^r; the plain |B_r|^(1/r)
-    converges too slowly to be a useful sanity display.  Still only an
-    estimate, not a precision computation.
-    """
-    if rmax < 10:
-        raise GraphError("rmax must be >= 10 for a meaningful estimate")
-    if not admissible(base):
-        raise GraphError("growth_estimate needs an admissible base graph")
-    half = rmax // 2
-    ratio = ball_size_vertex(base, 0, rmax) / ball_size_vertex(base, 0, half)
-    return ratio ** (1.0 / (rmax - half))
+    start = nb_step(base, Counter((e, base.inv[e])))
+    return 2 + sum(_layer_sums(base, start, r))
 
 
 __all__ = ["nb_step", "layer_counts", "ball_size_vertex",
-           "ball_size_edge_two_sided", "growth_estimate"]
+           "ball_size_edge_two_sided"]

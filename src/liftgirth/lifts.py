@@ -192,6 +192,8 @@ def parse_cover_map(text: str, g: MultiGraph, h: MultiGraph) -> CoverMap:
         images, image_count = targets[word]
         if not (0 <= src < len(images) and 0 <= dst < image_count):
             raise ParseError(f"line {lineno}: {word} index out of range")
+        if images[src] is not None:
+            raise ParseError(f"line {lineno}: {word} {src} given twice")
         images[src] = dst
     if None in vmap or None in emap:
         raise ParseError("cover map file leaves vertices or edges unmapped")

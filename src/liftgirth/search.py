@@ -234,8 +234,9 @@ def minimum_size(g: int, n_max: int) -> SearchOutcome:
 
 
 def certify_lower_bound(g: int, n: int) -> SearchOutcome:
-    """minimum_size(g, n): without a witness, it certifies that no
-    connected girth-g lift of height <= n exists."""
+    """minimum_size(g, n) under an older name that only perfbench's
+    tracer still names; call minimum_size.  Without a witness, it
+    certifies that no connected girth-g lift of height <= n exists."""
     return minimum_size(g, n)
 
 

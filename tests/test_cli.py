@@ -134,6 +134,24 @@ class TestConstruct:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("n", ["6", "0"])
+    def test_bad_n_before_trials(self, n, jobs, monkeypatch, capsys):
+        """--n is checked before any trial runs or any pool starts."""
+        import concurrent.futures
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the --n check")
+        monkeypatch.setattr(cli, "run_trial", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            forbidden)
+        code = cli.main(["construct", "--alg", "b", "--g", "5", "--n", n,
+                         "--trials", "3", "--jobs", jobs])
+        assert code == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be a positive multiple of 4\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("argv", [["--alg", "gf", "--g", "6"],
                                       ["--alg", "a", "--g", "5", "--n", "8"]])
     def test_graph_for_h23_only_alg_rejected(self, argv, jobs, h23_file,
@@ -297,6 +315,22 @@ class TestVerify:
         assert cli.main(["verify", "--graph", gp, "--base", hp,
                          "--map", mp]) == cli.EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("line", ["vmap 0 1", "emap 0 4"])
+    def test_map_line_given_twice_exit(self, tmp_path, capsys, line):
+        """A map that opens with a conflicting line for an index the rest
+        of the file maps is a parse error, not a passing cover."""
+        base = graphs.h23()
+        g, m = build_lift(LiftAssignment.identity(base, 2))
+        gp, hp, mp = (tmp_path / "G.g", tmp_path / "H.g", tmp_path / "m.map")
+        gp.write_text(graphs.serialize_graph(g))
+        hp.write_text(graphs.serialize_graph(base))
+        mp.write_text(line + "\n" + serialize_cover_map(m, g, base))
+        assert cli.main(["verify", "--graph", str(gp), "--base", str(hp),
+                         "--map", str(mp)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "given twice" in captured.err
 
     def test_corrupted_map_fails(self, tmp_path, capsys):
         gp, hp, mp = self.make_files(tmp_path, corrupt=True)

@@ -20,7 +20,8 @@ from liftgirth.graphs import (GraphError, MultiGraph, TrialFailed, diameter,
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              normalize_tree_layers, serialize_cover_map,
                              verify_cover)
-from test_graphs import random_loopy_lift
+from test_graphs import (random_assignment, random_involution,
+                         random_loopy_lift)
 
 
 def to_nx(g):
@@ -719,6 +720,31 @@ class TestCoverByStructure:
     def test_rejects_wrong_degrees(self, petersen):
         with pytest.raises(GraphError):
             h23_cover_map(petersen)
+
+    def test_rejects_a_non_cover(self, k32):
+        # degrees 3 and 2, but a degree-3 vertex has no u-u edge
+        with pytest.raises(GraphError, match="does not cover"):
+            h23_cover_map(k32)
+
+    def test_rejects_an_edge_between_degree_2_vertices(self):
+        # K4 minus an edge, its 0-1 edge replaced by the path 0-4-5-1
+        g = MultiGraph.from_pairs(6, [(0, 4), (4, 5), (5, 1), (0, 2),
+                                      (0, 3), (1, 2), (1, 3)])
+        with pytest.raises(GraphError, match="joins two degree-2 vertices"):
+            h23_cover_map(g)
+
+    def test_random_lifts(self, h23):
+        """Random connected lifts, with u-u edges and half-loops over the
+        half-loop and parallel u-v edges."""
+        rng = random.Random(11)
+        checked = 0
+        while checked < 40:
+            a = random_assignment(h23, rng.randint(1, 10), rng,
+                                  random_involution)
+            g = build_lift(a)[0]
+            if graphs.is_connected(g):
+                assert verify_cover(g, h23, h23_cover_map(g))
+                checked += 1
 
 
 class TestSurgery:

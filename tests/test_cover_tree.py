@@ -5,8 +5,8 @@ import pytest
 from liftgirth import graphs
 from liftgirth.construct import high_girth_cover
 from liftgirth.cover_tree import (ball_size_edge_two_sided, ball_size_vertex,
-                                  growth_estimate, layer_counts)
-from liftgirth.graphs import GraphError, MultiGraph, bfs, girth
+                                  layer_counts)
+from liftgirth.graphs import MultiGraph, bfs, girth
 from liftgirth.lifts import build_lift
 
 U = 1  # degree-3 vertex of H23
@@ -104,24 +104,6 @@ class TestBallsInLifts:
 
 
 class TestGrowth:
-    def test_three_regular(self, petersen):
-        est = growth_estimate(petersen, 12)
-        assert 2.0 <= est <= 2.0 * 3 ** (1 / 12)
-
-    def test_h23(self, h23):
-        assert abs(growth_estimate(h23, 30) - 1.5214) < 0.05
-
-    def test_k32(self, k32):
-        assert abs(growth_estimate(k32, 30) - 2 ** 0.5) < 0.05
-
-    def test_requires_enough_radius(self, h23):
-        with pytest.raises(GraphError):
-            growth_estimate(h23, 5)
-
-    def test_rejects_inadmissible(self):
-        with pytest.raises(GraphError):
-            growth_estimate(graphs.cycle_graph(6), 20)
-
     def test_sandwich_ratio_stability(self, h23):
         # ball growth ratios settle near the Perron radius for 5 <= r <= 40
         sizes = [ball_size_vertex(h23, U, r) for r in range(41)]

@@ -276,3 +276,14 @@ class TestLiftFiles:
                 parse_cover_map(good + bad, g, h23)
         with pytest.raises(ParseError):
             parse_cover_map(good.split("emap", 1)[0], g, h23)   # unmapped
+
+    @pytest.mark.parametrize("line", ["vmap 0 1", "vmap 3 1", "emap 0 0",
+                                      "emap 9 4"])
+    def test_cover_map_index_given_twice(self, h23, line):
+        """A second line for a vertex or an edge is an error, before it
+        or after it, whether it agrees with the first or not."""
+        g, m = build_lift(LiftAssignment.identity(h23, 2))
+        good = serialize_cover_map(m, g, h23)
+        for text in (line + "\n" + good, good + line + "\n"):
+            with pytest.raises(ParseError, match="given twice"):
+                parse_cover_map(text, g, h23)

@@ -9,10 +9,12 @@ import networkx as nx
 
 from liftgirth.graphs import (MultiGraph, admissible, is_connected,
                               parse_graph, serialize_graph)
-from liftgirth.lifts import (LiftAssignment, build_lift, parse_cover_map,
-                             serialize_cover_map, verify_cover)
+from liftgirth.lifts import (CoverMap, LiftAssignment, build_lift,
+                             parse_cover_map, serialize_cover_map,
+                             verify_cover)
 from test_graphs import (random_assignment, random_involution,
                          reference_admissible)
+from test_lifts import assignment_from_cover
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None,
                                database=None)
@@ -82,3 +84,42 @@ def test_double_is_the_graph_level_two_lift(h, n, rng):
     g2 = build_lift(LiftAssignment.identity(g1, 1).double(flips))[0]
     assert nx.is_isomorphic(to_nx(build_lift(a.double(flips))[0]), to_nx(g2),
                             node_match=lambda x, y: x["half"] == y["half"])
+
+
+@SETTINGS
+@hypothesis.given(multigraphs(), st.integers(1, 4),
+                  st.randoms(use_true_random=False))
+def test_assignment_from_cover_round_trip(h, n, rng):
+    """A lift with its vertex and edge ids shuffled, read back as an
+    assignment and built again, is the same lift: relabel renames the
+    vertices, and a lifted edge becomes the copy of its base edge in the
+    layer of its tail."""
+    g0, m0 = build_lift(random_assignment(h, n, rng, random_involution))
+    pv = list(range(g0.vertex_count))
+    pe = list(range(g0.edge_count))
+    rng.shuffle(pv)
+    rng.shuffle(pe)
+    tail, head, inv = ([0] * g0.edge_count for _ in range(3))
+    vmap, emap = [0] * g0.vertex_count, [0] * g0.edge_count
+    for v in range(g0.vertex_count):
+        vmap[pv[v]] = m0.vertex_map[v]
+    for e in range(g0.edge_count):
+        tail[pe[e]], head[pe[e]] = pv[g0.tail[e]], pv[g0.head[e]]
+        inv[pe[e]], emap[pe[e]] = pe[g0.inv[e]], m0.edge_map[e]
+    g = MultiGraph(g0.vertex_count, tail, head, inv)
+    m = CoverMap(tuple(vmap), tuple(emap))
+
+    a, relabel = assignment_from_cover(g, h, m)
+    g2, m2 = build_lift(a)
+    assert sorted(relabel) == list(range(g.vertex_count))
+    nv, ne = h.vertex_count, h.edge_count
+    edge = [relabel[g.tail[e]] // nv * ne + m.edge_map[e]
+            for e in range(g.edge_count)]
+    assert sorted(edge) == list(range(g.edge_count))
+    for e, e2 in enumerate(edge):
+        assert g2.tail[e2] == relabel[g.tail[e]]
+        assert g2.head[e2] == relabel[g.head[e]]
+        assert g2.inv[e2] == edge[g.inv[e]]
+        assert m2.edge_map[e2] == m.edge_map[e]
+    for v in range(g.vertex_count):
+        assert m2.vertex_map[relabel[v]] == m.vertex_map[v]
