@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .cover_tree import ball_size_edge_two_sided, ball_size_vertex
+from .cover_tree import ball_sizes, edge_ball_sizes
 from .graphs import GraphError, MultiGraph, admissible, bfs, is_connected
 from .spectral import lambda_ahl
 
@@ -35,7 +35,7 @@ def _bfs_tree_edges(h: MultiGraph, root):
                 seen[w] = 1
                 edges.append(min(e, h.inv[e]))
                 q.append(w)
-    return edges
+    return tuple(edges)
 
 
 def _tree_diameter(h: MultiGraph, tree_edges):
@@ -53,69 +53,33 @@ def spanning_tree(h: MultiGraph) -> SpanningTreeInfo:
     """BFS spanning tree minimizing tree diameter over all roots."""
     if not is_connected(h):
         raise GraphError("spanning_tree requires a connected graph")
-    best = None
-    for root in range(h.vertex_count):
-        edges = _bfs_tree_edges(h, root)
-        d = _tree_diameter(h, edges)
-        if best is None or d < best.diam:
-            best = SpanningTreeInfo(tuple(edges), d)
-    return best
+    trees = (_bfs_tree_edges(h, root) for root in range(h.vertex_count))
+    return min((SpanningTreeInfo(t, _tree_diameter(h, t)) for t in trees),
+               key=lambda t: t.diam)
 
 
-def lift_size_step(h: MultiGraph, g: int) -> int:
-    """Spacing q of the feasible lift sizes, which are the positive
-    multiples of q.  A height n lifts to n * |V(H)| vertices, and any
-    n >= 1 is admissible, except that a base half-loop with girth target
-    >= 2 forces its permutation to be a fixed-point-free involution, hence
-    even n."""
-    nv = h.vertex_count
-    if g >= 2 and any(h.is_half_loop(e) for e in range(h.edge_count)):
-        return 2 * nv
-    return nv
+def lift_size_step(h: MultiGraph) -> int:
+    """Spacing q of the feasible lift sizes, the positive multiples of q.
+    A height n lifts to n * |V(H)| vertices, and any n >= 1 is admissible
+    except that a base half-loop forces a fixed-point-free involution (a
+    fixed point lifts to a half-loop, a 1-cycle), hence even n."""
+    half_loop = any(h.is_half_loop(e) for e in range(h.edge_count))
+    return h.vertex_count * (2 if half_loop else 1)
 
 
 def moore_lift_bound(h: MultiGraph, g: int):
-    """(raw, adjusted) lower bounds on the size of a girth-g lift.
-
-    Odd g = 2r+1: the radius-r tree ball around a lifted vertex injects
-    into the lift, so raw is the largest vertex ball.  Even g = 2r: the
-    two-sided radius r-1 ball around a lifted edge injects (a radius-r
-    collision would only force a cycle of length 2r = g, which girth >= g
-    still permits); e and e^-1 have the same ball.  adjusted rounds raw up
-    to the nearest feasible lift size, a multiple of lift_size_step.
-    """
-    if not admissible(h):
-        raise GraphError("moore_lift_bound needs an admissible graph")
-    if g < 3:
-        raise GraphError("g must be >= 3")
-    if g % 2:
-        r = (g - 1) // 2
-        raw = max(ball_size_vertex(h, v, r) for v in range(h.vertex_count))
-    else:
-        r = g // 2
-        raw = max(ball_size_edge_two_sided(h, e, r - 1)
-                  for e in h.undirected_edges())
-    q = lift_size_step(h, g)
-    return raw, -(-raw // q) * q
+    """(raw, adjusted) lower bounds on the size of a girth-g lift: row g
+    of bounds_table."""
+    row, = bounds_table(h, g, g)
+    return row.moore_raw, row.moore_adjusted
 
 
-def es_upper_bound(h: MultiGraph, g: int, t: SpanningTreeInfo = None) -> int:
-    """Size of the smallest tree ball of radius g + 2 diam(T): an upper
-    bound on the minimal girth-g lift size realized by layer trimming.
-
-    The ball size is floored to the largest feasible lift size (a multiple
-    of lift_size_step): the minimum girth-g lift is itself feasible, so the
-    floored value is still an upper bound.  A ball smaller than every
-    feasible size is returned as it is.
-    """
-    if t is None:
-        t = spanning_tree(h)
-    if g < t.g0:
-        raise GraphError(f"g={g} below g0={t.g0}")
-    radius = t.d0(g)
-    raw = min(ball_size_vertex(h, v, radius) for v in range(h.vertex_count))
-    q = lift_size_step(h, g)
-    return raw // q * q if raw >= q else raw
+def es_upper_bound(h: MultiGraph, g: int) -> int:
+    """es_bound of row g >= g0 of bounds_table."""
+    row, = bounds_table(h, g, g)
+    if row.es_bound is None:
+        raise GraphError(f"g={g} below g0={spanning_tree(h).g0}")
+    return row.es_bound
 
 
 def ahl_moore_polynomial(x_plus_1: float, g: int) -> float:
@@ -124,10 +88,8 @@ def ahl_moore_polynomial(x_plus_1: float, g: int) -> float:
     x = x_plus_1 - 1
     if x < 1:
         raise GraphError("requires x >= 1")
-    odd_terms = (g - 1) // 2
-    even_terms = g // 2 - 1
-    return (sum(x ** i for i in range(odd_terms + 1))
-            + sum(x ** i for i in range(even_terms + 1)))
+    return (sum(x ** i for i in range((g + 1) // 2))
+            + sum(x ** i for i in range(g // 2)))
 
 
 class BoundsRow(NamedTuple):
@@ -141,20 +103,42 @@ class BoundsRow(NamedTuple):
 
 def bounds_table(h: MultiGraph, g_min: int, g_max: int,
                  best_known: dict | None = None):
+    """Rows g_min..g_max, read off the tree ball sizes |B_0|..|B_R| over
+    each base vertex, R = g_max + 2 diam(T).
+
+    Moore: for odd g = 2r+1 the radius-r ball around a lifted vertex
+    injects into the lift, and for even g = 2r the two-sided radius r-1
+    ball around a lifted edge (a radius-r collision would only force a
+    cycle of length 2r = g); moore_raw is the largest such ball, and
+    moore_adjusted rounds it up to a multiple of lift_size_step.
+
+    Erdos-Sachs, g >= g0: layer trimming reaches a girth-g lift no larger
+    than the smallest ball of radius g + 2 diam(T).  es_bound floors that
+    to a multiple of lift_size_step, still an upper bound as the minimum
+    lift is such a multiple; a ball below every multiple is kept.
+    """
+    if not admissible(h):
+        raise GraphError("bounds need an admissible graph")
+    if g_min < 3:
+        raise GraphError("g must be >= 3")
     tree = spanning_tree(h)
     lam = lambda_ahl(h)
+    q = lift_size_step(h)
+    balls = [ball_sizes(h, v, tree.d0(g_max))
+             for v in range(h.vertex_count)]
+    edge_balls = [edge_ball_sizes(balls[h.tail[e]], balls[h.head[e]])
+                  for e in h.undirected_edges()]
     rows = []
     for g in range(g_min, g_max + 1):
-        raw, adjusted = moore_lift_bound(h, g)
-        es = es_upper_bound(h, g, tree) if g >= tree.g0 else None
-        rows.append(BoundsRow(
-            g=g,
-            moore_raw=raw,
-            moore_adjusted=adjusted,
-            es_bound=es,
-            ahl_n0=ahl_moore_polynomial(lam + 1, g),
-            best_known=(best_known or {}).get(g),
-        ))
+        raw = (max(b[g // 2] for b in balls) if g % 2
+               else max(b[g // 2 - 1] for b in edge_balls))
+        es = None
+        if g >= tree.g0:
+            es = min(b[tree.d0(g)] for b in balls)
+            es = es // q * q if es >= q else es
+        rows.append(BoundsRow(g, raw, -(-raw // q) * q, es,
+                              ahl_moore_polynomial(lam + 1, g),
+                              (best_known or {}).get(g)))
     return rows
 
 
@@ -162,14 +146,9 @@ CSV_HEADER = "g,moore_raw,moore_adjusted,es_bound,ahl_n0,best_known"
 
 
 def table_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.g), str(r.moore_raw), str(r.moore_adjusted),
-            "" if r.es_bound is None else str(r.es_bound),
-            repr(r.ahl_n0),
-            "" if r.best_known is None else str(r.best_known),
-        ]))
+    """CSV_HEADER, then the fields of each row, an empty cell for None."""
+    lines = [CSV_HEADER] + [",".join("" if x is None else str(x) for x in r)
+                            for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,6 @@ import argparse
 import os
 import random
 import sys
-from itertools import accumulate
 
 from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
                      h23, parse_graph, serialize_graph)
@@ -79,7 +78,7 @@ def _int_at_least(low):
 
 def cmd_analyze(args) -> int:
     from .bounds import bounds_table, table_to_csv
-    from .cover_tree import layer_counts
+    from .cover_tree import ball_sizes
     from .spectral import summarize
 
     gmin = args.gmin if args.g is None else args.g
@@ -98,10 +97,8 @@ def cmd_analyze(args) -> int:
     print(f"rho == Lambda: {'yes' if s.equality_rho_lambda else 'no'}")
     if args.balls:
         for v in range(base.vertex_count):
-            # layer_counts(v, r) is a prefix of layer_counts(v, R)
-            sizes = accumulate([1] + layer_counts(base, v, args.balls))
             print(f"ball sizes from vertex {v}: "
-                  + " ".join(str(x) for x in sizes))
+                  + " ".join(map(str, ball_sizes(base, v, args.balls))))
     print()
     print(f"{'g':>4} {'moore_raw':>12} {'moore_adj':>12} {'es_bound':>12} "
           f"{'ahl_n0':>14}")
@@ -156,6 +153,9 @@ def cmd_construct(args) -> int:
                          f"applies only to --alg es/2lift")
     _check_output_dirs(args.out, args.csv)
     base = h23() if args.graph is None else _load_graph(args.graph)
+    if args.alg == "es":
+        from .construct import es_tree
+        es_tree(base, args.g)   # g >= g0, before any trial or pool starts
     seeds = [mix(args.seed, i) for i in range(args.trials)]
     jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]
     if args.jobs > 1:

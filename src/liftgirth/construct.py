@@ -218,6 +218,14 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
     return TrimState(new_a, state.tree, graph, cover)
 
 
+def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
+    """The tree es_construct trims by, if g >= g0 = 2 diam(T) + 2."""
+    tree = spanning_tree(h)
+    if g < tree.g0:
+        raise GraphError(f"g={g} below g0={tree.g0}")
+    return tree
+
+
 def es_construct(h: MultiGraph, g: int, rng):
     """Girth >= g cover of h with diameter <= g + 2 diam(T): boost the
     girth by 2-lifts, then trim layers until the diameter bound holds.
@@ -225,9 +233,7 @@ def es_construct(h: MultiGraph, g: int, rng):
     The 2-lifts keep the lift connected (see high_girth_cover), so the
     whole lift is trimmed; were it ever disconnected, farthest_pair would
     raise GraphError."""
-    tree = spanning_tree(h)
-    if g < tree.g0:
-        raise GraphError(f"g={g} below g0={tree.g0}")
+    tree = es_tree(h, g)
     a = normalize_tree_layers(high_girth_cover(h, g, rng),
                               tree.tree_edges)
     state = TrimState(a, tree, *build_lift(a))
@@ -469,6 +475,6 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
 __all__ = [
     "cycles_of_length", "nb_cycle_profile",
     "high_girth_cover", "TrimState", "es_trim_step",
-    "es_construct", "greedy_cycle", "h23_cover_map", "surgery_transform",
-    "grow",
+    "es_tree", "es_construct", "greedy_cycle", "h23_cover_map",
+    "surgery_transform", "grow",
 ]

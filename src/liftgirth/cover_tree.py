@@ -13,7 +13,8 @@ the rate of that radius, rho (`spectral.spectral_radius`).
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import accumulate
+from operator import add
 
 from .graphs import GraphError, MultiGraph
 
@@ -34,42 +35,42 @@ def nb_step(g: MultiGraph, counts) -> dict:
     return nxt
 
 
-def _layer_sums(g: MultiGraph, counts, r: int):
-    """Sizes of the first r layers grown from the start walks in counts:
-    sum the layer, and step only to a layer that is summed next."""
-    sums = []
-    for k in range(r):
-        if k:
-            counts = nb_step(g, counts)
-        sums.append(sum(counts.values()))
-    return sums
-
-
 def layer_counts(base: MultiGraph, v: int, rmax: int):
     """Numbers of non-backtracking walks of lengths 1..rmax from a tree
     vertex over v."""
     if rmax < 0:
         raise GraphError("rmax must be >= 0")
-    return _layer_sums(base, dict.fromkeys(base.out[v], 1), rmax)
+    counts, sums = dict.fromkeys(base.out[v], 1), []
+    for k in range(rmax):
+        counts = nb_step(base, counts) if k else counts
+        sums.append(sum(counts.values()))
+    return sums
+
+
+def ball_sizes(base: MultiGraph, v: int, rmax: int):
+    """|B_0|, ..., |B_rmax| around a tree vertex over v."""
+    return list(accumulate(layer_counts(base, v, rmax), initial=1))
+
+
+def edge_ball_sizes(tail_sizes, head_sizes):
+    """E_0, E_1, ...: the tree vertices within r of either end of a tree
+    edge.  A tree vertex is one step farther from one end than from the
+    other, so E_r = |B_r(tail)| + |B_r(head)| - E_(r-1), with E_(-1) = 0."""
+    return list(accumulate(map(add, tail_sizes, head_sizes),
+                           lambda prev, both: both - prev))
 
 
 def ball_size_vertex(base: MultiGraph, v: int, r: int) -> int:
-    """|B_r| around a tree vertex over v: 1 + sum of the layer counts."""
-    return 1 + sum(layer_counts(base, v, r))
+    """|B_r| around a tree vertex over v."""
+    return ball_sizes(base, v, r)[r]
 
 
 def ball_size_edge_two_sided(base: MultiGraph, e: int, r: int) -> int:
-    """Vertices within distance r of either endpoint of a tree edge over e.
-
-    The walks that leave the head away from the edge are one B-step of e,
-    and those that leave the tail are one B-step of e^-1.  A half-loop is
-    its own inverse, so its one side over one base vertex counts twice.
-    """
-    if r < 0:
-        raise GraphError("r must be >= 0")
-    start = nb_step(base, Counter((e, base.inv[e])))
-    return 2 + sum(_layer_sums(base, start, r))
+    """E_r around a tree edge over e; both ends of a half-loop's lift lie
+    over its one base vertex."""
+    return edge_ball_sizes(ball_sizes(base, base.tail[e], r),
+                           ball_sizes(base, base.head[e], r))[r]
 
 
-__all__ = ["nb_step", "layer_counts", "ball_size_vertex",
-           "ball_size_edge_two_sided"]
+__all__ = ["nb_step", "layer_counts", "ball_sizes", "edge_ball_sizes",
+           "ball_size_vertex", "ball_size_edge_two_sided"]

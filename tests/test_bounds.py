@@ -1,10 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 
 from liftgirth import graphs
 from liftgirth.bounds import (CSV_HEADER, ahl_moore_polynomial, bounds_table,
                               es_upper_bound, lift_size_step, moore_lift_bound,
                               spanning_tree, table_to_csv)
-from liftgirth.cover_tree import layer_counts
+from liftgirth.cover_tree import layer_counts, nb_step
 from liftgirth.graphs import GraphError, MultiGraph
 from liftgirth.spectral import lambda_ahl
 
@@ -56,13 +59,10 @@ def whole_loop_base():
 
 class TestLiftSizeStep:
     def test_half_loop_base_even_heights(self, h23):
-        assert lift_size_step(h23, 5) == 4
+        assert lift_size_step(h23) == 4
 
     def test_plain_base_all_heights(self, k4me):
-        assert lift_size_step(k4me, 5) == 4
-
-    def test_half_loop_free_below_girth_2(self, h23):
-        assert lift_size_step(h23, 1) == 2
+        assert lift_size_step(k4me) == 4
 
     @pytest.mark.parametrize("make", [graphs.h23, graphs.k32,
                                       graphs.k4_minus_edge, graphs.petersen,
@@ -83,7 +83,7 @@ class TestLiftSizeStep:
             es_raw = 1 + min(sum(layer_counts(h, v, radius))
                              for v in range(h.vertex_count))
             if es_raw <= CHEAP_STEPS * h.vertex_count:
-                assert es_upper_bound(h, g, tree) \
+                assert es_upper_bound(h, g) \
                     == stepped_sizes(h, g, es_raw)[1]
                 es_checked += 1
         assert es_checked >= 1
@@ -119,6 +119,11 @@ class TestESBound:
     def test_below_g0_rejected(self, h23):
         with pytest.raises(GraphError):
             es_upper_bound(h23, 3)
+
+    def test_connected_inadmissible_rejected(self):
+        cycle = MultiGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(GraphError):
+            es_upper_bound(cycle, 20)   # g0 = 8
 
     def test_dominates_moore(self, h23):
         for g in range(4, 31):
@@ -158,3 +163,76 @@ class TestTable:
         assert lines[1].startswith("3,4,4,,")
         assert lines[1].endswith(",4")
         assert len(lines) == 21
+
+
+def edge_ball_reference(h, e, r):
+    """Two-sided ball of radius r around a tree edge over e: both ends,
+    plus the walks of lengths 1..r that leave it.  Those leaving the head
+    are one B-step of e, those leaving the tail one B-step of e^-1."""
+    counts = nb_step(h, Counter((e, h.inv[e])))
+    total = 2
+    for k in range(r):
+        if k:
+            counts = nb_step(h, counts)
+        total += sum(counts.values())
+    return total
+
+
+def reference_row(h, g, tree):
+    """(moore_raw, moore_adjusted, es_bound) from the per-g formulas,
+    each ball grown from radius 0."""
+    q = lift_size_step(h)
+    vertices = range(h.vertex_count)
+    if g % 2:
+        raw = max(1 + sum(layer_counts(h, v, (g - 1) // 2)) for v in vertices)
+    else:
+        raw = max(edge_ball_reference(h, e, g // 2 - 1)
+                  for e in range(h.edge_count))
+    es = None
+    if g >= tree.g0:
+        es = min(1 + sum(layer_counts(h, v, tree.d0(g))) for v in vertices)
+        es = es // q * q if es >= q else es
+    return raw, -(-raw // q) * q, es
+
+
+def random_admissible(rng, count):
+    """count seeded admissible multigraphs on 1-5 vertices, with edges,
+    whole-loops and half-loops."""
+    found = []
+    while len(found) < count:
+        nv = rng.randint(1, 5)
+        directives = []
+        for _ in range(rng.randint(2, 9)):
+            kind = rng.choice(("edge", "edge", "wholeloop", "halfloop"))
+            u, v = rng.randrange(nv), rng.randrange(nv)
+            directives.append((kind, u, v) if kind == "edge" else (kind, u))
+        h = MultiGraph.build(nv, directives)
+        if graphs.admissible(h):
+            found.append(h)
+    return found
+
+
+class TestTableAgainstReference:
+    BASES = [graphs.h23(), graphs.k32(), graphs.petersen(),
+             graphs.k4_minus_edge(), whole_loop_base(),
+             *random_admissible(random.Random(17), 40)]
+
+    def test_random_bases_have_loops(self):
+        kinds = Counter()
+        for h in self.BASES:
+            for e in h.undirected_edges():
+                if h.is_half_loop(e):
+                    kinds["half"] += 1
+                elif h.tail[e] == h.head[e]:
+                    kinds["whole"] += 1
+        assert kinds["half"] >= 10 and kinds["whole"] >= 10
+
+    @pytest.mark.parametrize("index", range(len(BASES)))
+    def test_rows_match_per_g_formulas(self, index):
+        h = self.BASES[index]
+        tree = spanning_tree(h)
+        rows = bounds_table(h, 3, 24)
+        assert [r.g for r in rows] == list(range(3, 25))
+        for r in rows:
+            assert (r.moore_raw, r.moore_adjusted, r.es_bound) \
+                == reference_row(h, r.g, tree)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,24 @@ class TestConstruct:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n must be a positive multiple of 4\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_es_below_g0_before_trials(self, jobs, monkeypatch, capsys):
+        """es needs g >= g0 = 2 diam(T) + 2 (4 on H23), checked before
+        any trial runs or any pool starts."""
+        import concurrent.futures
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the g0 check")
+        monkeypatch.setattr(cli, "run_trial", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            forbidden)
+        code = cli.main(["construct", "--alg", "es", "--g", "3",
+                         "--trials", "3", "--jobs", jobs])
+        assert code == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: g=3 below g0=4\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("argv", [["--alg", "gf", "--g", "6"],
@@ -372,6 +391,17 @@ except SystemExit as exc:
     assert exc.code == 0, exc.code
 """
 
+# Runs the CLI as the installed `liftgirth` script does.
+RUN_SCRIPT = """
+import sys
+sys.argv = ["liftgirth", *{argv!r}]
+from liftgirth.__main__ import main
+try:
+    main()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
 ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
 
 
@@ -385,8 +415,18 @@ ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
 ])
 def test_command_loads_only_its_modules(argv, loaded, tmp_path):
     """Each invocation compiles what it imports when bytecode is not
-    cached, so a command imports only the modules it runs."""
+    cached, so a command imports only the modules it runs.  The installed
+    script loads the same, and liftgirth.__main__."""
     if argv == ["verify"]:
         gp, hp, mp = TestVerify().make_files(tmp_path)
         argv = ["verify", "--graph", gp, "--base", hp, "--map", mp]
     assert loaded_after(RUN_CLI.format(argv=argv)) == loaded
+    assert loaded_after(RUN_SCRIPT.format(argv=argv)) == loaded | {"__main__"}
+
+
+def test_script_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml",
+              "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"liftgirth": "liftgirth.__main__:main"}

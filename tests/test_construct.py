@@ -747,6 +747,21 @@ class TestCoverByStructure:
                 checked += 1
 
 
+def test_g13_witness_on_80_vertices(h23):
+    """The smallest girth-13 lift of H23 known: a Z_10 voltage lift of the
+    height-4 lift H' with u-vertices 0..3 and v-vertices 4..7.  Vertex
+    (x, c) is 10 x + c, and joins (y, c + voltage) along x-y."""
+    edges = ([(i, 4 + i) for i in range(4)]
+             + [(i, 4 + (i + 1) % 4) for i in range(4)] + [(0, 1), (2, 3)])
+    voltage = {(3, 4): 1, (0, 1): 2, (2, 3): 4}
+    g = MultiGraph.from_pairs(80, [
+        (10 * x + c, 10 * y + (c + voltage.get((x, y), 0)) % 10)
+        for x, y in edges for c in range(10)])
+    assert g.vertex_count == 80 and graphs.is_connected(g)
+    assert girth(g) == 13 and diameter(g) == 9
+    assert verify_cover(g, h23, h23_cover_map(g))
+
+
 class TestSurgery:
     def uv_pairs(self, g):
         degs = g.degrees()
