@@ -5,11 +5,12 @@ A height-n lift is a LiftAssignment over h23() with the permutations
 fixed-point-free involution mu for the half-loop.  Relabelling the
 v-fiber normalizes sigma1 to the identity; relabelling both fibers
 simultaneously then conjugates (sigma2, mu), so sigma2 ranges over one
-canonical permutation per cycle type and the first matching pair {0, j}
-of mu over the orbits of the centralizer of sigma2, which have a closed
-form (the cage-search normalisation of McKay, Myrvold and Nadon, SODA
-1998).  mu is built pairwise; v_i joins u_i and u_sigma2(i), so a lift
-is connected iff mu's pairs join all the cycles of sigma2.
+canonical permutation per cycle type, and mu is built pairwise, each
+pair {i, j} over the orbits of the part of the centralizer of sigma2
+that fixes the pairs made (orbit_partners: the cage-search
+normalisation of McKay, Myrvold and Nadon, SODA 1998, at every frame).
+v_i joins u_i and u_sigma2(i), so a lift is connected iff mu's pairs
+join all the cycles of sigma2.
 construct.greedy_cycle shares pairing_kernel and members.
 """
 
@@ -46,21 +47,30 @@ def _sigma_from_partition(parts):
     return tuple(perm)
 
 
-def _first_pair_reps(parts):
-    """One candidate j per centralizer orbit of the unordered pair {0, j},
-    in increasing order, for the canonical permutation of the
-    non-increasing parts.  The centralizer rotates each cycle and permutes
-    cycles of equal length.  In 0's own cycle of length L a rotation maps
-    {0, k} to {0, L - k}, so k = 1 .. L // 2 are the orbits there; every
-    other j is equivalent to the first vertex of the first later cycle of
-    its length."""
-    reps = list(range(1, parts[0] // 2 + 1))
-    start = parts[0]
-    for k in range(1, len(parts)):
-        if k == 1 or parts[k] != parts[k - 1]:
-            reps.append(start)
-        start += parts[k]
-    return reps
+def orbit_partners(parts, unpaired, i, legal):
+    """The partners j in the mask legal that i keeps: one per orbit of
+    {i, j} under the rotations of the untouched cycles (no paired
+    vertex) of the canonical permutation of the parts and the swaps of
+    untouched cycles of equal length, which fix every paired vertex and
+    commute with sigma2.  A touched cycle keeps every vertex.  On i's
+    own untouched cycle of length L a rotation by -k maps {i, i+k} to
+    {i-k, i}, so it keeps the offsets 1 .. L // 2 from i; the other
+    untouched cycles keep the first vertex of the first of each length."""
+    keep = 0
+    lengths = set()
+    base = 0
+    for length in parts:
+        cycle = (1 << length) - 1 << base
+        if cycle & ~unpaired:
+            keep |= cycle
+        elif base <= i < base + length:
+            for k in range(1, length // 2 + 1):
+                keep |= 1 << base + (i - base + k) % length
+        elif length not in lengths:
+            lengths.add(length)
+            keep |= 1 << base
+        base += length
+    return legal & keep
 
 
 # -- the search itself -----------------------------------------------------
@@ -135,13 +145,13 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     unpaired u-vertices (pairing_kernel), the legal partners of x are
     unpaired & ~ball[x]; a backtrack restores the rows saved before.
 
-    Vertex 0 is paired first, over the orbit representatives of
-    _first_pair_reps.  After that each frame is pruned if some unpaired
-    vertex has no legal partner (forward checking), and otherwise branches
-    on the unpaired vertex with the fewest legal partners, the smallest on
-    a tie (first-fail).  counter.nodes counts the pairings made.  A leaf is
-    yielded only when one BFS over the cycles of sigma2, joined by mu's
-    pairs, reaches every cycle."""
+    A frame is pruned if some unpaired vertex has no legal partner
+    (forward checking), and otherwise branches on the unpaired vertex
+    with the fewest legal partners, the smallest on a tie (first-fail),
+    over one of them per orbit (orbit_partners); at the root that is
+    vertex 0, on the longest cycle.  counter.nodes counts the pairings
+    made.  A leaf is yielded only when one BFS over the cycles of
+    sigma2, joined by mu's pairs, reaches every cycle."""
     if g < 3:
         raise GraphError("g must be >= 3")
     if n < 1:
@@ -155,16 +165,6 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
         cycle = [k for k, length in enumerate(parts) for _ in range(length)]
         ball, join = pairing_kernel(parts, g - 2)
         mu = [-1] * n
-
-        def branch(i, candidates, unpaired):
-            for j in candidates:
-                counter.nodes += 1
-                rest = unpaired & ~(1 << i | 1 << j)
-                saved = ball[:]
-                mu[i], mu[j] = j, i
-                join(i, j, rest)
-                yield from extend(rest)
-                ball[:] = saved
 
         def extend(unpaired):
             if not unpaired:
@@ -185,13 +185,17 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
                 if count < fewest:
                     if not count:
                         return
-                    best, fewest, partners = x, count, legal
-            yield from branch(best, members(partners), unpaired)
+                    i, fewest, partners = x, count, legal
+            for j in members(orbit_partners(parts, unpaired, i, partners)):
+                counter.nodes += 1
+                rest = unpaired & ~(1 << i | 1 << j)
+                saved = ball[:]
+                mu[i], mu[j] = j, i
+                join(i, j, rest)
+                yield from extend(rest)
+                ball[:] = saved
 
-        everyone = (1 << n) - 1
-        legal = everyone & ~ball[0]
-        yield from branch(0, [j for j in _first_pair_reps(parts)
-                              if legal >> j & 1], everyone)
+        yield from extend((1 << n) - 1)
 
 
 def members(mask):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -8,9 +9,10 @@ from liftgirth.graphs import (GraphError, bfs, girth, h23, is_connected,
                               k4_minus_edge, serialize_graph)
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              verify_cover)
-from liftgirth.search import (SearchCounter, _first_pair_reps, _partitions,
+from liftgirth.search import (SearchCounter, _partitions,
                               _sigma_from_partition, canonical_enumerate,
-                              certify_lower_bound, minimum_size)
+                              certify_lower_bound, members, minimum_size,
+                              orbit_partners, pairing_kernel)
 
 
 def to_nx(g):
@@ -20,23 +22,31 @@ def to_nx(g):
     return gx
 
 
+H23 = h23()
+
+
 def h23_lift(n, sigma2, mu):
     """The height-n lift of H23 with sigma1 the identity, as the search
     builds it."""
     ident = tuple(range(n))
-    return LiftAssignment(h23(), n,
+    return LiftAssignment(H23, n,
                           [ident, ident, _perm_inverse(sigma2), sigma2, mu])
 
 
 def iso_classes(n, pairs):
     """One networkx graph per isomorphism class among the graphs of the
-    height-n lifts given as (sigma2, mu) pairs."""
-    classes = []
+    height-n lifts given as (sigma2, mu) pairs.  Only graphs with the same
+    multiset of per-vertex distance multisets are compared."""
+    buckets = {}
     for sigma2, mu in pairs:
-        gx = to_nx(build_lift(h23_lift(n, sigma2, mu))[0])
-        if not any(nx.is_isomorphic(gx, seen) for seen in classes):
-            classes.append(gx)
-    return classes
+        graph = build_lift(h23_lift(n, sigma2, mu))[0]
+        key = tuple(sorted(tuple(sorted(bfs(graph.adj, v)))
+                           for v in range(graph.vertex_count)))
+        bucket = buckets.setdefault(key, [])
+        gx = to_nx(graph)
+        if not any(nx.is_isomorphic(gx, seen) for seen in bucket):
+            bucket.append(gx)
+    return [gx for bucket in buckets.values() for gx in bucket]
 
 
 def fpf_involutions(elements):
@@ -84,44 +94,44 @@ def cycle_type(perm):
     return sorted(lengths, reverse=True)
 
 
-def centralizer_generators(parts):
-    """Generators of the centralizer of the canonical partition
-    permutation: one rotation per cycle plus swaps of adjacent
-    equal-length cycle blocks."""
+def centralizer_generators(parts, paired=()):
+    """Generators of the part of the centralizer of the canonical
+    partition permutation that fixes every paired vertex: one rotation
+    per untouched cycle (no paired vertex) plus swaps of consecutive
+    untouched cycles of equal length.  With none paired, the
+    centralizer."""
     n = sum(parts)
     gens = []
     base = 0
-    blocks = []
+    last = {}         # length -> base of the last untouched such cycle
     for length in parts:
-        blocks.append((base, length))
-        rot = list(range(n))
-        for k in range(length):
-            rot[base + k] = base + (k + 1) % length
-        gens.append(tuple(rot))
+        if not any(base <= x < base + length for x in paired):
+            rot = list(range(n))
+            for k in range(length):
+                rot[base + k] = base + (k + 1) % length
+            gens.append(tuple(rot))
+            if length in last:
+                swap = list(range(n))
+                for k in range(length):
+                    swap[last[length] + k], swap[base + k] = \
+                        base + k, last[length] + k
+                gens.append(tuple(swap))
+            last[length] = base
         base += length
-    for (b1, l1), (b2, l2) in zip(blocks, blocks[1:]):
-        if l1 == l2:
-            swap = list(range(n))
-            for k in range(l1):
-                swap[b1 + k], swap[b2 + k] = b2 + k, b1 + k
-            gens.append(tuple(swap))
     return gens
 
 
-def orbit_first_pair_reps(parts):
-    """Reference for search._first_pair_reps: the smallest j of each
-    centralizer orbit of the unordered pair {0, j}, by closing the orbit
-    under the generators."""
-    n = sum(parts)
-    gens = centralizer_generators(parts)
-    reps = []
+def partner_orbits(gens, n, i):
+    """The partners j != i of i, grouped by the orbit of the unordered
+    pair {i, j} under the group gens generate, by closing each orbit
+    under the generators; in order of their smallest j."""
+    orbits = []
     seen = set()
-    for j in range(1, n):
-        if j in seen:
+    for j in range(n):
+        if j == i or j in seen:
             continue
-        reps.append(j)
-        frontier = [(0, j)]
-        orbit = {(0, j)}
+        frontier = [(min(i, j), max(i, j))]
+        orbit = set(frontier)
         while frontier:
             a, b = frontier.pop()
             for gperm in gens:
@@ -129,10 +139,17 @@ def orbit_first_pair_reps(parts):
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
-        for a, b in orbit:
-            if a == 0:
-                seen.add(b)
-    return reps
+        partners = {a + b - i for a, b in orbit if i in (a, b)}
+        seen |= partners
+        orbits.append(partners)
+    return orbits
+
+
+def orbit_first_pair_reps(parts):
+    """The smallest j of each centralizer orbit of the unordered pair
+    {0, j}, in increasing order."""
+    return [min(orbit) for orbit in
+            partner_orbits(centralizer_generators(parts), sum(parts), 0)]
 
 
 def reference_enumerate(n, g):
@@ -223,11 +240,42 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             list(canonical_enumerate(0, 3))
 
-    def test_first_pair_reps_match_orbits(self):
-        for n in range(2, 25, 2):
-            for parts in _partitions(n, 2):
-                assert _first_pair_reps(parts) == \
-                    orbit_first_pair_reps(parts), parts
+    def test_orbit_partners_match_orbits(self):
+        """One kept partner per orbit of the legal pairs {i, j}, for
+        seeded random paired vertices, i and legal partners (a union of
+        orbits, as the girth condition is invariant); at the root, the
+        legal members of orbit_first_pair_reps."""
+        rng = random.Random(18)
+        for n in range(1, 17):
+            for parts in _partitions(n, 1):
+                for p in (0.1, 0.3, 0.6):
+                    paired = {x for x in range(n) if rng.random() < p}
+                    if len(paired) == n:
+                        continue
+                    i = rng.choice(sorted(set(range(n)) - paired))
+                    orbits = partner_orbits(
+                        centralizer_generators(parts, paired), n, i)
+                    chosen = [rng.random() < 0.7 for _ in orbits]
+                    legal = sum(1 << j for orbit, pick in zip(orbits, chosen)
+                                if pick for j in orbit)
+                    unpaired = (1 << n) - 1 - sum(1 << x for x in paired)
+                    kept = orbit_partners(parts, unpaired, i, legal)
+                    assert kept & ~legal == 0, (parts, paired, i)
+                    assert [sum(kept >> j & 1 for j in orbit)
+                            for orbit in orbits] == chosen, \
+                        (parts, paired, i)
+        # at the root first-fail picks vertex 0
+        for g in range(3, 12):
+            for n in range(2, 17, 2):
+                for parts in _partitions(n, (g + 1) // 2):
+                    ball, _ = pairing_kernel(parts, g - 2)
+                    legal = [(1 << n) - 1 & ~ball[x] for x in range(n)]
+                    assert min(range(n),
+                               key=lambda x: legal[x].bit_count()) == 0
+                    kept = orbit_partners(parts, (1 << n) - 1, 0, legal[0])
+                    assert members(kept) == [
+                        j for j in orbit_first_pair_reps(parts)
+                        if legal[0] >> j & 1], (g, parts)
 
     def test_matches_brute_force(self):
         for n in (2, 4):
@@ -245,13 +293,19 @@ class TestEnumeration:
         for g in range(3, 10):
             pairs = list(canonical_enumerate(n, g))
             leaves = list(reference_enumerate(n, g))
+            connected = [(s, m) for s, m, ok in leaves if ok]
             assert len(set(pairs)) == len(pairs), g
-            assert set(pairs) == {(s, m) for s, m, ok in leaves if ok}, g
-            # building and checking every lift costs ~20 s at n = 12,
-            # where the equality with the reference already covers girth
-            # and connectivity
-            for sigma2, mu in pairs if n <= 10 else pairs[::10]:
+            assert set(pairs) <= set(connected), g
+            # checking every lift costs ~11 s at n = 12, where the subset
+            # of the reference already covers girth and connectivity
+            for sigma2, mu in pairs if n <= 10 else pairs[::4]:
                 check_search_lift(h23_lift(n, sigma2, mu), n, g)
+            # the class counts where they take under a second; the others
+            # (n = 10, g <= 6; n = 12, g <= 7) take from one second to
+            # minutes each
+            if n <= 8 or g >= {10: 7, 12: 8}[n]:
+                assert len(iso_classes(n, pairs)) == \
+                    len(iso_classes(n, connected)), g
             if n <= 10:
                 # the BFS over adj agrees with the lift built as a graph;
                 # building every leaf costs ~10 s at n = 12
@@ -277,12 +331,12 @@ class TestMinimumSize:
         assert out.witness is None and out.size is None
 
     @pytest.mark.parametrize("g, n_max, size, nodes, sha", [
-        (10, 40, 32, 106, "92c4182aac55f8caa626d9dba0fdf269"
-                          "b4ccaad2954d12083b921e123f2c02e5"),
-        (11, 40, 48, 4657, "cdf7b4ccc0b3b540d1a63883affebfbd"
+        (10, 40, 32, 75, "92c4182aac55f8caa626d9dba0fdf269"
+                         "b4ccaad2954d12083b921e123f2c02e5"),
+        (11, 40, 48, 2002, "cdf7b4ccc0b3b540d1a63883affebfbd"
                            "81c07d0a6e3bd296f172ecba47f00b2a"),
-        (12, 30, 52, 14184, "5b7dca3e83c9e8892c2f1df4a26bbbda"
-                            "d682b0d19f3ab408a94b819636579673"),
+        (12, 30, 52, 4980, "5b7dca3e83c9e8892c2f1df4a26bbbda"
+                           "d682b0d19f3ab408a94b819636579673"),
     ], ids=["g10", "g11", "g12"])
     def test_pinned_minima(self, g, n_max, size, nodes, sha):
         out = minimum_size(g, n_max)
@@ -296,7 +350,7 @@ class TestMinimumSize:
 
 class TestCertificates:
     def test_refutations(self):
-        for g, n, nodes in ((7, 8, 6), (9, 12, 13), (11, 22, 4560)):
+        for g, n, nodes in ((7, 8, 6), (9, 12, 13), (11, 22, 1905)):
             cert = certify_lower_bound(g, n)
             assert cert.witness is None and cert.nodes == nodes
 
@@ -304,7 +358,7 @@ class TestCertificates:
         # n(H23, 13) >= 64: no lift of height <= 30 (60 vertices, the
         # Moore bound) has girth 13
         cert = certify_lower_bound(13, 30)
-        assert cert.witness is None and cert.nodes == 67250
+        assert cert.witness is None and cert.nodes == 13012
 
     def test_counterexample_when_not_refuted(self):
         cert = certify_lower_bound(6, 8)
