@@ -12,15 +12,20 @@ Three families:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import rshift
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import SpanningTreeInfo, spanning_tree
-from .cover_tree import nb_step
+from .cover_tree import nb_columns, nb_step
 from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
                      girth, h23, k4_minus_edge)
 from .lifts import (CoverMap, LiftAssignment, build_lift,
                     half_loop_elimination, normalize_tree_layers, verify_cover)
-from .search import members, pairing_kernel
+
+# bounds (for es) and search (for greedy) are imported where they run: an
+# invocation compiles what it imports when bytecode is not cached, so a
+# construct run compiles only what its algorithm uses, as in cli.
+if TYPE_CHECKING:
+    from .bounds import SpanningTreeInfo
 
 
 # -- cycle counting --------------------------------------------------------
@@ -64,13 +69,18 @@ def nb_cycle_profile(g: MultiGraph, edges, g_max: int):
     of its bit length never carry into each other."""
     width = ((max(map(len, g.out)) - 1) ** g_max).bit_length()
     mask = (1 << width) - 1
-    counts = {e: 1 << k * width for k, e in enumerate(edges)}
-    profiles = [[] for _ in edges]
+    shifts = [k * width for k in range(len(edges))]
+    columns = nb_columns(g)
+    counts = [0] * (g.edge_count + 1)
+    for e, shift in zip(edges, shifts):
+        counts[e] = 1 << shift
+    steps = []
     for _ in range(g_max):
-        counts = nb_step(g, counts)
-        for k, e in enumerate(edges):
-            profiles[k].append(counts.get(e, 0) >> k * width & mask)
-    return [tuple(p) for p in profiles]
+        counts = nb_step(columns, counts)
+        steps.append(list(map(mask.__and__, map(
+            rshift, map(counts.__getitem__, edges), shifts))))
+    # one tuple per edge even when g_max = 0: its own id, then dropped
+    return [p[1:] for p in zip(edges, *steps)]
 
 
 # -- girth boosting by 2-lifts ---------------------------------------------
@@ -220,6 +230,8 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
 
 def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
     """The tree es_construct trims by, if g >= g0 = 2 diam(T) + 2."""
+    from .bounds import spanning_tree
+
     tree = spanning_tree(h)
     if g < tree.g0:
         raise GraphError(f"g={g} below g0={tree.g0}")
@@ -258,6 +270,8 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
 
     C_n is the lift of H23 whose sigma2 is one n/2-cycle (u-vertex x at 2x),
     so the search's pairing kernel gives x's partners: deficient & ~ball[x].
+    Its start rows depend on (n, g) alone, so the trials of one run share
+    one build (search.pairing_tables) and each copies them.
     """
     variant = variant.lower()
     if variant not in ("a", "b", "c"):
@@ -266,6 +280,8 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
         raise GraphError("n must be a positive multiple of 4")
     if g < 3:
         raise GraphError("g must be >= 3")
+    from .search import members, pairing_kernel
+
     ball, join = pairing_kernel([n // 2], g - 2)
     matching = []
     deficient = (1 << n // 2) - 1
@@ -412,8 +428,9 @@ _MAX_STEPS = 10000          # surgery steps before grow gives up
 
 
 def _pick_max(items, key, rng):
-    best = max(key(x) for x in items)
-    pool = [x for x in items if key(x) == best]
+    keys = list(map(key, items))
+    best = max(keys)
+    pool = [x for x, k in zip(items, keys) if k == best]
     return pool[rng.randrange(len(pool))]
 
 
@@ -452,7 +469,7 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
             profiles = dict(zip(uv, nb_cycle_profile(graph, uv, g - 1)))
             if not any(map(any, profiles.values())):
                 return graph
-            e = _pick_max(uv, lambda x: profiles[x], rng)
+            e = _pick_max(uv, profiles.__getitem__, rng)
             degs = graph.degrees()
 
             def v_end(x):
@@ -463,10 +480,10 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
             dist = bfs(graph.adj, v_end(e))
             dmap = {f: dist[v_end(f)] + 3 for f in others}
             if max(dmap.values()) < g:
-                f = _pick_max(others, lambda f: dmap[f], rng)
+                f = _pick_max(others, dmap.__getitem__, rng)
             else:
                 far = [f for f in others if dmap[f] >= g]
-                f = _pick_max(far, lambda f: profiles[f], rng)
+                f = _pick_max(far, profiles.__getitem__, rng)
         graph = surgery_transform(graph, e, f)
     raise TrialFailed(
         f"max_steps={_MAX_STEPS} exceeded at girth {girth(graph)}")

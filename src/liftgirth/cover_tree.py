@@ -1,14 +1,15 @@
 """Lazy exploration of the universal covering tree.
 
 Ball sizes are computed by counting non-backtracking walks in the base
-graph.  Frontier states are (arriving directed edge) keys with integer
-multiplicities, so layer sizes stay polynomial in the number of base
-edges even though the ball itself grows exponentially.
+graph.  A frontier is one integer count per arriving directed edge, so
+layer sizes stay polynomial in the number of base edges even though the
+ball itself grows exponentially.
 
 `nb_step` is the one step of the non-backtracking matrix B that ball
 sizes, the Perron radius (`spectral`) and the all-edge cycle profiles of
-surgery growth (`construct.nb_cycle_profile`) share.  The balls grow at
-the rate of that radius, rho (`spectral.spectral_radius`).
+surgery growth (`construct.nb_cycle_profile`) share, over the
+predecessor columns of `nb_columns`.  The balls grow at the rate of that
+radius, rho (`spectral.spectral_radius`).
 """
 
 from __future__ import annotations
@@ -19,20 +20,35 @@ from operator import add
 from .graphs import GraphError, MultiGraph
 
 
-def nb_step(g: MultiGraph, counts) -> dict:
-    """One step of B: walk counts keyed by the directed edge the walk ends
-    on, to the counts of the walks one step longer.  A walk ending on e
-    continues on every edge out of head(e) except e^-1; edges no walk
-    reaches are absent.  Each entry sums its predecessors in the order of
-    `counts`."""
-    head, inv, out = g.head, g.inv, g.out
-    nxt = {}
-    for e, c in counts.items():
-        back = inv[e]
+def nb_columns(g: MultiGraph):
+    """B as predecessor columns, built once per graph: column c lists, for
+    each directed edge f, its c-th smallest predecessor, an edge e with
+    head(e) = tail(f) and e != inv(f), or m where f has fewer.  Slot m,
+    past the m edges, is listed in every column as m, so a count list of
+    length m + 1 whose slot m holds 0 keeps it at 0."""
+    m, head, inv, out = g.edge_count, g.head, g.inv, g.out
+    preds = [[] for _ in range(m + 1)]
+    for e in range(m):
         for f in out[head[e]]:
-            if f != back:
-                nxt[f] = nxt.get(f, 0) + c
-    return nxt
+            if f != inv[e]:
+                preds[f].append(e)
+    width = max(map(len, preds)) or 1
+    return list(zip(*(p + [m] * (width - len(p)) for p in preds)))
+
+
+def nb_step(columns, counts) -> list:
+    """One step of B: walk counts indexed by the directed edge the walk
+    ends on (a list of length m + 1, slot m holding 0), to the counts of
+    the walks one step longer.  A walk ending on e continues on every edge
+    out of head(e) except e^-1, so the count of f gathers its predecessor
+    columns.  They are summed left to right in increasing edge id, so a
+    float count equals, bit for bit, the one-by-one sum of an edge loop
+    over the counts in id order."""
+    get = counts.__getitem__
+    nxt = map(get, columns[0])
+    for col in columns[1:]:
+        nxt = map(add, nxt, map(get, col))
+    return list(nxt)
 
 
 def layer_counts(base: MultiGraph, v: int, rmax: int):
@@ -40,10 +56,14 @@ def layer_counts(base: MultiGraph, v: int, rmax: int):
     vertex over v."""
     if rmax < 0:
         raise GraphError("rmax must be >= 0")
-    counts, sums = dict.fromkeys(base.out[v], 1), []
+    columns = nb_columns(base)
+    counts = [0] * (base.edge_count + 1)
+    for e in base.out[v]:
+        counts[e] = 1
+    sums = []
     for k in range(rmax):
-        counts = nb_step(base, counts) if k else counts
-        sums.append(sum(counts.values()))
+        counts = nb_step(columns, counts) if k else counts
+        sums.append(sum(counts))
     return sums
 
 
@@ -72,5 +92,5 @@ def ball_size_edge_two_sided(base: MultiGraph, e: int, r: int) -> int:
                            ball_sizes(base, base.head[e], r))[r]
 
 
-__all__ = ["nb_step", "layer_counts", "ball_sizes", "edge_ball_sizes",
-           "ball_size_vertex", "ball_size_edge_two_sided"]
+__all__ = ["nb_columns", "nb_step", "layer_counts", "ball_sizes",
+           "edge_ball_sizes", "ball_size_vertex", "ball_size_edge_two_sided"]

@@ -11,11 +11,13 @@ that fixes the pairs made (orbit_partners: the cage-search
 normalisation of McKay, Myrvold and Nadon, SODA 1998, at every frame).
 v_i joins u_i and u_sigma2(i), so a lift is connected iff mu's pairs
 join all the cycles of sigma2.
-construct.greedy_cycle shares pairing_kernel and members.
+construct.greedy_cycle shares pairing_kernel (whose tables a run builds
+once) and members.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import GraphError, bfs, h23
@@ -82,19 +84,19 @@ class SearchCounter:
         self.nodes = 0
 
 
-def pairing_kernel(parts, top):
-    """(ball, join) over the u-vertices on cycles of sigma2 of the given
-    lengths.  ball[x] packs the masks of the u-vertices within distance r
-    of x, r = 0..top, into one int, radius r in bits (top-r)*n .. +n-1, so
-    the widest ball is the low n bits.  At first, u-vertices k steps apart
-    on one cycle of length L are at distance 2 min(k, L - k), and
-    different cycles are not joined.  join(i, j, unpaired) adds the edge
-    i-j to the rows of the unpaired vertices: an unpaired x at distance
-    a < top from i gains, at every radius s > a, the radius s-1-a ball of
-    j, one right shift of j's row; symmetrically for j.  So the rows of i
-    and j must be current, and a paired vertex's row goes stale."""
+@lru_cache(maxsize=1)
+def pairing_tables(parts: tuple, top: int):
+    """The start rows and shift tables of pairing_kernel, built once for
+    the cycle lengths parts and radius top and kept for the last pair
+    asked for: the rows are a tuple that each kernel copies, so no join
+    writes them, and greedy_cycle's trials of one run share one build.
+    rows[x] packs the masks of the u-vertices within distance r of x,
+    r = 0..top, into one int, radius r in bits (top-r)*n .. +n-1, so the
+    widest ball is the low n bits.  At first, u-vertices k steps apart on
+    one cycle of length L are at distance 2 min(k, L - k), and different
+    cycles are not joined."""
     n = sum(parts)
-    ball = []
+    rows = []
     base = 0
     for length in parts:
         # the cycle's bits in every field, and the first of them
@@ -108,7 +110,7 @@ def pairing_kernel(parts, top):
                                         range(-reach, reach + 1)}) \
                 << base + (top - r) * n
         for _ in range(length):
-            ball.append(row)
+            rows.append(row)
             # one step along the cycle: rotate every field's window by one
             row = row << 1 & window & ~first | row >> length - 1 & first
         base += length
@@ -116,8 +118,22 @@ def pairing_kernel(parts, top):
     spread = sum(1 << f * n for f in range(1, top))
     # bit p = (top-a)*n + x of a packed row: the vertex x, and the shift
     # that moves radius r to radius r + a + 1
-    vertex = [p % n for p in range(top * n)]
-    lift = [(top - p // n + 1) * n for p in range(top * n)]
+    vertex = tuple(p % n for p in range(top * n))
+    lift = tuple((top - p // n + 1) * n for p in range(top * n))
+    return tuple(rows), spread, vertex, lift
+
+
+def pairing_kernel(parts, top):
+    """(ball, join) over the u-vertices on cycles of sigma2 of the given
+    lengths: ball is a fresh copy of the rows of pairing_tables.
+    join(i, j, unpaired) adds the edge i-j to the rows of the unpaired
+    vertices: an unpaired x at distance a < top from i gains, at every
+    radius s > a, the radius s-1-a ball of j, one right shift of j's row;
+    symmetrically for j.  So the rows of i and j must be current, and a
+    paired vertex's row goes stale."""
+    rows, spread, vertex, lift = pairing_tables(tuple(parts), top)
+    n = len(rows)
+    ball = list(rows)
 
     def join(i, j, unpaired):
         for near, far in ((ball[i], ball[j]), (ball[j], ball[i])):
@@ -244,5 +260,6 @@ def certify_lower_bound(g: int, n: int) -> SearchOutcome:
     return minimum_size(g, n)
 
 
-__all__ = ["SearchCounter", "pairing_kernel", "canonical_enumerate",
-           "members", "SearchOutcome", "minimum_size", "certify_lower_bound"]
+__all__ = ["SearchCounter", "pairing_tables", "pairing_kernel",
+           "canonical_enumerate", "members", "SearchOutcome",
+           "minimum_size", "certify_lower_bound"]

@@ -1,30 +1,29 @@
 """Perron radius of the non-backtracking matrix B (applied by
-`cover_tree.nb_step`), and degree-based invariants."""
+`cover_tree.nb_step` over its `nb_columns`), and degree-based invariants."""
 
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import NamedTuple
 
-from .cover_tree import nb_step
+from .cover_tree import nb_columns, nb_step
 from .graphs import GraphError, MultiGraph, admissible, bfs
 
 
-def _successors(h: MultiGraph):
-    """B as successor lists: the edges a walk ending on e may continue on."""
-    return [list(nb_step(h, {e: 1})) for e in range(h.edge_count)]
-
-
-def _strongly_connected(succ) -> bool:
-    """Whether B, as successor lists, is irreducible: its digraph (an arc
-    e -> f when a walk ending on e may continue on f) has an arc and is
-    strongly connected.  (So a 1x1 B, which is zero, counts as reducible.)"""
+def _strongly_connected(columns) -> bool:
+    """Whether B, as predecessor columns, is irreducible: its digraph (an
+    arc e -> f when a walk ending on e may continue on f) has an arc and
+    is strongly connected.  (So a 1x1 B, which is zero, counts as
+    reducible.)"""
+    m = len(columns[0]) - 1
+    pred = [[e for e in es if e < m] for es in zip(*columns)][:m]
+    succ = [[] for _ in pred]
+    for f, es in enumerate(pred):
+        for e in es:
+            succ[e].append(f)
     if not any(succ):
         return False
-    pred = [[] for _ in succ]
-    for e, fs in enumerate(succ):
-        for f in fs:
-            pred[f].append(e)
     return all(min(bfs(adj, 0)) >= 0 for adj in (succ, pred))
 
 
@@ -46,20 +45,16 @@ def spectral_radius(h: MultiGraph):
     `graphs.admissible`: B is also irreducible on some inadmissible bases
     (two half-loops at one vertex, B one cyclic permutation: rho = 1).
     """
-    if not _strongly_connected(_successors(h)):
+    columns = nb_columns(h)
+    if not _strongly_connected(columns):
         raise GraphError("spectral_radius requires an irreducible matrix")
-    n = h.edge_count
-    x = [1.0] * n
-    lam = 0.0
+    x = [1.0] * h.edge_count + [0.0]    # the zero slot of nb_columns
     for it in range(1, _MAX_ITER + 1):
-        bx = nb_step(h, dict(enumerate(x)))
-        y = [x[i] + bx[i] for i in range(n)]
-        norm = max(abs(v) for v in y)
-        y = [v / norm for v in y]
-        lam = norm  # with x normalized in inf-norm, |y|_inf estimates rho+1
-        residual = max(abs(x[i] + bx[i] - lam * x[i]) for i in range(n)) \
-            / max(abs(v) for v in x)
-        x = y
+        y = list(map(add, x, nb_step(columns, x)))
+        lam = max(map(abs, y))  # x has inf-norm 1: |y|_inf estimates rho+1
+        residual = max(abs(v - lam * u) for u, v in zip(x, y)) \
+            / max(map(abs, x))
+        x = [v / lam for v in y]
         if residual <= _TOL * lam:
             return lam - 1.0, it, residual
     raise GraphError(

@@ -7,7 +7,7 @@ from liftgirth import graphs
 from liftgirth.bounds import (CSV_HEADER, ahl_moore_polynomial, bounds_table,
                               es_upper_bound, lift_size_step, moore_lift_bound,
                               spanning_tree, table_to_csv)
-from liftgirth.cover_tree import layer_counts, nb_step
+from liftgirth.cover_tree import layer_counts, nb_columns, nb_step
 from liftgirth.graphs import GraphError, MultiGraph
 from liftgirth.spectral import lambda_ahl
 
@@ -169,12 +169,16 @@ def edge_ball_reference(h, e, r):
     """Two-sided ball of radius r around a tree edge over e: both ends,
     plus the walks of lengths 1..r that leave it.  Those leaving the head
     are one B-step of e, those leaving the tail one B-step of e^-1."""
-    counts = nb_step(h, Counter((e, h.inv[e])))
+    columns = nb_columns(h)
+    counts = [0] * (h.edge_count + 1)
+    counts[e] += 1
+    counts[h.inv[e]] += 1
+    counts = nb_step(columns, counts)
     total = 2
     for k in range(r):
         if k:
-            counts = nb_step(h, counts)
-        total += sum(counts.values())
+            counts = nb_step(columns, counts)
+        total += sum(counts)
     return total
 
 

@@ -411,7 +411,11 @@ ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
     (["verify"], {"graphs", "lifts"}),
     (["search", "--g", "6", "--max-n", "6"], {"graphs", "lifts", "search"}),
     (["construct", "--alg", "gf", "--g", "5", "--trials", "2"],
-     ANALYZE | {"construct", "lifts", "search"}),
+     {"graphs", "cover_tree", "construct", "lifts"}),
+    (["construct", "--alg", "c", "--g", "4", "--n", "8", "--trials", "2"],
+     {"graphs", "cover_tree", "construct", "lifts", "search"}),
+    (["construct", "--alg", "es", "--g", "5", "--trials", "1"],
+     ANALYZE | {"construct", "lifts"}),
 ])
 def test_command_loads_only_its_modules(argv, loaded, tmp_path):
     """Each invocation compiles what it imports when bytecode is not

@@ -20,6 +20,7 @@ from liftgirth.graphs import (GraphError, MultiGraph, TrialFailed, diameter,
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              normalize_tree_layers, serialize_cover_map,
                              verify_cover)
+from liftgirth.search import pairing_kernel, pairing_tables
 from test_graphs import (random_assignment, random_involution,
                          random_loopy_lift)
 
@@ -267,16 +268,30 @@ class TestNBProfile:
         full = [reference_nb_cycle_profile(bouquet, e, 8) for e in edges]
         for g_max in range(1, 9):
             steps = []
-            monkeypatch.setattr(construct, "nb_step", lambda g, counts:
-                                steps.append(counts) or nb_step(g, counts))
+            monkeypatch.setattr(construct, "nb_step", lambda columns, counts:
+                                steps.append(counts)
+                                or nb_step(columns, counts))
             assert nb_cycle_profile(bouquet, edges, g_max) \
                 == [p[:g_max] for p in full]
             width = ((delta - 1) ** g_max).bit_length()
-            assert steps[0] == {e: 1 << k * width for k, e in enumerate(edges)}
+            start = [0] * (bouquet.edge_count + 1)
+            for k, e in enumerate(edges):
+                start[e] = 1 << k * width
+            assert steps[0] == start
             # every walk continues on delta - 1 edges
-            assert sum(steps[-1].values()) == sum(
+            assert sum(steps[-1]) == sum(
                 (delta - 1) ** (g_max - 1) << k * width
                 for k in range(len(edges)))
+
+    def test_no_steps_or_no_edges(self, h23, k4):
+        """g_max = 0 gives one empty profile per edge, an empty edge list
+        no profiles, on a graph with edges or none."""
+        edgeless = MultiGraph(1, (), (), ())
+        assert nb_cycle_profile(k4, [3, 0, 5], 0) == [(), (), ()]
+        assert nb_cycle_profile(h23, range(5), 0) == [()] * 5
+        for g in (edgeless, h23, k4):
+            for g_max in range(4):
+                assert nb_cycle_profile(g, [], g_max) == []
 
 
 class TestHighGirthCover:
@@ -704,6 +719,36 @@ class TestGreedyCycle:
                         assert greedy_outcome(variant, n, g, mine) \
                             == reference_greedy_cycle(variant, n, g, ref)
                         assert mine.random() == ref.random()
+
+    def test_trials_share_unwritten_start_rows(self):
+        """The trials of one (n, g) share one build of the start rows and
+        no trial's join writes them: after 50 seeded c trials they equal a
+        fresh build and seed 0 gives the same graph again, and another
+        (n, g) gets rows of its own."""
+        first = greedy_outcome("c", 24, 8, random.Random(0))
+        tables = pairing_tables((12,), 6)
+        builds = pairing_tables.cache_info().misses
+        for seed in range(50):
+            greedy_outcome("c", 24, 8, random.Random(seed))
+        assert pairing_tables.cache_info().misses == builds
+        assert pairing_tables((12,), 6) is tables
+        assert tables == pairing_tables.__wrapped__((12,), 6)
+        assert greedy_outcome("c", 24, 8, random.Random(0)) == first
+        other = greedy_outcome("c", 16, 6, random.Random(0))
+        assert pairing_tables((8,), 4) \
+            == pairing_tables.__wrapped__((8,), 4) != tables
+        assert greedy_outcome("c", 24, 8, random.Random(0)) == first
+        assert greedy_outcome("c", 16, 6, random.Random(0)) == other
+
+    def test_kernels_copy_the_rows(self):
+        """Each kernel's ball is its own copy: a join on one leaves the
+        shared rows and a second kernel's ball as built."""
+        ball, join = pairing_kernel([12], 6)
+        other, _ = pairing_kernel([12], 6)
+        join(0, 6, (1 << 12) - 1 & ~(1 | 1 << 6))
+        assert ball != other
+        assert other == list(pairing_tables((12,), 6)[0]) \
+            == list(pairing_tables.__wrapped__((12,), 6)[0])
 
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     def test_base_cycle_shorter_than_g_fails(self, variant):

@@ -5,7 +5,7 @@ import pytest
 from liftgirth import graphs
 from liftgirth.construct import high_girth_cover
 from liftgirth.cover_tree import (ball_size_edge_two_sided, ball_size_vertex,
-                                  layer_counts)
+                                  layer_counts, nb_columns, nb_step)
 from liftgirth.graphs import MultiGraph, bfs, girth
 from liftgirth.lifts import build_lift
 
@@ -33,6 +33,63 @@ def bfs_ball_oracle(g, v, r):
                     nxt[f] = nxt.get(f, 0) + k
         frontier = nxt
     return total
+
+
+def reference_nb_step(g, counts):
+    """One step of B over walk counts in a dict keyed by the directed edge
+    the walk ends on, edge by edge: a walk ending on e continues on every
+    edge out of head(e) except e^-1.  Each entry sums its predecessors in
+    the order of counts; edges no walk reaches are absent."""
+    nxt = {}
+    for e, c in counts.items():
+        for f in g.out[g.head[e]]:
+            if f != g.inv[e]:
+                nxt[f] = nxt.get(f, 0) + c
+    return nxt
+
+
+def random_multigraph(rng):
+    """A seeded multigraph on 1-5 vertices: edges (parallel pairs among
+    them), whole-loops and half-loops, often a vertex of degree 0 or 1."""
+    nv = rng.randint(1, 5)
+    directives = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.choice(("edge", "edge", "wholeloop", "halfloop"))
+        directives.append((kind, rng.randrange(nv), rng.randrange(nv))
+                          if kind == "edge" else (kind, rng.randrange(nv)))
+    return MultiGraph.build(nv, directives)
+
+
+class TestNBStep:
+    def test_matches_reference(self):
+        """Three chained steps against the dict step, on seeded random
+        multigraphs and an edgeless one, for int and float counts: the
+        column step sums predecessors in increasing id, as the dict step
+        does over a vector keyed in id order, so floats agree bit for
+        bit."""
+        rng = random.Random(19)
+        cases = [MultiGraph(1, (), (), ())]
+        cases += [random_multigraph(rng) for _ in range(400)]
+        # the seeded cases hold every feature the step must handle
+        ends = [[(g.tail[e], g.head[e], g.inv[e] == e)
+                 for e in g.undirected_edges()] for g in cases]
+        assert any(min(g.degrees()) == 1 for g in cases)
+        assert any((v, v, True) in es for es in ends for v in range(5))
+        assert any((v, v, False) in es for es in ends for v in range(5))
+        assert any(len(set(es)) < len(es) for es in ends)   # parallel pairs
+        for g in cases:
+            m = g.edge_count
+            columns = nb_columns(g)
+            assert all(len(col) == m + 1 and col[m] == m for col in columns)
+            for draw, zero in ((lambda: rng.randrange(10 ** 20), 0),
+                               (lambda: rng.uniform(-1.0, 1.0), 0.0)):
+                counts = [draw() for _ in range(m)] + [zero]
+                for _ in range(3):
+                    ref = reference_nb_step(g, dict(enumerate(counts[:m])))
+                    counts = nb_step(columns, counts)
+                    want = [ref.get(f, zero) for f in range(m)] + [zero]
+                    key = float.hex if isinstance(zero, float) else int
+                    assert list(map(key, counts)) == list(map(key, want))
 
 
 class TestVertexBalls:

@@ -6,8 +6,10 @@ import pytest
 from liftgirth import graphs
 from liftgirth.graphs import GraphError
 from liftgirth.lifts import build_lift
-from liftgirth.spectral import (avg_degree, lambda_ahl, rho_lambda_equality,
-                                spectral_radius, summarize)
+from liftgirth.spectral import (_TOL, avg_degree, lambda_ahl,
+                                rho_lambda_equality, spectral_radius,
+                                summarize)
+from test_cover_tree import reference_nb_step
 from test_graphs import dense_nb_matrix, reference_admissible
 from test_lifts import random_two_lift
 
@@ -29,7 +31,34 @@ def dense_radius(m, iters=3000):
     return lam - 1.0
 
 
+def reference_spectral_radius(h):
+    """spectral_radius's power iteration on B + I with B applied by the
+    dict step over a vector keyed in id order."""
+    n = h.edge_count
+    x = [1.0] * n
+    it = 0
+    while True:
+        it += 1
+        bx = reference_nb_step(h, dict(enumerate(x)))
+        y = [x[i] + bx[i] for i in range(n)]
+        norm = max(abs(v) for v in y)
+        residual = max(abs(x[i] + bx[i] - norm * x[i]) for i in range(n)) \
+            / max(abs(v) for v in x)
+        x = [v / norm for v in y]
+        if residual <= _TOL * norm:
+            return norm - 1.0, it, residual
+
+
 class TestRadius:
+    def test_bit_for_bit_with_dict_step(self, h23, k32, petersen, k4me):
+        """The column step keeps the float sums, so rho, the iteration
+        count and the residual equal the dict step's exactly."""
+        for h in (h23, k32, petersen, k4me):
+            rho, iters, residual = spectral_radius(h)
+            ref_rho, ref_iters, ref_residual = reference_spectral_radius(h)
+            assert (rho.hex(), iters, residual.hex()) \
+                == (ref_rho.hex(), ref_iters, ref_residual.hex())
+
     def test_h23(self, h23):
         rho, _, _ = spectral_radius(h23)
         assert abs(rho - 1.5214) < 1e-4
