@@ -12,6 +12,7 @@ Three families:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import rshift
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -109,7 +110,9 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
     those cycles (a cycle survives as two copies iff the product of its
     fiber swaps is the identity).  The best of _BUDGET candidates is
     accepted as long as it strictly reduces the census; a candidate with
-    census zero raises the girth level.
+    census zero raises the girth level.  A census left above zero is
+    carried to the lift (_lift_census): a lift is built and measured only
+    at a new girth level below g.
 
     Every accepted 2-lift of a connected graph is connected: it splits
     only when every cycle keeps even parity, which scores 2 phi, and a
@@ -124,12 +127,13 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
         G = build_lift(a)[0]
 
     while True:
-        gamma = girth(G)
-        if gamma >= g:
-            return a
-        cycles = cycles_of_length(G, gamma)
+        if G is not None:           # a new girth level: measure it
+            gamma = girth(G)
+            if gamma >= g:
+                return a
+            inv, cycles = G.inv, cycles_of_length(G, gamma)
         phi = len(cycles)
-        und = G.undirected_edges()
+        und = [e for e, f in enumerate(inv) if e <= f]
         # draw i is character i of a candidate's string, so bit m - 1 - i
         # of its value word; a cycle keeps even parity iff word & (its
         # edge mask) has an even popcount
@@ -139,7 +143,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
         for c in cycles:
             mask = 0
             for e in c:
-                mask ^= 1 << bit[min(e, G.inv[e])]
+                mask ^= 1 << bit[min(e, inv[e])]
             masks.append(mask)
         best_draws, best_phi = None, phi
         for _ in range(_BUDGET):
@@ -155,35 +159,92 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
             raise TrialFailed(
                 f"no 2-lift in budget {_BUDGET} reduced the census "
                 f"(girth {gamma}, {phi} shortest cycles)")
-        flips = [False] * G.edge_count
+        flips = [False] * len(inv)
         for i, e in enumerate(und):
-            flips[e] = flips[G.inv[e]] = best_draws[i] == "1"
+            flips[e] = flips[inv[e]] = best_draws[i] == "1"
         a = a.double(flips)
-        G = build_lift(a)[0]
+        if best_phi:
+            inv, cycles = _lift_census(inv, cycles, flips)
+            G = None
+        elif gamma + 1 >= g:
+            return a                # no cycle of length gamma is left
+        else:
+            G = build_lift(a)[0]
+
+
+def _lift_census(inv, cycles, flips):
+    """The inverse map and shortest cycles of the 2-lift by flips of a
+    graph with inverse map inv and shortest cycles `cycles`, some of even
+    parity.  Copy s of edge f is edge s*|E| + f, and its inverse is copy
+    s ^ flips[f] of inv[f] (LiftAssignment.double).  An even cycle lifts
+    to two, one from each copy, changing sheet at each flipped edge.
+    These are all the lift's cycles of that length: one projects to a
+    closed non-backtracking walk as long, which at the girth is a cycle."""
+    m = len(inv)
+    cross = [m if f else 0 for f in flips]   # sheet offset s*m ^= cross[f]
+    lifted_inv = ([x + c for x, c in zip(inv, cross)]
+                  + [x + m - c for x, c in zip(inv, cross)])
+    lifted = []
+    for c in cycles:
+        walk, s = [], 0
+        for e in c:
+            walk.append(s + e)
+            s ^= cross[e]
+        if not s:                   # even parity: closed on each sheet
+            lifted.append(tuple(walk))
+            lifted.append(tuple((x + m) % (2 * m) for x in walk))
+    return lifted_inv, lifted
 
 
 # -- Erdos-Sachs layer trimming --------------------------------------------
 
 class TrimState(NamedTuple):
-    """A connected cover in tree-normalized permutation form.
+    """A connected cover in tree-normalized permutation form, as the
+    neighbour lists of its lift, which es_trim_step edits in place.
 
     Layers are the connected components of the preimage of the spanning
     tree; with tree permutations normalized to the identity, the vertex
-    (v, i) has id i*|V(H)| + v and its layer is an integer division.
+    (v, i) has id i*|V(H)| + v, its layer is an integer division, and
+    adj[(v, i)][k] is the head of the copy of base edge out[v][k], as in
+    build_lift.  graphs.farthest_pair reads only vertex_count and adj.
     """
-    assignment: LiftAssignment
+    base: MultiGraph
     tree: SpanningTreeInfo
-    graph: MultiGraph
-    cover: CoverMap
+    adj: list
+
+    @classmethod
+    def of(cls, a: LiftAssignment, tree: SpanningTreeInfo) -> TrimState:
+        h = a.base
+        nv = h.vertex_count
+        return cls(h, tree, [[a.perms[e][i] * nv + h.head[e]
+                              for e in h.out[v]]
+                             for i in range(a.height) for v in range(nv)])
+
+    @property
+    def vertex_count(self):
+        return len(self.adj)
+
+    def assignment(self) -> LiftAssignment:
+        """The lift as a permutation assignment: edge e leaves layer i
+        for the layer of the head in its slot at (tail e, i)."""
+        h, adj = self.base, self.adj
+        nv = h.vertex_count
+        n = len(adj) // nv
+        perms = []
+        for e in range(h.edge_count):
+            t = h.tail[e]
+            k = h.out[t].index(e)
+            perms.append([adj[i * nv + t][k] // nv for i in range(n)])
+        return LiftAssignment(h, n, perms)
 
 
-def es_trim_step(state: TrimState, g: int, far) -> TrimState:
+def es_trim_step(state: TrimState, g: int, far) -> None:
     """Remove the two layers holding the farthest vertex pair far = (v, u,
-    dist) of state.graph and reconnect the deficient vertices; girth >= g
-    and the cover property persist when the pair is farther apart than
-    D0 = g + 2 diam(T)."""
-    a = state.assignment
-    h, n = a.base, a.height
+    dist) of state and reconnect the deficient vertices, in place; girth
+    >= g and the cover property persist when the pair is farther apart
+    than D0 = g + 2 diam(T).  The state is unchanged when the step is
+    refused, and unusable after the short-cycle guard fails."""
+    h, adj = state.base, state.adj
     nv = h.vertex_count
     d0 = state.tree.d0(g)
     vp, up, dist = far
@@ -194,42 +255,42 @@ def es_trim_step(state: TrimState, g: int, far) -> TrimState:
         raise GraphError("farthest pair in one layer; tree normalization "
                          "or the distance precondition is broken")
 
-    # old layer -> new layer for the kept layers, which keep their order
-    new = [x - (x > i) - (x > j) for x in range(n)]
-
-    tree_set = set(state.tree.tree_edges) | {h.inv[e]
-                                             for e in state.tree.tree_edges}
-    perms = []
-    rewired = []      # lifted ids of the new edges, one direction each
-    for e in range(h.edge_count):
-        if e in tree_set:
-            perms.append(tuple(range(n - 2)))
+    fused = []
+    for e in h.undirected_edges():
+        if e in state.tree.tree_edges:
             continue
-        p, p_inv = a.perms[e], a.perms[h.inv[e]]
-        if {p[i], p[j], p_inv[i], p_inv[j]} & {i, j}:
+        t, hd = h.tail[e], h.head[e]
+        k, ki = h.out[t].index(e), h.out[hd].index(h.inv[e])
+        # the layers e leaves i and j for, and those inv e leaves them for
+        pi, pj = adj[i * nv + t][k] // nv, adj[j * nv + t][k] // nv
+        qi, qj = adj[i * nv + hd][ki] // nv, adj[j * nv + hd][ki] // nv
+        if {pi, pj, qi, qj} & {i, j}:
             raise GraphError(
                 f"red-edge count above base edge {e} is not two; the "
                 f"distance precondition did not actually hold")
-        q = [new[p[x]] for x in range(n) if x != i and x != j]
         # the edges into j and out of i fuse, as do those into i and out of j
-        q[new[p_inv[j]]] = new[p[i]]
-        q[new[p_inv[i]]] = new[p[j]]
-        perms.append(tuple(q))
-        if e <= h.inv[e]:
-            rewired += [new[p_inv[j]] * h.edge_count + e,
-                        new[p_inv[i]] * h.edge_count + e]
-    new_a = LiftAssignment(h, n - 2, perms)
-    graph, cover = build_lift(new_a)
-    # the rest of graph is an induced subgraph of state.graph, so a cycle
-    # shorter than g would have to use a new edge
-    if any(_on_short_cycle(graph, e, g) for e in rewired):
+        fused += [(qj * nv + t, k, pi * nv + hd, ki),
+                  (qi * nv + t, k, pj * nv + hd, ki)]
+    for v, k, w, kw in fused:
+        adj[v][k], adj[w][kw] = w, v
+
+    # drop the two layers; the kept ones keep their order
+    new = [x - (x > i) - (x > j) for x in range(len(adj) // nv)]
+    ids = [new[x] * nv + v for x in range(len(new)) for v in range(nv)]
+    for x in sorted((i, j), reverse=True):
+        del adj[x * nv:(x + 1) * nv]
+    adj[:] = [list(map(ids.__getitem__, row)) for row in adj]
+    # the rest is an induced subgraph of a girth >= g graph, so a cycle
+    # shorter than g would have to use a fused edge
+    if any(_on_short_cycle(adj, ids[v], ids[w], g) for v, _, w, _ in fused):
         raise GraphError("trim produced a short cycle; internal invariant "
                          "violated")
-    return TrimState(new_a, state.tree, graph, cover)
 
 
+@lru_cache(maxsize=1)
 def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
-    """The tree es_construct trims by, if g >= g0 = 2 diam(T) + 2."""
+    """The tree es_construct trims by, if g >= g0 = 2 diam(T) + 2; kept
+    for the last (h, g) asked for, so the trials of a run build it once."""
     from .bounds import spanning_tree
 
     tree = spanning_tree(h)
@@ -246,15 +307,14 @@ def es_construct(h: MultiGraph, g: int, rng):
     whole lift is trimmed; were it ever disconnected, farthest_pair would
     raise GraphError."""
     tree = es_tree(h, g)
-    a = normalize_tree_layers(high_girth_cover(h, g, rng),
-                              tree.tree_edges)
-    state = TrimState(a, tree, *build_lift(a))
+    state = TrimState.of(normalize_tree_layers(high_girth_cover(h, g, rng),
+                                               tree.tree_edges), tree)
     d0 = tree.d0(g)
     while True:
-        far = farthest_pair(state.graph)
+        far = farthest_pair(state)
         if far[2] <= d0:
-            return state.graph, state.cover
-        state = es_trim_step(state, g, far)
+            return build_lift(state.assignment())
+        es_trim_step(state, g, far)
 
 
 # -- greedy matching on a cycle (variants a/b/c) ---------------------------
@@ -411,17 +471,17 @@ def _short_cycle_edges(g: MultiGraph, edges, bound):
     return [e for k, e in enumerate(edges) if rows[g.head[e]] >> k & 1]
 
 
-def _on_short_cycle(g: MultiGraph, e: int, bound: int) -> bool:
-    """Whether edge e lies on a cycle shorter than bound: e is a loop, or
-    a BFS of radius bound - 2 from its tail in g minus e reaches its head."""
-    tail, head = g.tail[e], g.head[e]
-    if tail == head:
+def _on_short_cycle(adj, v: int, w: int, bound: int) -> bool:
+    """Whether an edge v-w of the graph with neighbour lists adj lies on
+    a cycle shorter than bound: it is a loop, or a BFS of radius bound - 2
+    from v in the graph minus that edge reaches w."""
+    if v == w:
         return True
-    adj = list(g.adj)
-    for v, w in ((tail, head), (head, tail)):
-        adj[v] = list(adj[v])
-        adj[v].remove(w)
-    return bfs(adj, tail, bound - 1)[head] >= 0
+    adj = list(adj)
+    for x, y in ((v, w), (w, v)):
+        adj[x] = list(adj[x])
+        adj[x].remove(y)
+    return bfs(adj, v, bound - 1)[w] >= 0
 
 
 _MAX_STEPS = 10000          # surgery steps before grow gives up

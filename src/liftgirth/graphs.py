@@ -215,23 +215,23 @@ def distance(g: MultiGraph, u, v):
 def farthest_pair(g: MultiGraph):
     """(u, v, d) with d = diameter; ties broken by smallest (u, v) pair.
 
-    Within a block of sources, the last round of the all-sources BFS that
-    adds a bit is the largest eccentricity d; u is the smallest source new
-    in that round and v the smallest vertex it reached then.  Blocks run
-    in ascending order and a later one wins only with a larger d."""
+    Within a block of sources, the round of the all-sources BFS that
+    fills every row is the largest eccentricity d; u is the smallest
+    source new in that round and v the smallest vertex it reached then.
+    A round that adds no bit before that means a disconnected graph.
+    Blocks run in ascending order and a later one wins only with a
+    larger d."""
     n = g.vertex_count
     best = None
     for lo in range(0, n, _BLOCK):
         rows = _source_rows(n, lo)
-        before, d = [0] * n, 0      # rows before the last round adding bits
-        while True:
+        full = (1 << min(_BLOCK, n - lo)) - 1
+        before, d = [0] * n, 0      # rows before the last round
+        while rows.count(full) < n:
             nxt = _spread(g.adj, rows)
             if nxt == rows:
-                break
+                raise GraphError("farthest_pair requires a connected graph")
             before, rows, d = rows, nxt, d + 1
-        full = (1 << min(_BLOCK, n - lo)) - 1
-        if any(r != full for r in rows):
-            raise GraphError("farthest_pair requires a connected graph")
         if best is None or d > best[2]:
             new = [r & ~b for r, b in zip(rows, before)]
             union = 0

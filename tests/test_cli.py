@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liftgirth import cli, graphs
+from liftgirth import bounds, cli, construct, graphs
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift, serialize_cover_map
 from test_names import loaded_after
@@ -226,6 +226,7 @@ class TestConstruct:
     @pytest.mark.parametrize("argv", [
         ["--alg", "gf", "--g", "8", "--trials", "200"],
         ["--alg", "c", "--g", "8", "--n", "24", "--trials", "300"],
+        ["--alg", "es", "--g", "7", "--trials", "4"],
     ])
     def test_jobs_do_not_change_output(self, tmp_path, argv, capsys):
         outputs = []
@@ -235,6 +236,17 @@ class TestConstruct:
                              "--jobs", jobs, "--out", str(path)]) == 0
             outputs.append((capsys.readouterr().out, path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_es_builds_the_tree_once(self, monkeypatch, capsys):
+        """The pre-check and every trial share one spanning tree."""
+        construct.es_tree.cache_clear()
+        trees = []
+        spanning_tree = bounds.spanning_tree
+        monkeypatch.setattr(bounds, "spanning_tree", lambda h:
+                            trees.append(spanning_tree(h)) or trees[-1])
+        assert cli.main(["construct", "--alg", "es", "--g", "7",
+                         "--trials", "4"]) == 0
+        assert len(trees) == 1
 
     def test_es_on_base_file(self, h23_file, capsys):
         code = cli.main(["construct", "--alg", "es", "--g", "6",

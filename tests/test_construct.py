@@ -325,6 +325,58 @@ class TestHighGirthCover:
             wins += 1
         assert wins >= 9
 
+    def test_carried_census_matches_fresh(self, loopy_lifts, monkeypatch):
+        """At every 2-lift that leaves shortest cycles, the census carried
+        to the lift is the one measured on it: the girth is unchanged, the
+        cycles are closed walks of the lift, and their edge sets (so the
+        masks, as a multiset, and phi) are those of cycles_of_length.
+        Each step is checked as it is carried, so a wrong census stops
+        the run at once."""
+        lifts = []
+        double = LiftAssignment.double
+        monkeypatch.setattr(LiftAssignment, "double", lambda a, flips:
+                            lifts.append(double(a, flips)) or lifts[-1])
+        levels = []
+        lift_census = construct._lift_census
+
+        def checked(*args):
+            inv, cycles = lift_census(*args)
+            graph = build_lift(lifts[-1])[0]
+            gamma = len(cycles[0])
+            assert girth(graph) == gamma
+            assert inv == list(graph.inv)
+            for c in cycles:
+                assert len(c) == gamma
+                assert all(graph.head[e] == graph.tail[f]
+                           for e, f in zip(c, c[1:] + c[:1]))
+
+            def edge_sets(cs):
+                return sorted(sorted({min(e, inv[e]) for e in c})
+                              for c in cs)
+            assert edge_sets(cycles) \
+                == edge_sets(cycles_of_length(graph, gamma))
+            levels.append(gamma)
+            return inv, cycles
+
+        monkeypatch.setattr(construct, "_lift_census", checked)
+        cases = [(graphs.h23(), g, seed) for g in range(7, 14)
+                 for seed in (0, 1, 2)]
+        cases += [(graphs.k32(), 10, 1), (graphs.complete_graph(4), 7, 2),
+                  (graphs.petersen(), 8, 0)]
+        # cycle-rich loopy bases carry short cycles: twelve whole-loops
+        # are seldom all flipped, and of three parallel edges two always
+        # keep even parity
+        cases += [(g, 6, 0) for g in loopy_lifts
+                  if min(g.degrees()) >= 2 and max(g.degrees()) <= 4]
+        cases += [(MultiGraph.build(1, [("wholeloop", 0)] * 12), 2, 0),
+                  (MultiGraph.build(2, [("edge", 0, 1)] * 3), 5, 0)]
+        for h, g, seed in cases:
+            try:
+                high_girth_cover(h, g, random.Random(seed))
+            except TrialFailed:
+                pass
+        assert {1, 2, 4, 6, 10, 12} <= set(levels)
+
     def test_min_degree_rejected(self):
         path = MultiGraph.from_pairs(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):
@@ -344,21 +396,33 @@ class TestHighGirthCover:
 
 TRIM_G = 11     # H23 lifts need trimming here; at g <= 10 they rarely do
 
+# the bases and girths whose trims the tests follow step by step
+TRIM_CASES = ([(graphs.h23(), g) for g in range(7, 12)]
+              + [(graphs.k32(), 13), (graphs.petersen(), 10)])
+
+
+def trim_start(h, g, seed):
+    """The tree of h and the tree-normalized lift that es_construct
+    starts trimming at g with seed."""
+    tree = spanning_tree(h)
+    a = high_girth_cover(h, g, random.Random(seed))
+    return tree, normalize_tree_layers(a, tree.tree_edges)
+
 
 @pytest.fixture(scope="module")
 def trim_run():
-    """The trim states of one H23 lift at g = TRIM_G, and the farthest
-    pair of the last one."""
-    h23 = graphs.h23()
-    tree = spanning_tree(h23)
-    a = normalize_tree_layers(high_girth_cover(h23, TRIM_G, random.Random(0)),
-                              tree.tree_edges)
-    states = [TrimState(a, tree, *build_lift(a))]
+    """The tree of H23, the assignment of one of its lifts at g = TRIM_G
+    after each step of the in-place trim loop, and the farthest pair of
+    the last one."""
+    tree, a = trim_start(graphs.h23(), TRIM_G, 0)
+    state = TrimState.of(a, tree)
+    steps = [a]
     while True:
-        far = farthest_pair(states[-1].graph)
+        far = farthest_pair(state)
         if far[2] <= tree.d0(TRIM_G):
-            return states, far
-        states.append(es_trim_step(states[-1], TRIM_G, far))
+            return tree, steps, far
+        es_trim_step(state, TRIM_G, far)
+        steps.append(state.assignment())
 
 
 @pytest.fixture(scope="module")
@@ -368,33 +432,36 @@ def es11():
             for s in (0, 1, 2)}
 
 
+def adjacency_graph(h, adj):
+    """The lift of h whose neighbour lists are adj, as build_lift builds
+    it."""
+    return build_lift(TrimState(h, None, adj).assignment())[0]
+
+
 @pytest.fixture(scope="module")
 def trim_checks():
     """Every (graph, edge, g) whose short cycles es_trim_step tests: in the
-    trim steps of es_construct on H23 at g = 7..11, K32 at g = 13 and
-    Petersen at g = 10, seeds 0, 1, 2, and in the steps from each first
-    trim state with vertex 0 paired with the next 16 vertices outside its
-    layer and passed off as farther apart than D0; many of these rewire an
-    edge onto a short cycle."""
+    trim steps of es_construct on TRIM_CASES, seeds 0, 1, 2, and in the
+    steps from each first trim state with vertex 0 paired with the next
+    16 vertices outside its layer and passed off as farther apart than
+    D0; many of these rewire an edge onto a short cycle."""
     checks = []
-    cases = [(graphs.h23(), g) for g in range(7, 12)]
-    cases += [(graphs.k32(), 13), (graphs.petersen(), 10)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_on_short_cycle", lambda graph, e, bound:
-                   checks.append((graph, e, bound))
-                   or _on_short_cycle(graph, e, bound))
-        for h, g in cases:
-            tree = spanning_tree(h)
+        for h, g in TRIM_CASES:
+            def spy(adj, v, w, bound, h=h):
+                graph = adjacency_graph(h, adj)
+                e = next(e for e in graph.out[v] if graph.head[e] == w)
+                checks.append((graph, e, bound))
+                return _on_short_cycle(adj, v, w, bound)
+
+            mp.setattr(construct, "_on_short_cycle", spy)
             for seed in (0, 1, 2):
                 es_construct(h, g, random.Random(seed))
-                a = normalize_tree_layers(
-                    high_girth_cover(h, g, random.Random(seed)),
-                    tree.tree_edges)
-                state = TrimState(a, tree, *build_lift(a))
+                tree, a = trim_start(h, g, seed)
                 nv = h.vertex_count
                 fake = tree.d0(g) + 1
-                for u in range(nv, min(nv + 16, state.graph.vertex_count)):
-                    trim_outcome(es_trim_step, state, g, (0, u, fake))
+                for u in range(nv, min(nv + 16, a.height * nv)):
+                    trim_outcome(in_place_trim, a, tree, g, (0, u, fake))
     return checks
 
 
@@ -408,14 +475,15 @@ def relabel_layers(a, lam):
     return LiftAssignment(a.base, a.height, perms)
 
 
-def reference_es_trim_step(state, g, far):
-    """Reference for construct.es_trim_step: the same step, guarded by the
-    girth of the whole trimmed graph instead of the cycles through the
-    rewired edges."""
-    h = state.assignment.base
-    n = state.assignment.height
+def reference_es_trim_step(a, tree, g, far):
+    """Reference for construct.es_trim_step: the same step on whole
+    graphs, a new assignment of the trimmed lift, guarded by the girth of
+    the whole trimmed graph instead of the cycles through the rewired
+    edges."""
+    h = a.base
+    n = a.height
     nv = h.vertex_count
-    d0 = state.tree.d0(g)
+    d0 = tree.d0(g)
     vp, up, dist = far
     if dist <= d0:
         raise GraphError(f"diameter {dist} <= D0 {d0}: nothing to trim")
@@ -424,9 +492,8 @@ def reference_es_trim_step(state, g, far):
         raise GraphError("farthest pair in one layer; tree normalization "
                          "or the distance precondition is broken")
     kept = [x for x in range(n) if x != i and x != j]
-    a = relabel_layers(state.assignment, _perm_inverse(kept + [j, i]))
-    tree_set = set(state.tree.tree_edges) | {h.inv[e]
-                                             for e in state.tree.tree_edges}
+    a = relabel_layers(a, _perm_inverse(kept + [j, i]))
+    tree_set = set(tree.tree_edges) | {h.inv[e] for e in tree.tree_edges}
     perms = []
     for e in range(h.edge_count):
         if e in tree_set:
@@ -443,20 +510,39 @@ def reference_es_trim_step(state, g, far):
         q[p_inv[n - 1]] = p[n - 2]
         perms.append(tuple(q))
     new_a = LiftAssignment(h, n - 2, perms)
-    graph, cover = build_lift(new_a)
-    if girth(graph) < g:
+    if girth(build_lift(new_a)[0]) < g:
         raise GraphError("trim produced a short cycle; internal invariant "
                          "violated")
-    return TrimState(new_a, state.tree, graph, cover)
+    return new_a
 
 
-def trim_outcome(step, state, g, far):
-    """The trimmed (perms, graph, cover) of one step, or its error text."""
+def reference_es_construct(h, g, seed):
+    """es_construct with the whole-graph loop: every step builds the lift
+    of its assignment, finds its farthest pair and takes the reference
+    step.  The farthest pair of each step, and the final (graph, cover)."""
+    tree, a = trim_start(h, g, seed)
+    pairs = []
+    while True:
+        graph, cover = build_lift(a)
+        pairs.append(farthest_pair(graph))
+        if pairs[-1][2] <= tree.d0(g):
+            return pairs, (graph, cover)
+        a = reference_es_trim_step(a, tree, g, pairs[-1])
+
+
+def in_place_trim(a, tree, g, far):
+    """es_trim_step on a fresh state of a: the trimmed assignment."""
+    state = TrimState.of(a, tree)
+    es_trim_step(state, g, far)
+    return state.assignment()
+
+
+def trim_outcome(step, a, tree, g, far):
+    """The trimmed perms of one step, or its error text."""
     try:
-        out = step(state, g, far)
+        return step(a, tree, g, far).perms
     except GraphError as exc:
         return str(exc)
-    return out.assignment.perms, out.graph, out.cover
 
 
 def output_digest(g, m, h):
@@ -466,47 +552,54 @@ def output_digest(g, m, h):
 
 class TestTrim:
     def test_step_removes_two_layers(self, h23, trim_run):
-        states, _ = trim_run
-        assert len(states) >= 2          # at least one step ran
-        for before, after in zip(states, states[1:]):
-            assert after.graph.vertex_count \
-                == before.graph.vertex_count - 2 * h23.vertex_count
-            assert girth(after.graph) >= TRIM_G
-            assert verify_cover(after.graph, h23, after.cover)
+        _, steps, _ = trim_run
+        assert len(steps) >= 2          # at least one step ran
+        for before, after in zip(steps, steps[1:]):
+            assert after.height == before.height - 2
+            graph, cover = build_lift(after)
+            assert girth(graph) >= TRIM_G
+            assert verify_cover(graph, h23, cover)
 
     def test_small_diameter_rejected(self, trim_run):
-        states, far = trim_run
+        tree, steps, far = trim_run
         with pytest.raises(GraphError, match="nothing to trim"):
-            es_trim_step(states[-1], TRIM_G, far)
+            es_trim_step(TrimState.of(steps[-1], tree), TRIM_G, far)
 
     def test_pair_in_one_layer_rejected(self, trim_run):
-        states, _ = trim_run
-        state = states[0]
+        tree, steps, _ = trim_run
         with pytest.raises(GraphError, match="one layer"):
-            es_trim_step(state, TRIM_G, (0, 1, state.tree.d0(TRIM_G) + 1))
+            es_trim_step(TrimState.of(steps[0], tree), TRIM_G,
+                         (0, 1, tree.d0(TRIM_G) + 1))
 
     def test_step_matches_reference(self, trim_run):
-        states, _ = trim_run
-        for state in states[:-1]:
-            far = farthest_pair(state.graph)
-            assert trim_outcome(es_trim_step, state, TRIM_G, far) \
-                == trim_outcome(reference_es_trim_step, state, TRIM_G, far)
+        tree, steps, _ = trim_run
+        for a in steps[:-1]:
+            far = farthest_pair(build_lift(a)[0])
+            assert trim_outcome(in_place_trim, a, tree, TRIM_G, far) \
+                == trim_outcome(reference_es_trim_step, a, tree, TRIM_G, far)
 
     def test_guard_matches_reference(self, trim_run):
         # vertex 0 paired with every vertex of another layer and passed
         # off as farther apart than D0: most of these close a short cycle
         # through a rewired edge, a few break the red-edge count, and the
-        # rest trim cleanly
-        state = trim_run[0][0]
-        nv = state.assignment.base.vertex_count
-        fake = state.tree.d0(TRIM_G) + 1
+        # rest trim cleanly; a refused step leaves the state as it was
+        tree, steps, _ = trim_run
+        a = steps[0]
+        nv = a.base.vertex_count
+        fake = tree.d0(TRIM_G) + 1
         outcomes = set()
-        for u in range(nv, state.graph.vertex_count):
-            mine = trim_outcome(es_trim_step, state, TRIM_G, (0, u, fake))
-            assert mine == trim_outcome(reference_es_trim_step, state,
+        for u in range(nv, a.height * nv):
+            mine = trim_outcome(in_place_trim, a, tree, TRIM_G, (0, u, fake))
+            assert mine == trim_outcome(reference_es_trim_step, a, tree,
                                         TRIM_G, (0, u, fake)), u
-            outcomes.add(mine.split(";")[0] if isinstance(mine, str)
-                         else "trimmed")
+            kind = (mine.split(";")[0] if isinstance(mine, str)
+                    else "trimmed")
+            outcomes.add(kind)
+            if kind.startswith("red-edge"):
+                state = TrimState.of(a, tree)
+                with pytest.raises(GraphError):
+                    es_trim_step(state, TRIM_G, (0, u, fake))
+                assert state.assignment().perms == a.perms
         assert {"trimmed", "trim produced a short cycle"} <= outcomes
 
     def test_local_check_matches_all_edge_pass(self, trim_checks):
@@ -514,11 +607,12 @@ class TestTrim:
         pass at the step's g and at the bounds below and above it."""
         by_graph = {}
         for graph, e, g in trim_checks:
-            by_graph.setdefault(id(graph), (graph, g, []))[2].append(e)
+            by_graph.setdefault((graph, g), []).append(e)
         found = set()
-        for graph, g, edges in by_graph.values():
+        for (graph, g), edges in by_graph.items():
             for bound in range(3, g + 3):
-                mine = [e for e in edges if _on_short_cycle(graph, e, bound)]
+                mine = [e for e in edges if _on_short_cycle(
+                    graph.adj, graph.tail[e], graph.head[e], bound)]
                 assert mine == _short_cycle_edges(graph, edges, bound)
                 found |= {(bound == g, e in mine) for e in edges}
         assert found == {(True, True), (True, False), (False, True),
@@ -530,14 +624,26 @@ class TestTrim:
         for g in loopy_lifts:
             edges = range(g.edge_count)
             for bound in range(3, 9):
-                assert [e for e in edges if _on_short_cycle(g, e, bound)] \
+                assert [e for e in edges if _on_short_cycle(
+                    g.adj, g.tail[e], g.head[e], bound)] \
                     == _short_cycle_edges(g, edges, bound)
 
-    def test_es_construct_matches_reference(self, h23, es11, monkeypatch):
-        monkeypatch.setattr(construct, "es_trim_step",
-                            reference_es_trim_step)
-        for seed, (out, m) in es11.items():
-            assert es_construct(h23, 11, random.Random(seed)) == (out, m)
+    def test_es_construct_matches_reference(self, monkeypatch):
+        """The in-place loop picks the farthest pair of every step as the
+        whole-graph loop does and ends with the same (graph, cover), on
+        TRIM_CASES with seeds 0, 1, 2."""
+        pairs = []
+        monkeypatch.setattr(construct, "farthest_pair", lambda state:
+                            pairs.append(farthest_pair(state)) or pairs[-1])
+        steps = 0
+        for h, g in TRIM_CASES:
+            for seed in (0, 1, 2):
+                pairs.clear()
+                out = es_construct(h, g, random.Random(seed))
+                want_pairs, want = reference_es_construct(h, g, seed)
+                assert (pairs, out) == (want_pairs, want), (h, g, seed)
+                steps += len(pairs) - 1
+        assert steps == 30
 
     def test_es_construct_postconditions(self, h23):
         for g in (4, 5, 6):
