@@ -84,12 +84,16 @@ def es_upper_bound(h: MultiGraph, g: int) -> int:
 
 def ahl_moore_polynomial(x_plus_1: float, g: int) -> float:
     """Moore polynomial n0(x+1, g): two geometric sums in x, evaluated
-    termwise (exact for integer x, no division at x = 1)."""
+    termwise (exact for integer x, no division at x = 1); inf past the
+    float range."""
     x = x_plus_1 - 1
     if x < 1:
         raise GraphError("requires x >= 1")
-    return (sum(x ** i for i in range((g + 1) // 2))
-            + sum(x ** i for i in range(g // 2)))
+    try:
+        return (sum(x ** i for i in range((g + 1) // 2))
+                + sum(x ** i for i in range(g // 2)))
+    except OverflowError:
+        return float("inf")
 
 
 class BoundsRow(NamedTuple):

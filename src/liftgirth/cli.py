@@ -158,14 +158,16 @@ def cmd_construct(args) -> int:
         es_tree(base, args.g)   # g >= g0, before any trial or pool starts
     seeds = [mix(args.seed, i) for i in range(args.trials)]
     jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]
-    if args.jobs > 1:
+    # the pool forks every worker at once, so none beyond one per trial
+    workers = min(args.jobs, args.trials)
+    if workers > 1:
         # imported here: it costs every other invocation start-up time
         from concurrent.futures import ProcessPoolExecutor
         # loaded before the pool forks, so the workers inherit them
         from . import construct, lifts  # noqa: F401
         # about four chunks per worker: few round trips, balanced load
-        chunksize = -(-args.trials // (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        chunksize = -(-args.trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, *zip(*jobs),
                                     chunksize=chunksize))
     else:

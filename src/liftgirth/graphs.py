@@ -109,25 +109,20 @@ class MultiGraph:
     @staticmethod
     def build(vertex_count, directives):
         """Build from a sequence of ('edge', a, b) / ('wholeloop', a) /
-        ('halfloop', a) directives, assigning directed ids in order."""
+        ('halfloop', a) directives, assigning directed ids in order; a
+        whole-loop at a is the edge a a."""
         tail, head, inv = [], [], []
-        for d in directives:
-            kind = d[0]
+        for kind, *ends in directives:
+            e = len(tail)
+            if kind == "wholeloop":
+                kind, ends = "edge", ends * 2
             if kind == "edge":
-                a, b = d[1], d[2]
-                e = len(tail)
+                a, b = ends
                 tail += [a, b]
                 head += [b, a]
                 inv += [e + 1, e]
-            elif kind == "wholeloop":
-                a = d[1]
-                e = len(tail)
-                tail += [a, a]
-                head += [a, a]
-                inv += [e + 1, e]
             elif kind == "halfloop":
-                a = d[1]
-                e = len(tail)
+                [a] = ends
                 tail.append(a)
                 head.append(a)
                 inv.append(e)

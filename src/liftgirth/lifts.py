@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import (GraphError, MultiGraph, ParseError, file_edge_ids,
-                     serialize_graph, tokenize)
+from .graphs import GraphError, MultiGraph, ParseError, file_edge_ids, tokenize
 
 
 def _perm_inverse(p):
@@ -203,5 +202,5 @@ def parse_cover_map(text: str, g: MultiGraph, h: MultiGraph) -> CoverMap:
 __all__ = [
     "LiftAssignment", "CoverMap", "CoverReport", "build_lift", "verify_cover",
     "half_loop_elimination", "normalize_tree_layers",
-    "serialize_graph", "serialize_cover_map", "parse_cover_map",
+    "serialize_cover_map", "parse_cover_map",
 ]

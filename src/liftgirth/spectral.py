@@ -29,7 +29,7 @@ def _strongly_connected(columns) -> bool:
 
 _TOL = 1e-10           # power iteration stops at residual <= _TOL * (rho + 1)
 _MAX_ITER = 10**6
-_EQUALITY_TOL = 1e-9   # rho_lambda_equality's slack per chain
+_EQUALITY_TOL = 1e-9   # rho_lambda_equality's slack per walk
 
 
 def spectral_radius(h: MultiGraph):
@@ -78,46 +78,30 @@ def lambda_ahl(h: MultiGraph) -> float:
     return math.exp(acc / m)
 
 
-def _chains(h: MultiGraph):
-    """Maximal non-backtracking paths whose internal vertices have degree
-    two and whose endpoints are branch vertices (degree > 2)."""
-    seen = set()
-    for start in range(h.edge_count):
-        if h.degree(h.tail[start]) <= 2:
-            continue
-        edges = [start]
-        e = start
-        while h.degree(h.head[e]) == 2:
-            v = h.head[e]
-            e = next(f for f in h.out[v] if f != h.inv[e])
-            edges.append(e)
-        key = min(tuple(edges), tuple(h.inv[e] for e in reversed(edges)))
-        if key in seen:
-            continue
-        seen.add(key)
-        vertices = [h.tail[start]] + [h.head[e] for e in edges]
-        yield tuple(edges), tuple(vertices)
-
-
-def rho_lambda_equality(h: MultiGraph):
+def rho_lambda_equality(h: MultiGraph) -> bool:
     """Whether the Perron radius equals the degree-geometric mean.
 
-    Checks, for every maximal degree-two chain P between branch vertices,
-    that the per-walk geometric mean (prod_{v in P} (deg v - 1))^(1/(2|P|))
-    matches lambda_ahl; returns (equal, witness) with witness the first
-    failing chain's vertex list (None when equal).
+    Walks from every edge out of a branch vertex a (degree > 2) through
+    degree-two vertices to the next branch vertex b, L edges on, and checks
+    that the per-walk geometric mean ((deg a - 1)(deg b - 1))^(1/(2L))
+    matches lambda_ahl.
     """
     if not admissible(h):
         raise GraphError("rho_lambda_equality needs an admissible graph")
     lam = lambda_ahl(h)
-    for edges, vertices in _chains(h):
-        prod = 1.0
-        for v in vertices:
-            prod *= h.degree(v) - 1
-        val = prod ** (1.0 / (2 * len(edges)))
+    deg = h.degrees()
+    for start in range(h.edge_count):
+        a = h.tail[start]
+        if deg[a] <= 2:
+            continue
+        e, length = start, 1
+        while deg[h.head[e]] == 2:
+            e = next(f for f in h.out[h.head[e]] if f != h.inv[e])
+            length += 1
+        val = ((deg[a] - 1) * (deg[h.head[e]] - 1)) ** (1.0 / (2 * length))
         if abs(val - lam) > _EQUALITY_TOL:
-            return False, vertices
-    return True, None
+            return False
+    return True
 
 
 class SpectralSummary(NamedTuple):
@@ -134,12 +118,11 @@ def summarize(h: MultiGraph) -> SpectralSummary:
         raise GraphError("graph is not admissible (connected, mindeg >= 2, "
                          "maxdeg > 2)")
     rho, iters, residual = spectral_radius(h)
-    equal, _ = rho_lambda_equality(h)
     return SpectralSummary(
         rho=rho,
         lam=lambda_ahl(h),
         avg_degree_minus_one=avg_degree(h) - 1.0,
-        equality_rho_lambda=equal,
+        equality_rho_lambda=rho_lambda_equality(h),
         iterations=iters,
         residual=residual,
     )

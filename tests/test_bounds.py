@@ -164,6 +164,18 @@ class TestTable:
         assert lines[1].endswith(",4")
         assert len(lines) == 21
 
+    def test_past_float_range(self, h23):
+        """Lambda^i overflows a float from g = 3415 on H23, where ahl_n0
+        reads inf, as at g = 3414 (whose sum passes the float maximum);
+        the exact columns still match the per-g formulas."""
+        tree = spanning_tree(h23)
+        rows = bounds_table(h23, 3414, 3415)
+        assert [r.g for r in rows] == [3414, 3415]
+        for r in rows:
+            assert r.ahl_n0 == float("inf")
+            assert (r.moore_raw, r.moore_adjusted, r.es_bound) \
+                == reference_row(h23, r.g, tree)
+
 
 def edge_ball_reference(h, e, r):
     """Two-sided ball of radius r around a tree edge over e: both ends,

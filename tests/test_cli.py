@@ -42,6 +42,16 @@ class TestAnalyze:
         assert lines[0] == "g,moore_raw,moore_adjusted,es_bound,ahl_n0,best_known"
         assert len(lines) == 29
 
+    def test_past_float_range(self, tmp_path, capsys):
+        csv = tmp_path / "table.csv"
+        assert cli.main(["analyze", "--g", "3415", "--csv", str(csv)]) == 0
+        [r] = bounds.bounds_table(graphs.h23(), 3415, 3415)
+        cells = [r.moore_raw, r.moore_adjusted, r.es_bound]
+        assert capsys.readouterr().out.splitlines()[-1].split() \
+            == ["3415", *map(str, cells), "inf"]
+        assert csv.read_text().splitlines()[1] \
+            == ",".join(["3415", *map(str, cells), "inf", ""])
+
     def test_balls(self, capsys):
         assert cli.main(["analyze", "--g", "5", "--balls", "3"]) == 0
         assert "ball sizes from vertex 1: 1 4 8 14" in capsys.readouterr().out
@@ -236,6 +246,37 @@ class TestConstruct:
                              "--jobs", jobs, "--out", str(path)]) == 0
             outputs.append((capsys.readouterr().out, path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_workers_capped_at_trials(self, monkeypatch, capsys):
+        """A fork-based pool starts all its workers at once, so --jobs 8
+        with two trials asks for two, and one trial for none; the output
+        is --jobs 1's.  The stand-in pool runs the trials in-process."""
+        import concurrent.futures
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        for trials in ("2", "1"):
+            outputs = []
+            for jobs in ("1", "8"):
+                assert cli.main(["construct", "--alg", "gf", "--g", "6",
+                                 "--trials", trials, "--seed", "3",
+                                 "--jobs", jobs]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+        assert asked == [2]
 
     def test_es_builds_the_tree_once(self, monkeypatch, capsys):
         """The pre-check and every trial share one spanning tree."""

@@ -899,9 +899,11 @@ class TestCoverByStructure:
 
 
 def test_g13_witness_on_80_vertices(h23):
-    """The smallest girth-13 lift of H23 known: a Z_10 voltage lift of the
-    height-4 lift H' with u-vertices 0..3 and v-vertices 4..7.  Vertex
-    (x, c) is 10 x + c, and joins (y, c + voltage) along x-y."""
+    """The smallest girth-13 voltage lift of H23 known: a Z_10 voltage
+    lift of the height-4 lift H' with u-vertices 0..3 and v-vertices
+    4..7.  Vertex (x, c) is 10 x + c, and joins (y, c + voltage) along
+    x-y.  The minimum is 76 (test_search's test_g13_minimum_witness), a
+    lift with no nontrivial deck transformation."""
     edges = ([(i, 4 + i) for i in range(4)]
              + [(i, 4 + (i + 1) % 4) for i in range(4)] + [(0, 1), (2, 3)])
     voltage = {(3, 4): 1, (0, 1): 2, (2, 3): 4}

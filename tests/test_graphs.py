@@ -185,6 +185,18 @@ class TestStructure:
         with pytest.raises(GraphError):
             MultiGraph(1, (0,), (0,), (1,))
 
+    def test_build_directives(self):
+        """A whole-loop at a is the edge a a, with the same ids; a
+        directive with the wrong number of ends raises."""
+        rest = [("edge", 0, 1), ("halfloop", 0)]
+        assert MultiGraph.build(2, [("wholeloop", 1), *rest]) \
+            == MultiGraph.build(2, [("edge", 1, 1), *rest])
+        for bad in (("edge", 0), ("wholeloop", 0, 1), ("halfloop", 0, 1)):
+            with pytest.raises(ValueError):
+                MultiGraph.build(2, [bad])
+        with pytest.raises(GraphError):
+            MultiGraph.build(2, [("loop", 0)])
+
     def test_admissibility(self, h23, k4):
         assert admissible(h23) and admissible(k4)
         assert not admissible(graphs.cycle_graph(5))

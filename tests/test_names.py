@@ -5,6 +5,7 @@
 only show up there as a broken `--trace 1` run.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -19,13 +20,36 @@ import liftgirth
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def submodules():
+    return [importlib.import_module(f"liftgirth.{info.name}")
+            for info in pkgutil.iter_modules(liftgirth.__path__)]
+
+
 def test_all_names_resolve():
-    modules = [liftgirth] + [
-        importlib.import_module(f"liftgirth.{info.name}")
-        for info in pkgutil.iter_modules(liftgirth.__path__)]
-    for module in modules:
+    for module in [liftgirth] + submodules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def defined_names(module):
+    """The names a module's source binds at top level by def, class or
+    assignment (not by import)."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return names
+
+
+def test_submodules_export_only_their_own_names():
+    """A submodule's __all__ re-exports nothing it imports (the package
+    itself maps its names to their submodules)."""
+    for module in submodules():
+        foreign = set(getattr(module, "__all__", ())) - defined_names(module)
+        assert not foreign, f"{module.__name__}: {sorted(foreign)}"
 
 
 def test_traced_spans_resolve(monkeypatch):

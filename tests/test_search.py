@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from liftgirth.construct import h23_cover_map
 from liftgirth.graphs import (GraphError, bfs, girth, h23, is_connected,
                               k4_minus_edge, serialize_graph)
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
@@ -346,6 +347,23 @@ class TestMinimumSize:
             serialize_graph(graph).encode()).hexdigest() == sha
         assert girth(graph) == g and is_connected(graph)
         assert verify_cover(graph, out.witness.base, cover)
+
+    def test_g13_minimum_witness(self):
+        """n(H23, 13) = 76.  `search --g 13 --max-n 38 --certify` refutes
+        every height up to 36 and then returns this height-38 lift, after
+        8,108,387 nodes (minutes, so the run is not repeated here); the
+        sha256 is that of its `--out` file."""
+        mu = (6, 16, 33, 28, 10, 20, 0, 13, 34, 23, 4, 17, 31, 7, 27, 22, 1,
+              11, 35, 26, 5, 30, 15, 9, 37, 32, 19, 14, 3, 36, 21, 12, 25, 2,
+              8, 18, 29, 24)
+        lift = h23_lift(38, tuple((i + 1) % 38 for i in range(38)), mu)
+        check_search_lift(lift, 38, 13)
+        graph, _ = build_lift(lift)
+        assert graph.vertex_count == 76 and girth(graph) == 13
+        assert verify_cover(graph, H23, h23_cover_map(graph))
+        assert hashlib.sha256(serialize_graph(graph).encode()).hexdigest() \
+            == ("eb6b3e81f22e4c6ca92b467e55ddc720"
+                "c8c1cb5f410bacd701f322dfbc290705")
 
 
 class TestCertificates:

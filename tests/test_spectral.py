@@ -1,12 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from liftgirth import graphs
 from liftgirth.graphs import GraphError
 from liftgirth.lifts import build_lift
-from liftgirth.spectral import (_TOL, avg_degree, lambda_ahl,
+from liftgirth.spectral import (_EQUALITY_TOL, _TOL, avg_degree, lambda_ahl,
                                 rho_lambda_equality, spectral_radius,
                                 summarize)
 from test_cover_tree import reference_nb_step
@@ -121,19 +122,128 @@ class TestDegreeInvariants:
 
 class TestEquality:
     def test_k32_equal(self, k32):
-        equal, _ = rho_lambda_equality(k32)
-        assert equal
+        assert rho_lambda_equality(k32)
 
     def test_h23_not_equal(self, h23):
-        equal, _ = rho_lambda_equality(h23)
-        assert not equal
+        assert not rho_lambda_equality(h23)
         rho, _, _ = spectral_radius(h23)
         assert rho > lambda_ahl(h23)
 
     def test_regular_equal(self, k4, petersen):
         for g in (k4, petersen):
-            equal, _ = rho_lambda_equality(g)
-            assert equal
+            assert rho_lambda_equality(g)
+
+    def test_matches_chain_reference(self):
+        rng = random.Random(21)
+        kinds, answers = set(), Counter()
+        checked = 0
+        while checked < 3000:
+            h = random_chain_graph(rng)
+            if not graphs.admissible(h):
+                continue
+            checked += 1
+            equal = rho_lambda_equality(h)
+            assert equal == reference_rho_lambda_equality(h)
+            answers[equal] += 1
+            kinds |= edge_kinds(h)
+        assert min(answers[True], answers[False]) >= 500
+        assert kinds == {"half", "whole", "parallel", "chain"}
+
+
+def reference_chains(h):
+    """Maximal non-backtracking paths whose internal vertices have degree
+    two and whose endpoints are branch vertices (degree > 2), one per
+    direction pair: (edges, vertices)."""
+    seen = set()
+    for start in range(h.edge_count):
+        if h.degree(h.tail[start]) <= 2:
+            continue
+        edges = [start]
+        e = start
+        while h.degree(h.head[e]) == 2:
+            v = h.head[e]
+            e = next(f for f in h.out[v] if f != h.inv[e])
+            edges.append(e)
+        key = min(tuple(edges), tuple(h.inv[e] for e in reversed(edges)))
+        if key in seen:
+            continue
+        seen.add(key)
+        vertices = [h.tail[start]] + [h.head[e] for e in edges]
+        yield tuple(edges), tuple(vertices)
+
+
+def reference_rho_lambda_equality(h):
+    """rho_lambda_equality as the product of (deg v - 1) over every vertex
+    of each chain, inner ones included."""
+    lam = lambda_ahl(h)
+    for edges, vertices in reference_chains(h):
+        prod = 1.0
+        for v in vertices:
+            prod *= h.degree(v) - 1
+        if abs(prod ** (1.0 / (2 * len(edges))) - lam) > _EQUALITY_TOL:
+            return False
+    return True
+
+
+def random_chain_graph(rng):
+    """Branch vertices of degree 3-6, regular, bipartite biregular or
+    irregular, joined by random stub pairing (whole-loops, half-loops and
+    parallel pairs), then edges and half-loops subdivided into degree-two
+    chains, all by the same number of vertices or each by its own; the
+    regular and biregular bases with uniform chains have rho = Lambda.  May
+    be disconnected."""
+    shape = rng.choice(("regular", "biregular", "irregular"))
+    if shape == "biregular":
+        a, b, p, q = rng.choice([(a, b, p, q) for a in range(1, 5)
+                                 for b in range(1, 5) for p in range(3, 7)
+                                 for q in range(3, 7) if a * p == b * q])
+        left = [v for v in range(a) for _ in range(p)]
+        right = [v for v in range(a, a + b) for _ in range(q)]
+        rng.shuffle(right)
+        ends = list(zip(left, right))
+        nv = a + b
+    else:
+        nv = rng.randint(1, 4)
+        k = rng.randint(3, 5)
+        stubs = [v for v in range(nv)
+                 for _ in range(k if shape == "regular"
+                                else rng.randint(3, 5))]
+        rng.shuffle(stubs)
+        halves = rng.choice((len(stubs) % 2, len(stubs) % 2 + 2))
+        ends = [(v,) for v in stubs[:halves]]
+        ends += list(zip(stubs[halves::2], stubs[halves + 1::2]))
+    uniform = rng.choice((None, 0, 1, 2))
+    directives = []
+    for pair in ends:
+        inner = rng.randint(0, 2) if uniform is None else uniform
+        path = [pair[0], *range(nv, nv + inner)]
+        nv += inner
+        directives += [("edge", x, y) for x, y in zip(path, path[1:])]
+        if len(pair) == 2:
+            directives.append(("edge", path[-1], pair[1]))
+        else:
+            directives.append(("halfloop", path[-1]))
+    rng.shuffle(directives)
+    return graphs.MultiGraph.build(nv, directives)
+
+
+def edge_kinds(h):
+    """The kinds among half-loops, whole-loops, parallel pairs and
+    degree-two vertices that h has."""
+    kinds = set()
+    ends = Counter()
+    for e in h.undirected_edges():
+        if h.is_half_loop(e):
+            kinds.add("half")
+        elif h.is_loop(e):
+            kinds.add("whole")
+        else:
+            ends[frozenset((h.tail[e], h.head[e]))] += 1
+    if max(ends.values(), default=0) > 1:
+        kinds.add("parallel")
+    if 2 in h.degrees():
+        kinds.add("chain")
+    return kinds
 
 
 class TestIrreducibility:
