@@ -16,9 +16,9 @@ from functools import lru_cache
 from operator import rshift
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cover_tree import nb_columns, nb_step
+from .cover_tree import nb_step
 from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
-                     girth, h23, k4_minus_edge)
+                     girth, h23)
 from .lifts import (CoverMap, LiftAssignment, build_lift,
                     half_loop_elimination, normalize_tree_layers, verify_cover)
 
@@ -60,19 +60,19 @@ def cycles_of_length(g: MultiGraph, length: int):
     return cycles
 
 
-def nb_cycle_profile(g: MultiGraph, edges, g_max: int):
-    """The profiles (c_1, ..., c_gmax) of distinct edges, in list order:
-    c_l = (B^l)[e, e], B the non-backtracking matrix, counts the closed
-    non-backtracking walks of length l that start with the directed edge
-    e.  All edges walk at once, edges[k] in bit field k of one count per
-    end edge.  A walk has at most Delta - 1 continuations, Delta the
-    largest out-degree, so no count exceeds (Delta - 1)^g_max and fields
-    of its bit length never carry into each other."""
-    width = ((max(map(len, g.out)) - 1) ** g_max).bit_length()
+def nb_cycle_profile(columns, edges, g_max: int):
+    """The profiles (c_1, ..., c_gmax) of distinct edges, in list order,
+    over B as the predecessor columns of cover_tree.nb_columns: c_l =
+    (B^l)[e, e] counts the closed non-backtracking walks of length l that
+    start with the directed edge e.  All edges walk at once, edges[k] in
+    bit field k of one count per end edge.  A walk ending on e has
+    deg(head e) - 1 continuations, each with e among its predecessors, so
+    at most as many as there are columns; no count exceeds len(columns) ^
+    g_max, and fields of its bit length never carry into each other."""
+    width = (len(columns) ** g_max).bit_length()
     mask = (1 << width) - 1
     shifts = [k * width for k in range(len(edges))]
-    columns = nb_columns(g)
-    counts = [0] * (g.edge_count + 1)
+    counts = [0] * len(columns[0])
     for e, shift in zip(edges, shifts):
         counts[e] = 1 << shift
     steps = []
@@ -421,36 +421,126 @@ def h23_cover_map(g: MultiGraph) -> CoverMap:
 
 # -- surgery growth (variants gd/gf) ---------------------------------------
 
+class GrowState:
+    """A cover of the half-loop base under edge surgery, edited in place.
+
+    Undirected edge k is the directed slots 2k and 2k + 1, so the inverse
+    of slot s is s ^ 1; tail, head, out and adj read as in MultiGraph.
+    `order` lists the even slot of every undirected edge in the order
+    MultiGraph.from_pairs numbers them, `uv` those with ends of degrees 3
+    and 2, in the same order, and out[v] lists its slots in id order.
+    """
+
+    def __init__(self, vertex_count, pairs):
+        self.vertex_count = vertex_count
+        self.tail, self.head, self.order = [], [], []
+        self.out = [[] for _ in range(vertex_count)]
+        self.adj = [[] for _ in range(vertex_count)]
+        self._link(range(0, 2 * len(pairs), 2), pairs)
+        self.uv = [s for s in self.order if {len(self.out[self.tail[s]]),
+                                             len(self.out[self.head[s]])}
+                   == {2, 3}]
+
+    def _link(self, slots, pairs):
+        """Put pair k at slots[k] and slots[k] + 1, last in `order` and in
+        the out lists of its ends; slots past the end extend tail and head."""
+        tail, head, out, adj = self.tail, self.head, self.out, self.adj
+        more = max(slots, default=-2) + 2 - len(tail)
+        tail += [0] * more
+        head += [0] * more
+        for s, (a, b) in zip(slots, pairs):
+            tail[s], head[s], tail[s + 1], head[s + 1] = a, b, b, a
+            out[a].append(s)
+            adj[a].append(b)
+            out[b].append(s + 1)
+            adj[b].append(a)
+        self.order += slots
+
+    @property
+    def edge_count(self):
+        return len(self.tail)
+
+    def graph(self) -> MultiGraph:
+        tail, head = self.tail, self.head
+        return MultiGraph.from_pairs(
+            self.vertex_count, [(tail[s], head[s]) for s in self.order])
+
+    def surgery(self, e: int, f: int):
+        """Replace the u-v edges at even slots e and f by two three-edge
+        paths through four new vertices, joined by one new edge between the
+        two new degree-3 vertices; return the eight vertices whose edges
+        changed.  e and f are unlinked, their slots hold the first edge of
+        each path, and all seven new edges go to the end of `order`, as
+        surgery_transform's from_pairs numbers them; a vertex's new edges
+        have the largest ids, so appending keeps out[v] in id order."""
+        tail, head, out, adj = self.tail, self.head, self.out, self.adj
+        ends = [(tail[x], head[x]) if len(out[tail[x]]) == 3
+                else (head[x], tail[x]) for x in (e, f)]
+        for s in (e, e + 1, f, f + 1):
+            k = out[tail[s]].index(s)
+            del out[tail[s]][k], adj[tail[s]][k]
+        for x in (e, f):
+            self.order.remove(x)
+            self.uv.remove(x)
+        (u1, v1), (u2, v2) = ends
+        nv, m = self.vertex_count, len(tail)
+        v3, u3, v4, u4 = range(nv, nv + 4)
+        self.vertex_count += 4
+        out += [[] for _ in range(4)]
+        adj += [[] for _ in range(4)]
+        slots = [e, m, m + 2, f, m + 4, m + 6, m + 8]
+        self._link(slots, [(u1, v3), (v3, u3), (u3, v1), (u2, v4), (v4, u4),
+                           (u4, v2), (u3, u4)])
+        self.uv += slots[:6]
+        return u1, v1, u2, v2, v3, u3, v4, u4
+
+
 def surgery_transform(g: MultiGraph, e: int, f: int) -> MultiGraph:
     """Replace edges e and f (each with a degree-3 and a degree-2 end) by
     two three-edge paths through four new vertices, joined by one new edge
-    between the two new degree-3 vertices."""
+    between the two new degree-3 vertices: one GrowState.surgery step.
+    The kept edges keep their order and the seven new edges follow.  A
+    half-loop has no pair of slots, so a graph with one is refused."""
     degs = g.degrees()
     e, f = min(e, g.inv[e]), min(f, g.inv[f])
     if e == f:
         raise GraphError("surgery needs two distinct edges")
-    ends = []
+    if any(map(g.is_half_loop, range(g.edge_count))):
+        raise GraphError("surgery needs a graph without half-loops")
     for x in (e, f):
-        a, b = g.tail[x], g.head[x]
-        if {degs[a], degs[b]} != {2, 3}:
+        if {degs[g.tail[x]], degs[g.head[x]]} != {2, 3}:
             raise GraphError(f"edge {x} endpoints must have degrees 3 and 2")
-        ends.append((a, b) if degs[a] == 3 else (b, a))
-    (u1, v1), (u2, v2) = ends
-    nv = g.vertex_count
-    v3, u3, v4, u4 = nv, nv + 1, nv + 2, nv + 3
-    pairs = [(g.tail[x], g.head[x]) for x in g.undirected_edges()
-             if x not in (e, f)]
-    pairs += [(u1, v3), (v3, u3), (u3, v1),
-              (u2, v4), (v4, u4), (u4, v2), (u3, u4)]
-    return MultiGraph.from_pairs(nv + 4, pairs)
+    und = g.undirected_edges()
+    state = GrowState(g.vertex_count, [(g.tail[x], g.head[x]) for x in und])
+    state.surgery(2 * und.index(e), 2 * und.index(f))
+    return state.graph()
 
 
-def _short_cycle_edges(g: MultiGraph, edges, bound):
+def _edit_columns(state: GrowState, columns, vertices) -> None:
+    """Extend B's predecessor columns (the layout of nb_columns, as lists)
+    to the slots of state, and re-derive the entries of the edges out of
+    the given vertices; a surgery step changes no other entry.  The
+    predecessors of f are the inverses of the other edges out of tail(f),
+    and on a graph without loops their order in out[tail f] is id order."""
+    out = state.out
+    pad = [-1] * len(columns)
+    more = state.edge_count + 1 - len(columns[0])
+    for col in columns:
+        col += [-1] * more
+    for v in vertices:
+        for f in out[v]:
+            preds = [x ^ 1 for x in out[v] if x != f]
+            for col, e in zip(columns, preds + pad):
+                col[f] = e
+
+
+def _short_cycle_edges(g, edges, bound):
     """The edges of the list that lie on a cycle shorter than bound, in
-    list order.  One all-edges BFS in the style of graphs._spread: bit k
-    starts at the tail of edges[k] and crosses every directed edge but
-    edges[k]; after bound - 2 rounds it has reached the head iff edges[k]
-    closes a cycle of length at most bound - 1.  The inverse of edges[k]
+    list order, in a MultiGraph or a GrowState.  One all-edges BFS in the
+    style of graphs._spread: bit k starts at the tail of edges[k] and
+    crosses every directed edge but edges[k]; after bound - 2 rounds it
+    has reached the head iff edges[k] closes a cycle of length at most
+    bound - 1.  The inverse of edges[k]
     needs no ban: it leaves the head, so no walk uses it before the head."""
     ban = [0] * g.edge_count
     rows = [0] * g.vertex_count
@@ -505,53 +595,56 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
     The u-u edges of a cover form a matching, so every cycle has a u-v
     edge: the girth is >= g exactly when gd finds no u-v edge on a cycle
     shorter than g, or every profile of gf is zero, and growth stops there.
+    A trial edits one GrowState in place and builds one MultiGraph, its
+    output; gf keeps B's columns for the whole trial (_edit_columns).
     """
     variant = variant.lower()
     if variant not in ("gd", "gf"):
         raise GraphError(f"unknown growth variant {variant!r}")
     if g < 3:
         raise GraphError("g must be >= 3")
-    graph = k4_minus_edge()
+    state = GrowState(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    tail, head, out, adj, uv = (state.tail, state.head, state.out,
+                                state.adj, state.uv)
+    columns = [[], []]          # Delta - 1 = 2 columns, as in any H23 cover
+    _edit_columns(state, columns, range(state.vertex_count))
     for _ in range(_MAX_STEPS):
-        uv = _uv_edges(graph)
         if variant == "gd":
-            on_short = _short_cycle_edges(graph, uv, g)
+            on_short = _short_cycle_edges(state, uv, g)
             if not on_short:
-                return graph
+                return state.graph()
             e = on_short[rng.randrange(len(on_short))]
             others = [f for f in uv if f != e]
-            da = bfs(graph.adj, graph.tail[e])
-            db = bfs(graph.adj, graph.head[e])
+            da = bfs(adj, tail[e])
+            db = bfs(adj, head[e])
             f = _pick_max(others, lambda f: min(
-                da[graph.tail[f]], da[graph.head[f]],
-                db[graph.tail[f]], db[graph.head[f]]), rng)
+                da[tail[f]], da[head[f]], db[tail[f]], db[head[f]]), rng)
+            state.surgery(e, f)
         else:
-            profiles = dict(zip(uv, nb_cycle_profile(graph, uv, g - 1)))
+            profiles = dict(zip(uv, nb_cycle_profile(columns, uv, g - 1)))
             if not any(map(any, profiles.values())):
-                return graph
+                return state.graph()
             e = _pick_max(uv, profiles.__getitem__, rng)
-            degs = graph.degrees()
 
             def v_end(x):
-                return graph.tail[x] if degs[graph.tail[x]] == 2 \
-                    else graph.head[x]
+                return tail[x] if len(out[tail[x]]) == 2 else head[x]
 
             others = [f for f in uv if f != e]
-            dist = bfs(graph.adj, v_end(e))
+            dist = bfs(adj, v_end(e))
             dmap = {f: dist[v_end(f)] + 3 for f in others}
             if max(dmap.values()) < g:
                 f = _pick_max(others, dmap.__getitem__, rng)
             else:
                 far = [f for f in others if dmap[f] >= g]
                 f = _pick_max(far, profiles.__getitem__, rng)
-        graph = surgery_transform(graph, e, f)
+            _edit_columns(state, columns, state.surgery(e, f))
     raise TrialFailed(
-        f"max_steps={_MAX_STEPS} exceeded at girth {girth(graph)}")
+        f"max_steps={_MAX_STEPS} exceeded at girth {girth(state.graph())}")
 
 
 __all__ = [
     "cycles_of_length", "nb_cycle_profile",
     "high_girth_cover", "TrimState", "es_trim_step",
     "es_tree", "es_construct", "greedy_cycle", "h23_cover_map",
-    "surgery_transform", "grow",
+    "GrowState", "surgery_transform", "grow",
 ]

@@ -21,11 +21,13 @@ from .graphs import GraphError, MultiGraph
 
 
 def nb_columns(g: MultiGraph):
-    """B as predecessor columns, built once per graph: column c lists, for
-    each directed edge f, its c-th smallest predecessor, an edge e with
-    head(e) = tail(f) and e != inv(f), or m where f has fewer.  Slot m,
-    past the m edges, is listed in every column as m, so a count list of
-    length m + 1 whose slot m holds 0 keeps it at 0."""
+    """B as predecessor columns: column c lists, for each directed edge f,
+    its c-th smallest predecessor, an edge e with head(e) = tail(f) and
+    e != inv(f), or -1 where f has fewer.  A count list has one slot past
+    the m edges, which holds 0; index -1 reads it at any length, so the
+    padding stays valid when a graph grows and its columns are extended
+    (as construct.grow edits them).  Slot m is listed in every column as
+    -1, so it stays 0 after a step."""
     m, head, inv, out = g.edge_count, g.head, g.inv, g.out
     preds = [[] for _ in range(m + 1)]
     for e in range(m):
@@ -33,17 +35,19 @@ def nb_columns(g: MultiGraph):
             if f != inv[e]:
                 preds[f].append(e)
     width = max(map(len, preds)) or 1
-    return list(zip(*(p + [m] * (width - len(p)) for p in preds)))
+    return list(zip(*(p + [-1] * (width - len(p)) for p in preds)))
 
 
 def nb_step(columns, counts) -> list:
     """One step of B: walk counts indexed by the directed edge the walk
-    ends on (a list of length m + 1, slot m holding 0), to the counts of
-    the walks one step longer.  A walk ending on e continues on every edge
-    out of head(e) except e^-1, so the count of f gathers its predecessor
-    columns.  They are summed left to right in increasing edge id, so a
-    float count equals, bit for bit, the one-by-one sum of an edge loop
-    over the counts in id order."""
+    ends on (a list of length m + 1, the last slot holding 0), to the
+    counts of the walks one step longer, over columns in the layout of
+    nb_columns, built whole or edited in place (construct.grow).  A walk
+    ending on e continues on every edge out of head(e) except e^-1, so the
+    count of f gathers its predecessor columns.  They are summed left to
+    right, in increasing edge id in the columns of nb_columns, so a float
+    count equals, bit for bit, the one-by-one sum of an edge loop over the
+    counts in id order."""
     get = counts.__getitem__
     nxt = map(get, columns[0])
     for col in columns[1:]:

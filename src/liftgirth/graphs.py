@@ -60,11 +60,13 @@ class MultiGraph:
         self.head = head
         self.inv = inv
         out = [[] for _ in range(vertex_count)]
-        for e in range(m):
-            out[tail[e]].append(e)
-        self.out = tuple(tuple(es) for es in out)
-        self._deg = tuple(len(es) for es in out)
-        self.adj = tuple(tuple(head[e] for e in es) for es in out)
+        adj = [[] for _ in range(vertex_count)]
+        for e, (t, h) in enumerate(zip(tail, head)):
+            out[t].append(e)
+            adj[t].append(h)
+        self.out = tuple(map(tuple, out))
+        self._deg = tuple(map(len, out))
+        self.adj = tuple(map(tuple, adj))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -132,8 +134,15 @@ class MultiGraph:
 
     @staticmethod
     def from_pairs(vertex_count, pairs):
-        """Simple-graph style constructor from undirected vertex pairs."""
-        return MultiGraph.build(vertex_count, [("edge", a, b) for a, b in pairs])
+        """Simple-graph style constructor from undirected vertex pairs: pair
+        k is directed edges 2k and 2k + 1, as `build` numbers edge
+        directives."""
+        tail, head = [], []
+        for a, b in pairs:
+            tail += a, b
+            head += b, a
+        return MultiGraph(vertex_count, tail, head,
+                          [e ^ 1 for e in range(len(tail))])
 
 
 def bfs(adj, source, cutoff=None):

@@ -17,7 +17,7 @@ def _strongly_connected(columns) -> bool:
     is strongly connected.  (So a 1x1 B, which is zero, counts as
     reducible.)"""
     m = len(columns[0]) - 1
-    pred = [[e for e in es if e < m] for es in zip(*columns)][:m]
+    pred = [[e for e in es if e >= 0] for es in zip(*columns)][:m]
     succ = [[] for _ in pred]
     for f, es in enumerate(pred):
         for e in es:

@@ -8,8 +8,9 @@ import pytest
 
 from liftgirth import construct, graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
-from liftgirth.cover_tree import nb_step
-from liftgirth.construct import (TrimState, _coin_string, _on_short_cycle,
+from liftgirth.cover_tree import nb_columns, nb_step
+from liftgirth.construct import (GrowState, TrimState, _coin_string,
+                                 _on_short_cycle, _pick_max,
                                  _short_cycle_edges, _uv_edges,
                                  cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
@@ -156,24 +157,143 @@ def loopy_lifts():
     return [random_loopy_lift(rng) for _ in range(60)]
 
 
+def reference_surgery_transform(g, e, f):
+    """surgery_transform as a whole-graph rebuild: the kept edges in id
+    order, then the seven new ones, through from_pairs."""
+    degs = g.degrees()
+    e, f = min(e, g.inv[e]), min(f, g.inv[f])
+    ends = []
+    for x in (e, f):
+        a, b = g.tail[x], g.head[x]
+        assert {degs[a], degs[b]} == {2, 3}
+        ends.append((a, b) if degs[a] == 3 else (b, a))
+    (u1, v1), (u2, v2) = ends
+    nv = g.vertex_count
+    v3, u3, v4, u4 = nv, nv + 1, nv + 2, nv + 3
+    pairs = [(g.tail[x], g.head[x]) for x in g.undirected_edges()
+             if x not in (e, f)]
+    pairs += [(u1, v3), (v3, u3), (u3, v1),
+              (u2, v4), (v4, u4), (u4, v2), (u3, u4)]
+    return MultiGraph.from_pairs(nv + 4, pairs)
+
+
+def reference_grow(variant, g, rng):
+    """grow with a fresh MultiGraph per step: its u-v edges, profiles,
+    predecessor columns and distances all recomputed from the graph.
+    Returns every graph it steps through (the last one the output) and
+    the (e, f) edge ids each step surgers; RNG draws as in grow."""
+    graph = graphs.k4_minus_edge()
+    run, choices = [graph], []
+    while True:
+        uv = _uv_edges(graph)
+        if variant == "gd":
+            on_short = _short_cycle_edges(graph, uv, g)
+            if not on_short:
+                return run, choices
+            e = on_short[rng.randrange(len(on_short))]
+            others = [f for f in uv if f != e]
+            da = graphs.bfs(graph.adj, graph.tail[e])
+            db = graphs.bfs(graph.adj, graph.head[e])
+            f = _pick_max(others, lambda f: min(
+                da[graph.tail[f]], da[graph.head[f]],
+                db[graph.tail[f]], db[graph.head[f]]), rng)
+        else:
+            profiles = dict(zip(uv, nb_cycle_profile(nb_columns(graph), uv,
+                                                     g - 1)))
+            if not any(map(any, profiles.values())):
+                return run, choices
+            e = _pick_max(uv, profiles.__getitem__, rng)
+            degs = graph.degrees()
+
+            def v_end(x):
+                return graph.tail[x] if degs[graph.tail[x]] == 2 \
+                    else graph.head[x]
+
+            others = [f for f in uv if f != e]
+            dist = graphs.bfs(graph.adj, v_end(e))
+            dmap = {f: dist[v_end(f)] + 3 for f in others}
+            if max(dmap.values()) < g:
+                f = _pick_max(others, dmap.__getitem__, rng)
+            else:
+                far = [f for f in others if dmap[f] >= g]
+                f = _pick_max(far, profiles.__getitem__, rng)
+        choices.append((e, f))
+        graph = reference_surgery_transform(graph, e, f)
+        run.append(graph)
+
+
+def slot_ids(state):
+    """The edge id of every slot of a GrowState, as from_pairs of its
+    `order` numbers them."""
+    ids = [None] * state.edge_count
+    for k, s in enumerate(state.order):
+        ids[s], ids[s + 1] = 2 * k, 2 * k + 1
+    return ids
+
+
+def mapped_columns(state, columns):
+    """A GrowState's predecessor columns as edge ids (slot_ids), the
+    padding -1 and the zero slot at the end as they are."""
+    ids = slot_ids(state) + [-1]
+    mapped = [[None] * len(col) for col in columns]
+    for new, col in zip(mapped, columns):
+        for s, x in enumerate(col):
+            new[ids[s]] = ids[x]
+    return list(map(tuple, mapped))
+
+
+def assert_grows_as_reference(variant, g, seed, reference=None):
+    """grow, checked against reference_grow as it runs: before every step
+    its state is the reference's graph and it surgers the same (e, f) as
+    edge ids, and every gf profile call gets nb_columns of that graph
+    under the slot -> id map.  The output is the reference's."""
+    run, choices = reference or reference_grow(variant, g,
+                                               random.Random(seed))
+    states, steps, profiles = [], [], []
+
+    class Spy(GrowState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+        def surgery(self, e, f):
+            ids, k = slot_ids(self), len(steps)
+            assert self.graph() == run[k]
+            assert (ids[e], ids[f]) == choices[k]
+            steps.append(k)
+            return super().surgery(e, f)
+
+    def profile(columns, edges, g_max):
+        assert mapped_columns(states[-1], columns) \
+            == nb_columns(run[len(profiles)])
+        profiles.append(edges)
+        return nb_cycle_profile(columns, edges, g_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "GrowState", Spy)
+        mp.setattr(construct, "nb_cycle_profile", profile)
+        out = grow(variant, g, random.Random(seed))
+    assert len(steps) == len(choices)
+    assert len(profiles) == (len(run) if variant == "gf" else 0)
+    assert out == run[-1]
+
+
 GROWTH_GIRTHS = {"gf": 12, "gd": 13}
 
 
 @pytest.fixture(scope="module")
-def growth_runs():
-    """Every graph that grow("gf", 12) and grow("gd", 13) step through, as
-    each step lists its u-v edges, by (variant, seed) for seeds 0, 1, 2;
-    the last one is the output."""
-    runs = {}
-    with pytest.MonkeyPatch.context() as mp:
-        for variant, g in GROWTH_GIRTHS.items():
-            for seed in (0, 1, 2):
-                seen = runs[variant, seed] = []
-                mp.setattr(construct, "_uv_edges",
-                           lambda x, seen=seen: seen.append(x) or _uv_edges(x))
-                out = grow(variant, g, random.Random(seed))
-                assert seen[-1] is out
-    return runs
+def reference_growth():
+    """reference_grow("gf", 12) and ("gd", 13) by (variant, seed) for
+    seeds 0, 1, 2."""
+    return {(variant, seed): reference_grow(variant, g, random.Random(seed))
+            for variant, g in GROWTH_GIRTHS.items() for seed in (0, 1, 2)}
+
+
+@pytest.fixture(scope="module")
+def growth_runs(reference_growth):
+    """Every graph that gf at g=12 and gd at g=13 step through, by
+    (variant, seed) for seeds 0, 1, 2; the last one is the output."""
+    return {key: run for key, (run, _) in reference_growth.items()}
 
 
 class TestCycleCounting:
@@ -220,16 +340,16 @@ class TestCycleCounting:
 class TestNBProfile:
     def test_c5_edge(self):
         c5 = graphs.cycle_graph(5)
-        [profile] = nb_cycle_profile(c5, [0], 6)
+        [profile] = nb_cycle_profile(nb_columns(c5), [0], 6)
         assert profile[4] == 1                      # one 5-cycle
         assert all(x == 0 for i, x in enumerate(profile) if i != 4)
 
     def test_k4_edge(self, k4):
-        [profile] = nb_cycle_profile(k4, [0], 3)
+        [profile] = nb_cycle_profile(nb_columns(k4), [0], 3)
         assert profile[2] == 2                      # two triangles per edge
 
     def test_petersen_edge(self, petersen):
-        [profile] = nb_cycle_profile(petersen, [0], 5)
+        [profile] = nb_cycle_profile(nb_columns(petersen), [0], 5)
         assert profile[4] == 4
 
     def test_matches_reference_on_growth(self, growth_runs):
@@ -240,7 +360,7 @@ class TestNBProfile:
                 uv = _uv_edges(g)
                 full = [reference_nb_cycle_profile(g, e, 12) for e in uv]
                 for g_max in range(1, 13):
-                    assert nb_cycle_profile(g, uv, g_max) \
+                    assert nb_cycle_profile(nb_columns(g), uv, g_max) \
                         == [p[:g_max] for p in full]
 
     def test_matches_reference_on_loopy_lifts(self, loopy_lifts):
@@ -251,7 +371,7 @@ class TestNBProfile:
             edges = range(g.edge_count)
             full = [reference_nb_cycle_profile(g, e, 5) for e in edges]
             for g_max in range(1, 6):
-                assert nb_cycle_profile(g, edges, g_max) \
+                assert nb_cycle_profile(nb_columns(g), edges, g_max) \
                     == [p[:g_max] for p in full]
 
     def test_packed_fields(self, monkeypatch):
@@ -271,7 +391,7 @@ class TestNBProfile:
             monkeypatch.setattr(construct, "nb_step", lambda columns, counts:
                                 steps.append(counts)
                                 or nb_step(columns, counts))
-            assert nb_cycle_profile(bouquet, edges, g_max) \
+            assert nb_cycle_profile(nb_columns(bouquet), edges, g_max) \
                 == [p[:g_max] for p in full]
             width = ((delta - 1) ** g_max).bit_length()
             start = [0] * (bouquet.edge_count + 1)
@@ -287,11 +407,12 @@ class TestNBProfile:
         """g_max = 0 gives one empty profile per edge, an empty edge list
         no profiles, on a graph with edges or none."""
         edgeless = MultiGraph(1, (), (), ())
-        assert nb_cycle_profile(k4, [3, 0, 5], 0) == [(), (), ()]
-        assert nb_cycle_profile(h23, range(5), 0) == [()] * 5
+        assert nb_cycle_profile(nb_columns(k4), [3, 0, 5], 0) \
+            == [(), (), ()]
+        assert nb_cycle_profile(nb_columns(h23), range(5), 0) == [()] * 5
         for g in (edgeless, h23, k4):
             for g_max in range(4):
-                assert nb_cycle_profile(g, [], g_max) == []
+                assert nb_cycle_profile(nb_columns(g), [], g_max) == []
 
 
 class TestHighGirthCover:
@@ -934,6 +1055,54 @@ class TestSurgery:
                 out = surgery_transform(k4me, e, f)
                 assert out.vertex_count == k4me.vertex_count + 4
                 assert verify_cover(out, h23, h23_cover_map(out))
+
+    def test_matches_rebuild(self, k4me, growth_runs):
+        """Every pair of u-v edges of K4 minus an edge, and random pairs
+        from the graphs growth steps through, either edge given in either
+        direction."""
+        uv = self.uv_pairs(k4me)
+        cases = [(k4me, x, f) for e in uv for f in uv if f != e
+                 for x in (e, k4me.inv[e])]
+        rng = random.Random(5)
+        for run in growth_runs.values():
+            for g in run[::3]:
+                for _ in range(4):
+                    e, f = rng.sample(self.uv_pairs(g), 2)
+                    cases.append((g, rng.choice((e, g.inv[e])), f))
+        for g, e, f in cases:
+            assert surgery_transform(g, e, f) \
+                == reference_surgery_transform(g, e, f)
+
+    def test_refuses_half_loops(self, h23):
+        with pytest.raises(GraphError, match="half-loops"):
+            surgery_transform(h23, 0, 2)
+
+    def test_in_place_matches_reference(self, reference_growth):
+        for (variant, seed), ref in reference_growth.items():
+            assert_grows_as_reference(variant, GROWTH_GIRTHS[variant], seed,
+                                      ref)
+
+    @pytest.mark.parametrize("variant", ["gd", "gf"])
+    def test_in_place_matches_reference_small_girths(self, variant):
+        for g in range(6, 10):
+            for seed in range(20):
+                assert_grows_as_reference(variant, g, seed)
+
+    def test_one_graph_per_trial(self, monkeypatch):
+        """grow builds one MultiGraph, its output, and gf gets every
+        profile from nb_cycle_profile, one call per graph it steps
+        through."""
+        built, calls = [], []
+        init = MultiGraph.__init__
+        monkeypatch.setattr(MultiGraph, "__init__", lambda self, *args:
+                            built.append(1) or init(self, *args))
+        monkeypatch.setattr(construct, "nb_cycle_profile", lambda *args:
+                            calls.append(1) or nb_cycle_profile(*args))
+        for variant in ("gd", "gf"):
+            built.clear()
+            out = grow(variant, 10, random.Random(0))
+            assert len(built) == 1
+        assert len(calls) == 1 + (out.vertex_count - 4) // 4
 
     def test_grow_g3_immediate(self, k4me):
         g = grow("gd", 3, random.Random(0))

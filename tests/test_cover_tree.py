@@ -80,7 +80,7 @@ class TestNBStep:
         for g in cases:
             m = g.edge_count
             columns = nb_columns(g)
-            assert all(len(col) == m + 1 and col[m] == m for col in columns)
+            assert all(len(col) == m + 1 and col[m] == -1 for col in columns)
             for draw, zero in ((lambda: rng.randrange(10 ** 20), 0),
                                (lambda: rng.uniform(-1.0, 1.0), 0.0)):
                 counts = [draw() for _ in range(m)] + [zero]

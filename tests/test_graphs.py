@@ -197,6 +197,29 @@ class TestStructure:
         with pytest.raises(GraphError):
             MultiGraph.build(2, [("loop", 0)])
 
+    def test_from_pairs_matches_edge_directives(self):
+        """from_pairs gives pair k the ids 2k and 2k + 1, as build gives
+        edge directives, on seeded pair lists with loops and parallel
+        pairs; a vertex out of range still raises."""
+        rng = random.Random(22)
+        loops = parallel = 0
+        for _ in range(300):
+            nv = rng.randint(1, 5)
+            pairs = [(rng.randrange(nv), rng.randrange(nv))
+                     for _ in range(rng.randint(0, 8))]
+            pairs += rng.sample(pairs, min(2, len(pairs)))
+            rng.shuffle(pairs)
+            loops += any(a == b for a, b in pairs)
+            parallel += len(set(map(frozenset, pairs))) < len(pairs)
+            g = MultiGraph.from_pairs(nv, pairs)
+            ref = MultiGraph.build(nv, [("edge", a, b) for a, b in pairs])
+            assert g == ref
+            assert (g.out, g.adj, g.degrees()) \
+                == (ref.out, ref.adj, ref.degrees())
+        assert loops and parallel
+        with pytest.raises(GraphError, match="out of range"):
+            MultiGraph.from_pairs(2, [(0, 1), (1, 2)])
+
     def test_admissibility(self, h23, k4):
         assert admissible(h23) and admissible(k4)
         assert not admissible(graphs.cycle_graph(5))
