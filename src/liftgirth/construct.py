@@ -13,12 +13,12 @@ Three families:
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import rshift
+from operator import and_, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cover_tree import nb_step
-from .graphs import (GraphError, MultiGraph, TrialFailed, bfs, farthest_pair,
-                     girth, h23)
+from .graphs import (GraphError, MultiGraph, TrialFailed, _spread, bfs,
+                     farthest_pair, girth, h23)
 from .lifts import (CoverMap, LiftAssignment, build_lift,
                     half_loop_elimination, normalize_tree_layers, verify_cover)
 
@@ -534,31 +534,23 @@ def _edit_columns(state: GrowState, columns, vertices) -> None:
                 col[f] = e
 
 
-def _short_cycle_edges(g, edges, bound):
-    """The edges of the list that lie on a cycle shorter than bound, in
-    list order, in a MultiGraph or a GrowState.  One all-edges BFS in the
-    style of graphs._spread: bit k starts at the tail of edges[k] and
-    crosses every directed edge but edges[k]; after bound - 2 rounds it
-    has reached the head iff edges[k] closes a cycle of length at most
-    bound - 1.  The inverse of edges[k]
-    needs no ban: it leaves the head, so no walk uses it before the head."""
-    ban = [0] * g.edge_count
-    rows = [0] * g.vertex_count
-    for k, e in enumerate(edges):
-        ban[e] |= 1 << k
-        rows[g.tail[e]] |= 1 << k
-    into = [[] for _ in rows]
-    for x in range(g.edge_count):
-        into[g.head[x]].append((g.tail[x], ~ban[x]))
-    for _ in range(bound - 2):
-        nxt = []
-        for v, pairs in enumerate(into):
-            r = rows[v]
-            for t, keep in pairs:
-                r |= rows[t] & keep
-            nxt.append(r)
-        rows = nxt
-    return [e for k, e in enumerate(edges) if rows[g.head[e]] >> k & 1]
+def _short_cycle_vertices(adj, bound):
+    """The degree-2 vertices of the graph with neighbour lists adj, each
+    mapped to 1 if it lies on a cycle shorter than bound and to 0 if not;
+    no degree-2 vertex may carry a loop (a GrowState is always simple).
+    A cycle through such a v passes through both its neighbours a and b,
+    so it is shorter than bound iff d(a, b) <= bound - 3 in the graph
+    minus v: bit k of the k-th degree-2 vertex starts at a, spreads by
+    graphs._spread, is cleared at v every round, and after bound - 3
+    rounds is set at b iff v is on a short cycle."""
+    deg2 = [v for v, nbrs in enumerate(adj) if len(nbrs) == 2]
+    rows, keep = [0] * len(adj), [-1] * len(adj)
+    for k, v in enumerate(deg2):
+        rows[adj[v][0]] |= 1 << k
+        keep[v] = ~(1 << k)
+    for _ in range(bound - 3):
+        rows = list(map(and_, _spread(adj, rows), keep))
+    return {v: rows[adj[v][1]] >> k & 1 for k, v in enumerate(deg2)}
 
 
 def _on_short_cycle(adj, v: int, w: int, bound: int) -> bool:
@@ -608,9 +600,14 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
                                 state.adj, state.uv)
     columns = [[], []]          # Delta - 1 = 2 columns, as in any H23 cover
     _edit_columns(state, columns, range(state.vertex_count))
+
+    def v_end(x):
+        return tail[x] if len(out[tail[x]]) == 2 else head[x]
+
     for _ in range(_MAX_STEPS):
         if variant == "gd":
-            on_short = _short_cycle_edges(state, uv, g)
+            hit = _short_cycle_vertices(adj, g)
+            on_short = [e for e in uv if hit[v_end(e)]]
             if not on_short:
                 return state.graph()
             e = on_short[rng.randrange(len(on_short))]
@@ -625,10 +622,6 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
             if not any(map(any, profiles.values())):
                 return state.graph()
             e = _pick_max(uv, profiles.__getitem__, rng)
-
-            def v_end(x):
-                return tail[x] if len(out[tail[x]]) == 2 else head[x]
-
             others = [f for f in uv if f != e]
             dist = bfs(adj, v_end(e))
             dmap = {f: dist[v_end(f)] + 3 for f in others}

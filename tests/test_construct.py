@@ -11,7 +11,7 @@ from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.cover_tree import nb_columns, nb_step
 from liftgirth.construct import (GrowState, TrimState, _coin_string,
                                  _on_short_cycle, _pick_max,
-                                 _short_cycle_edges, _uv_edges,
+                                 _short_cycle_vertices, _uv_edges,
                                  cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
@@ -22,8 +22,15 @@ from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              normalize_tree_layers, serialize_cover_map,
                              verify_cover)
 from liftgirth.search import pairing_kernel, pairing_tables
-from test_graphs import (random_assignment, random_involution,
+from test_graphs import (random_assignment, random_involution, random_lift,
                          random_loopy_lift)
+
+
+@pytest.fixture(autouse=True)
+def step_cap(monkeypatch):
+    """A growth whose steps go wrong fails within 200 surgery steps, not
+    10000: the longest growth these tests run, gd at g = 15, takes 63."""
+    monkeypatch.setattr(construct, "_MAX_STEPS", 200)
 
 
 def to_nx(g):
@@ -78,6 +85,45 @@ def reference_short_cycle_through(g, e, bound):
                 dist[w] = dist[v] + 1
                 q.append(w)
     return math.inf
+
+
+def reference_short_cycle_edges(g, edges, bound):
+    """The edges of the list that lie on a cycle shorter than bound, in
+    list order, in a MultiGraph.  One all-edges BFS in the
+    style of graphs._spread: bit k starts at the tail of edges[k] and
+    crosses every directed edge but edges[k]; after bound - 2 rounds it
+    has reached the head iff edges[k] closes a cycle of length at most
+    bound - 1.  The inverse of edges[k]
+    needs no ban: it leaves the head, so no walk uses it before the head."""
+    ban = [0] * g.edge_count
+    rows = [0] * g.vertex_count
+    for k, e in enumerate(edges):
+        ban[e] |= 1 << k
+        rows[g.tail[e]] |= 1 << k
+    into = [[] for _ in rows]
+    for x in range(g.edge_count):
+        into[g.head[x]].append((g.tail[x], ~ban[x]))
+    for _ in range(bound - 2):
+        nxt = []
+        for v, pairs in enumerate(into):
+            r = rows[v]
+            for t, keep in pairs:
+                r |= rows[t] & keep
+            nxt.append(r)
+        rows = nxt
+    return [e for k, e in enumerate(edges) if rows[g.head[e]] >> k & 1]
+
+
+def v_end(g, e):
+    """The degree-2 end of a u-v edge e of g."""
+    return g.tail[e] if len(g.out[g.tail[e]]) == 2 else g.head[e]
+
+
+def short_uv_edges(g, bound):
+    """The u-v edges of g that grow's gd test finds on a cycle shorter
+    than bound, in _uv_edges order."""
+    hit = _short_cycle_vertices(g.adj, bound)
+    return [e for e in _uv_edges(g) if hit[v_end(g, e)]]
 
 
 def reference_cycles(g, length):
@@ -187,7 +233,7 @@ def reference_grow(variant, g, rng):
     while True:
         uv = _uv_edges(graph)
         if variant == "gd":
-            on_short = _short_cycle_edges(graph, uv, g)
+            on_short = reference_short_cycle_edges(graph, uv, g)
             if not on_short:
                 return run, choices
             e = on_short[rng.randrange(len(on_short))]
@@ -203,15 +249,9 @@ def reference_grow(variant, g, rng):
             if not any(map(any, profiles.values())):
                 return run, choices
             e = _pick_max(uv, profiles.__getitem__, rng)
-            degs = graph.degrees()
-
-            def v_end(x):
-                return graph.tail[x] if degs[graph.tail[x]] == 2 \
-                    else graph.head[x]
-
             others = [f for f in uv if f != e]
-            dist = graphs.bfs(graph.adj, v_end(e))
-            dmap = {f: dist[v_end(f)] + 3 for f in others}
+            dist = graphs.bfs(graph.adj, v_end(graph, e))
+            dmap = {f: dist[v_end(graph, f)] + 3 for f in others}
             if max(dmap.values()) < g:
                 f = _pick_max(others, dmap.__getitem__, rng)
             else:
@@ -734,7 +774,7 @@ class TestTrim:
             for bound in range(3, g + 3):
                 mine = [e for e in edges if _on_short_cycle(
                     graph.adj, graph.tail[e], graph.head[e], bound)]
-                assert mine == _short_cycle_edges(graph, edges, bound)
+                assert mine == reference_short_cycle_edges(graph, edges, bound)
                 found |= {(bound == g, e in mine) for e in edges}
         assert found == {(True, True), (True, False), (False, True),
                          (False, False)}
@@ -747,7 +787,7 @@ class TestTrim:
             for bound in range(3, 9):
                 assert [e for e in edges if _on_short_cycle(
                     g.adj, g.tail[e], g.head[e], bound)] \
-                    == _short_cycle_edges(g, edges, bound)
+                    == reference_short_cycle_edges(g, edges, bound)
 
     def test_es_construct_matches_reference(self, monkeypatch):
         """The in-place loop picks the farthest pair of every step as the
@@ -879,27 +919,49 @@ class TestPinnedGrowth:
             assert not ok or graph_digest(g) == digest
 
     def test_short_cycle_bound(self, growth_runs):
-        """The all-edges pass picks, at every bound, the u-v edges whose
-        shortest cycle by the unbounded reference BFS is shorter, on every
-        graph that gf and gd step through."""
+        """gd's degree-2-vertex pass picks, at every bound, the u-v edges
+        that the all-edges pass picks and whose shortest cycle by the
+        unbounded reference BFS is shorter, on every graph that gf and gd
+        step through."""
         for run in growth_runs.values():
             for g in run:
                 uv = _uv_edges(g)
                 full = {e: reference_short_cycle_through(g, e, math.inf)
                         for e in uv}
                 for bound in range(3, 17):
-                    assert _short_cycle_edges(g, uv, bound) \
+                    assert short_uv_edges(g, bound) \
+                        == reference_short_cycle_edges(g, uv, bound) \
                         == [e for e in uv if full[e] < bound]
 
-    def test_short_cycle_loopy_lifts(self, loopy_lifts):
-        """Loops, half-loops and parallel edges, with the edges given in
-        reverse order: the result keeps the order it was given."""
-        for g in loopy_lifts:
-            edges = g.undirected_edges()[::-1]
-            for bound in range(3, 11):
-                assert _short_cycle_edges(g, edges, bound) == [
-                    e for e in edges
-                    if reference_short_cycle_through(g, e, bound) < bound]
+
+class TestShortCycleVertices:
+    def test_random_h23_lifts(self, h23):
+        """Random lifts of H23, with parallel u-v pairs and half-loops at
+        u-vertices: the pass agrees with the all-edges pass at bounds
+        3..13, and over 100 of the 660 cases have edges of both outcomes."""
+        rng = random.Random(23)
+        parallel, mixed = 0, 0
+        for _ in range(60):
+            g = random_lift(h23, rng.randint(1, 24), rng, random_involution)
+            uv = _uv_edges(g)
+            parallel += len(uv) > len({frozenset((g.tail[e], g.head[e]))
+                                       for e in uv})
+            for bound in range(3, 14):
+                mine = short_uv_edges(g, bound)
+                assert mine == reference_short_cycle_edges(g, uv, bound)
+                mixed += 0 < len(mine) < len(uv)
+        assert parallel and mixed > 100
+
+    def test_cut_vertex_is_not_hit(self):
+        """v joins two triangles and lies on no cycle; the triangles'
+        degree-2 vertices are on 3-cycles."""
+        # triangles a-x-y (0, 1, 2) and b-p-q (3, 4, 5), v = 6 between a, b
+        g = MultiGraph.from_pairs(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
+                                      (5, 3), (0, 6), (6, 3)])
+        for bound in range(3, 12):
+            on_triangle = int(bound > 3)
+            assert _short_cycle_vertices(g.adj, bound) == dict.fromkeys(
+                (1, 2, 4, 5), on_triangle) | {6: 0}
 
 
 class TestGreedyCycle:

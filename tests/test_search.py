@@ -348,15 +348,18 @@ class TestMinimumSize:
         assert girth(graph) == g and is_connected(graph)
         assert verify_cover(graph, out.witness.base, cover)
 
+    # the height-38 witness of n(H23, 13) = 76: sigma2 is i -> i + 1 mod 38
+    G13_SIGMA2 = tuple((i + 1) % 38 for i in range(38))
+    G13_MU = (6, 16, 33, 28, 10, 20, 0, 13, 34, 23, 4, 17, 31, 7, 27, 22, 1,
+              11, 35, 26, 5, 30, 15, 9, 37, 32, 19, 14, 3, 36, 21, 12, 25, 2,
+              8, 18, 29, 24)
+
     def test_g13_minimum_witness(self):
         """n(H23, 13) = 76.  `search --g 13 --max-n 38 --certify` refutes
         every height up to 36 and then returns this height-38 lift, after
         8,108,387 nodes (minutes, so the run is not repeated here); the
         sha256 is that of its `--out` file."""
-        mu = (6, 16, 33, 28, 10, 20, 0, 13, 34, 23, 4, 17, 31, 7, 27, 22, 1,
-              11, 35, 26, 5, 30, 15, 9, 37, 32, 19, 14, 3, 36, 21, 12, 25, 2,
-              8, 18, 29, 24)
-        lift = h23_lift(38, tuple((i + 1) % 38 for i in range(38)), mu)
+        lift = h23_lift(38, self.G13_SIGMA2, self.G13_MU)
         check_search_lift(lift, 38, 13)
         graph, _ = build_lift(lift)
         assert graph.vertex_count == 76 and girth(graph) == 13
@@ -364,6 +367,14 @@ class TestMinimumSize:
         assert hashlib.sha256(serialize_graph(graph).encode()).hexdigest() \
             == ("eb6b3e81f22e4c6ca92b467e55ddc720"
                 "c8c1cb5f410bacd701f322dfbc290705")
+
+    def test_g13_witness_is_the_first_leaf_at_height_38(self):
+        """The search's own run at height 38: its first cycle type, one
+        38-cycle, yields the pinned witness after 150,744 nodes."""
+        counter = SearchCounter()
+        assert next(canonical_enumerate(38, 13, counter)) \
+            == (self.G13_SIGMA2, self.G13_MU)
+        assert counter.nodes == 150744
 
 
 class TestCertificates:
