@@ -153,9 +153,11 @@ def cmd_construct(args) -> int:
                          f"applies only to --alg es/2lift")
     _check_output_dirs(args.out, args.csv)
     base = h23() if args.graph is None else _load_graph(args.graph)
-    if args.alg == "es":
-        from .construct import es_tree
-        es_tree(base, args.g)   # g >= g0, before any trial or pool starts
+    if args.alg in ("es", "2lift"):     # before any trial or pool starts
+        from .construct import check_min_degree, es_tree
+        if args.alg == "es":
+            es_tree(base, args.g)       # g >= g0
+        check_min_degree(base)
     seeds = [mix(args.seed, i) for i in range(args.trials)]
     jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]
     # the pool forks every worker at once, so none beyond one per trial

@@ -12,7 +12,6 @@ Three families:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import and_, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -102,74 +101,77 @@ def _coin_string(rng, m: int) -> str:
 _BUDGET = 1000              # candidate 2-lifts per girth-boosting step
 
 
+def check_min_degree(h: MultiGraph) -> None:
+    """high_girth_cover's precondition: every vertex of h has degree >= 2."""
+    if min(h.degrees()) < 2:
+        raise GraphError("high_girth_cover needs minimal degree >= 2")
+
+
 def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
     """A lift of h with girth >= g by iterated random 2-lifts.
 
-    At girth level gamma the shortest cycles are enumerated once; each
-    candidate 2-lift is scored by the parity of its edge choices along
-    those cycles (a cycle survives as two copies iff the product of its
-    fiber swaps is the identity).  The best of _BUDGET candidates is
-    accepted as long as it strictly reduces the census; a candidate with
-    census zero raises the girth level.  A census left above zero is
-    carried to the lift (_lift_census): a lift is built and measured only
-    at a new girth level below g.
+    The outer loop runs once per girth level gamma: it measures the lift
+    and enumerates its shortest cycles.  The inner loop accepts one 2-lift
+    a round, the best of _BUDGET candidates scored by the parity of their
+    edge choices along those cycles (a cycle survives as two copies iff
+    the product of its fiber swaps is the identity), if it strictly
+    reduces the census, and carries the census to the lift (_lift_census)
+    until no cycle is left.  So a lift is built and measured only at a
+    new girth level below g.
 
     Every accepted 2-lift of a connected graph is connected: it splits
     only when every cycle keeps even parity, which scores 2 phi, and a
     candidate is accepted only below phi.
     """
-    if min(h.degrees()) < 2:
-        raise GraphError("high_girth_cover needs minimal degree >= 2")
+    check_min_degree(h)
     a, G = LiftAssignment.identity(h, 1), h
     if (any(h.is_half_loop(e) for e in range(h.edge_count))
             and girth(h) < g):
         a = half_loop_elimination(h)
         G = build_lift(a)[0]
 
-    while True:
-        if G is not None:           # a new girth level: measure it
-            gamma = girth(G)
-            if gamma >= g:
-                return a
-            inv, cycles = G.inv, cycles_of_length(G, gamma)
-        phi = len(cycles)
-        und = [e for e, f in enumerate(inv) if e <= f]
-        # draw i is character i of a candidate's string, so bit m - 1 - i
-        # of its value word; a cycle keeps even parity iff word & (its
-        # edge mask) has an even popcount
-        m = len(und)
-        bit = {e: m - 1 - i for i, e in enumerate(und)}
-        masks = []
-        for c in cycles:
-            mask = 0
-            for e in c:
-                mask ^= 1 << bit[min(e, inv[e])]
-            masks.append(mask)
-        best_draws, best_phi = None, phi
-        for _ in range(_BUDGET):
-            draws = _coin_string(rng, m)
-            word = int(draws, 2)
-            odd = sum([(word & mask).bit_count() & 1 for mask in masks])
-            phi2 = 2 * (phi - odd)
-            if phi2 < best_phi:
-                best_draws, best_phi = draws, phi2
-                if phi2 == 0:
-                    break
-        if best_draws is None:
-            raise TrialFailed(
-                f"no 2-lift in budget {_BUDGET} reduced the census "
-                f"(girth {gamma}, {phi} shortest cycles)")
-        flips = [False] * len(inv)
-        for i, e in enumerate(und):
-            flips[e] = flips[inv[e]] = best_draws[i] == "1"
-        a = a.double(flips)
-        if best_phi:
+    while (gamma := girth(G)) < g:
+        inv, cycles = G.inv, cycles_of_length(G, gamma)
+        while True:
+            phi = len(cycles)
+            und = [e for e, f in enumerate(inv) if e <= f]
+            # draw i is character i of a candidate's string, so bit m - 1 - i
+            # of its value word; a cycle keeps even parity iff word & (its
+            # edge mask) has an even popcount
+            m = len(und)
+            bit = {e: m - 1 - i for i, e in enumerate(und)}
+            masks = []
+            for c in cycles:
+                mask = 0
+                for e in c:
+                    mask ^= 1 << bit[min(e, inv[e])]
+                masks.append(mask)
+            best_draws, best_phi = None, phi
+            for _ in range(_BUDGET):
+                draws = _coin_string(rng, m)
+                word = int(draws, 2)
+                odd = sum([(word & mask).bit_count() & 1 for mask in masks])
+                phi2 = 2 * (phi - odd)
+                if phi2 < best_phi:
+                    best_draws, best_phi = draws, phi2
+                    if phi2 == 0:
+                        break
+            if best_draws is None:
+                raise TrialFailed(
+                    f"no 2-lift in budget {_BUDGET} reduced the census "
+                    f"(girth {gamma}, {phi} shortest cycles)")
+            flips = [False] * len(inv)
+            # read off the string: word >> bit[e] & 1 measured no faster
+            for i, e in enumerate(und):
+                flips[e] = flips[inv[e]] = best_draws[i] == "1"
+            a = a.double(flips)
+            if not best_phi:
+                break                   # no cycle of length gamma is left
             inv, cycles = _lift_census(inv, cycles, flips)
-            G = None
-        elif gamma + 1 >= g:
-            return a                # no cycle of length gamma is left
-        else:
-            G = build_lift(a)[0]
+        if gamma + 1 >= g:
+            return a
+        G = build_lift(a)[0]
+    return a
 
 
 def _lift_census(inv, cycles, flips):
@@ -287,10 +289,8 @@ def es_trim_step(state: TrimState, g: int, far) -> None:
                          "violated")
 
 
-@lru_cache(maxsize=1)
 def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
-    """The tree es_construct trims by, if g >= g0 = 2 diam(T) + 2; kept
-    for the last (h, g) asked for, so the trials of a run build it once."""
+    """The tree es_construct trims by, if g >= g0 = 2 diam(T) + 2."""
     from .bounds import spanning_tree
 
     tree = spanning_tree(h)
@@ -309,12 +309,9 @@ def es_construct(h: MultiGraph, g: int, rng):
     tree = es_tree(h, g)
     state = TrimState.of(normalize_tree_layers(high_girth_cover(h, g, rng),
                                                tree.tree_edges), tree)
-    d0 = tree.d0(g)
-    while True:
-        far = farthest_pair(state)
-        if far[2] <= d0:
-            return build_lift(state.assignment())
+    while (far := farthest_pair(state))[2] > tree.d0(g):
         es_trim_step(state, g, far)
+    return build_lift(state.assignment())
 
 
 # -- greedy matching on a cycle (variants a/b/c) ---------------------------
@@ -637,7 +634,7 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
 
 __all__ = [
     "cycles_of_length", "nb_cycle_profile",
-    "high_girth_cover", "TrimState", "es_trim_step",
+    "check_min_degree", "high_girth_cover", "TrimState", "es_trim_step",
     "es_tree", "es_construct", "greedy_cycle", "h23_cover_map",
     "GrowState", "surgery_transform", "grow",
 ]

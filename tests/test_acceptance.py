@@ -19,6 +19,7 @@ from liftgirth.lifts import build_lift, verify_cover
 from liftgirth.search import certify_lower_bound, minimum_size
 from liftgirth.spectral import lambda_ahl, spectral_radius, summarize
 from test_construct import greedy_outcome
+from test_cover_tree import bfs_ball_oracle
 from test_graphs import dense_nb_matrix
 from test_lifts import random_two_lift, random_two_lift_assignment
 
@@ -139,22 +140,6 @@ def test_criterion_6_constructive_es(capsys):
     report(capsys, 6, ok, f"sizes {sizes} within ES bounds in {elapsed:.1f}s")
 
 
-def bfs_ball(g, v, r):
-    total = 1
-    frontier = {}
-    for e in g.out[v]:
-        frontier[e] = frontier.get(e, 0) + 1
-    for _ in range(r):
-        total += sum(frontier.values())
-        nxt = {}
-        for e, k in frontier.items():
-            for f in g.out[g.head[e]]:
-                if f != g.inv[e]:
-                    nxt[f] = nxt.get(f, 0) + k
-        frontier = nxt
-    return total
-
-
 def test_criterion_7_property_suites(capsys):
     start = time.time()
     ok = True
@@ -175,7 +160,8 @@ def test_criterion_7_property_suites(capsys):
     for base in ball_fixtures:
         for v in range(base.vertex_count):
             for r in range(21):
-                ok = ok and ball_size_vertex(base, v, r) == bfs_ball(base, v, r)
+                ok = ok and (ball_size_vertex(base, v, r)
+                             == bfs_ball_oracle(base, v, r))
         b = dense_nb_matrix(base)
         lam = lambda_ahl(base)
         x = [1] * len(b)

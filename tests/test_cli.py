@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liftgirth import bounds, cli, construct, graphs
+from liftgirth import bounds, cli, graphs
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift, serialize_cover_map
 from test_names import loaded_after
@@ -247,10 +247,10 @@ class TestConstruct:
             outputs.append((capsys.readouterr().out, path.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_workers_capped_at_trials(self, monkeypatch, capsys):
-        """A fork-based pool starts all its workers at once, so --jobs 8
-        with two trials asks for two, and one trial for none; the output
-        is --jobs 1's.  The stand-in pool runs the trials in-process."""
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        """A stand-in for the process pool that runs the trials in-process
+        and records the number of workers each pool built asks for."""
         import concurrent.futures
         asked = []
 
@@ -268,6 +268,12 @@ class TestConstruct:
                 return map(fn, *iterables)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InProcessPool)
+        return asked
+
+    def test_workers_capped_at_trials(self, in_process_pool, capsys):
+        """A fork-based pool starts all its workers at once, so --jobs 8
+        with two trials asks for two, and one trial for none; the output
+        is --jobs 1's."""
         for trials in ("2", "1"):
             outputs = []
             for jobs in ("1", "8"):
@@ -276,18 +282,21 @@ class TestConstruct:
                                  "--jobs", jobs]) == 0
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
-        assert asked == [2]
+        assert in_process_pool == [2]
 
-    def test_es_builds_the_tree_once(self, monkeypatch, capsys):
-        """The pre-check and every trial share one spanning tree."""
-        construct.es_tree.cache_clear()
-        trees = []
-        spanning_tree = bounds.spanning_tree
-        monkeypatch.setattr(bounds, "spanning_tree", lambda h:
-                            trees.append(spanning_tree(h)) or trees[-1])
-        assert cli.main(["construct", "--alg", "es", "--g", "7",
-                         "--trials", "4"]) == 0
-        assert len(trees) == 1
+    @pytest.mark.parametrize("alg, g", [("2lift", "5"), ("es", "6")])
+    def test_low_degree_base_before_pool(self, tmp_path, in_process_pool,
+                                         alg, g, capsys):
+        """A base with a degree-1 vertex exits 3 before a pool is built,
+        for es at its g0 (a triangle with a pendant vertex: g0 = 6) too."""
+        p = tmp_path / "pendant.g"
+        p.write_text(graphs.serialize_graph(graphs.MultiGraph.from_pairs(
+            4, [(0, 1), (1, 2), (2, 0), (0, 3)])))
+        code = cli.main(["construct", "--alg", alg, "--g", g, "--graph",
+                         str(p), "--trials", "2", "--jobs", "2"])
+        assert code == cli.EXIT_PRECONDITION
+        assert "minimal degree >= 2" in capsys.readouterr().err
+        assert in_process_pool == []
 
     def test_es_on_base_file(self, h23_file, capsys):
         code = cli.main(["construct", "--alg", "es", "--g", "6",

@@ -23,7 +23,7 @@ from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              verify_cover)
 from liftgirth.search import pairing_kernel, pairing_tables
 from test_graphs import (random_assignment, random_involution, random_lift,
-                         random_loopy_lift)
+                         random_loopy_lift, to_nx)
 
 
 @pytest.fixture(autouse=True)
@@ -31,13 +31,6 @@ def step_cap(monkeypatch):
     """A growth whose steps go wrong fails within 200 surgery steps, not
     10000: the longest growth these tests run, gd at g = 15, takes 63."""
     monkeypatch.setattr(construct, "_MAX_STEPS", 200)
-
-
-def to_nx(g):
-    gx = nx.MultiGraph()
-    gx.add_nodes_from(range(g.vertex_count))
-    gx.add_edges_from((g.tail[e], g.head[e]) for e in g.undirected_edges())
-    return gx
 
 
 def reference_nb_cycle_profile(g, e, g_max):
@@ -537,6 +530,56 @@ class TestHighGirthCover:
             except TrialFailed:
                 pass
         assert {1, 2, 4, 6, 10, 12} <= set(levels)
+
+    def test_measures_each_level_once(self, monkeypatch):
+        """The loop measures girth levels in strictly increasing order,
+        enumerates the shortest cycles once per level below g, on the
+        graph it measured, and builds a lift once per new level (plus
+        once for a half-loop elimination), but not after a candidate
+        clears level g - 1: that lift is returned unmeasured."""
+        log = []
+
+        def record(name, entry):
+            fn = getattr(construct, name)
+
+            def recorder(*args):
+                value = fn(*args)
+                log.append((name, *entry(args, value)))
+                return value
+            monkeypatch.setattr(construct, name, recorder)
+        record("girth", lambda args, value: (args[0], value))
+        record("cycles_of_length", lambda args, value: args)
+        record("build_lift", lambda args, value: (value[0], None))
+        cases = [(graphs.h23(), g) for g in range(6, 13)]
+        cases += [(graphs.k32(), g) for g in range(5, 11)]
+        cases += [(graphs.petersen(), g) for g in range(6, 10)]
+        runs = 0
+        for h, g in cases:
+            half = any(map(h.is_half_loop, range(h.edge_count)))
+            for seed in range(3):
+                log.clear()
+                try:
+                    high_girth_cover(h, g, random.Random(seed))
+                except TrialFailed:
+                    continue
+                if half:            # the half-loop test measures h itself
+                    assert log.pop(0) == ("girth", h, girth(h))
+                levels = [(graph, gamma) for name, graph, gamma in log
+                          if name == "girth"]
+                expected = []
+                for k, (graph, gamma) in enumerate(levels):
+                    if k or half:
+                        expected.append(("build_lift", graph, None))
+                    expected.append(("girth", graph, gamma))
+                    if gamma < g:
+                        expected.append(("cycles_of_length", graph, gamma))
+                assert log == expected
+                gammas = [gamma for _, gamma in levels]
+                assert gammas == sorted(set(gammas))
+                assert all(gamma + 1 < g for gamma in gammas[:-1])
+                assert gammas[-1] >= g - 1
+                runs += 1
+        assert runs >= 45
 
     def test_min_degree_rejected(self):
         path = MultiGraph.from_pairs(3, [(0, 1), (1, 2)])

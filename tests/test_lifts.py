@@ -13,7 +13,8 @@ from liftgirth.lifts import (CoverMap, LiftAssignment, build_lift,
 from liftgirth.bounds import spanning_tree
 from liftgirth.construct import cycles_of_length
 from test_construct import relabel_layers
-from test_graphs import random_assignment, random_involution, random_loopy_lift
+from test_graphs import (random_assignment, random_involution,
+                         random_loopy_lift, to_nx)
 
 IDENT = (0, 1)
 SWAP = (1, 0)
@@ -62,13 +63,6 @@ def assignment_from_cover(g, h, m):
     relabel = tuple(layer[v] * h.vertex_count + m.vertex_map[v]
                     for v in range(g.vertex_count))
     return a, relabel
-
-
-def to_nx(g):
-    gx = nx.MultiGraph()
-    gx.add_nodes_from(range(g.vertex_count))
-    gx.add_edges_from((g.tail[e], g.head[e]) for e in g.undirected_edges())
-    return gx
 
 
 def h23_assignment(h, n, pa, pb, mu):

@@ -14,13 +14,7 @@ from liftgirth.search import (SearchCounter, _partitions,
                               _sigma_from_partition, canonical_enumerate,
                               certify_lower_bound, members, minimum_size,
                               orbit_partners, pairing_kernel)
-
-
-def to_nx(g):
-    gx = nx.MultiGraph()
-    gx.add_nodes_from(range(g.vertex_count))
-    gx.add_edges_from((g.tail[e], g.head[e]) for e in g.undirected_edges())
-    return gx
+from test_graphs import to_nx
 
 
 H23 = h23()
