@@ -54,10 +54,14 @@ def _write(path, text):
 
 
 def _check_output_dirs(*paths):
-    """Reject an output path whose directory does not exist (exit 2), so
-    a run fails before its work and its stdout, not after."""
+    """Reject an output path that is a directory or whose directory does
+    not exist (exit 2), so a run fails before its work and its stdout,
+    not after."""
     for path in paths:
         if path is not None:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output file {path!r} is a "
+                                        f"directory")
             folder = os.path.dirname(path) or "."
             if not os.path.isdir(folder):
                 raise FileNotFoundError(f"no directory {folder!r} for "

@@ -13,7 +13,7 @@ Three families:
 from __future__ import annotations
 
 from operator import and_, rshift
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .cover_tree import nb_step
 from .graphs import (GraphError, MultiGraph, TrialFailed, _spread, bfs,
@@ -200,55 +200,30 @@ def _lift_census(inv, cycles, flips):
 
 # -- Erdos-Sachs layer trimming --------------------------------------------
 
-class TrimState(NamedTuple):
-    """A connected cover in tree-normalized permutation form, as the
-    neighbour lists of its lift, which es_trim_step edits in place.
-
-    Layers are the connected components of the preimage of the spanning
-    tree; with tree permutations normalized to the identity, the vertex
-    (v, i) has id i*|V(H)| + v, its layer is an integer division, and
-    adj[(v, i)][k] is the head of the copy of base edge out[v][k], as in
-    build_lift.  graphs.farthest_pair reads only vertex_count and adj.
-    """
-    base: MultiGraph
-    tree: SpanningTreeInfo
-    adj: list
-
-    @classmethod
-    def of(cls, a: LiftAssignment, tree: SpanningTreeInfo) -> TrimState:
-        h = a.base
-        nv = h.vertex_count
-        return cls(h, tree, [[a.perms[e][i] * nv + h.head[e]
-                              for e in h.out[v]]
-                             for i in range(a.height) for v in range(nv)])
-
-    @property
-    def vertex_count(self):
-        return len(self.adj)
-
-    def assignment(self) -> LiftAssignment:
-        """The lift as a permutation assignment: edge e leaves layer i
-        for the layer of the head in its slot at (tail e, i)."""
-        h, adj = self.base, self.adj
-        nv = h.vertex_count
-        n = len(adj) // nv
-        perms = []
-        for e in range(h.edge_count):
-            t = h.tail[e]
-            k = h.out[t].index(e)
-            perms.append([adj[i * nv + t][k] // nv for i in range(n)])
-        return LiftAssignment(h, n, perms)
-
-
-def es_trim_step(state: TrimState, g: int, far) -> None:
-    """Remove the two layers holding the farthest vertex pair far = (v, u,
-    dist) of state and reconnect the deficient vertices, in place; girth
-    >= g and the cover property persist when the pair is farther apart
-    than D0 = g + 2 diam(T).  The state is unchanged when the step is
-    refused, and unusable after the short-cycle guard fails."""
-    h, adj = state.base, state.adj
+def _lift_adj(h: MultiGraph, perms):
+    """The neighbour lists of the lift of h by perms, numbered as
+    build_lift numbers it: (v, i) is i*|V(H)| + v, and its k-th neighbour
+    is the head of the copy of base edge out[v][k]."""
     nv = h.vertex_count
-    d0 = state.tree.d0(g)
+    return [[perms[e][i] * nv + h.head[e] for e in h.out[v]]
+            for i in range(len(perms[0])) for v in range(nv)]
+
+
+def es_trim_step(h: MultiGraph, tree: SpanningTreeInfo, perms, g: int, far):
+    """Remove the two layers holding the farthest vertex pair far = (v, u,
+    dist) of the lift of h by perms, one mutable list per directed edge
+    and the identity on tree edges, and reconnect the deficient
+    vertices, in place; girth >= g and the cover property persist when
+    the pair is farther apart than D0 = g + 2 diam(T).  Returns the
+    trimmed lift's neighbour lists (_lift_adj).  perms are unchanged when
+    the step is refused, and unusable after the short-cycle guard fails.
+
+    Layers are the connected components of the preimage of the tree, so
+    vertex (v, i) lies in layer i.  Each cotree edge makes four writes to
+    p = perm(e) and q = perm(e^-1); then one renumbering per permutation
+    drops layers i and j."""
+    nv = h.vertex_count
+    d0 = tree.d0(g)
     vp, up, dist = far
     if dist <= d0:
         raise GraphError(f"diameter {dist} <= D0 {d0}: nothing to trim")
@@ -259,34 +234,35 @@ def es_trim_step(state: TrimState, g: int, far) -> None:
 
     fused = []
     for e in h.undirected_edges():
-        if e in state.tree.tree_edges:
+        if e in tree.tree_edges:
             continue
-        t, hd = h.tail[e], h.head[e]
-        k, ki = h.out[t].index(e), h.out[hd].index(h.inv[e])
-        # the layers e leaves i and j for, and those inv e leaves them for
-        pi, pj = adj[i * nv + t][k] // nv, adj[j * nv + t][k] // nv
-        qi, qj = adj[i * nv + hd][ki] // nv, adj[j * nv + hd][ki] // nv
+        p, q = perms[e], perms[h.inv[e]]
+        pi, pj, qi, qj = p[i], p[j], q[i], q[j]
         if {pi, pj, qi, qj} & {i, j}:
             raise GraphError(
                 f"red-edge count above base edge {e} is not two; the "
                 f"distance precondition did not actually hold")
-        # the edges into j and out of i fuse, as do those into i and out of j
-        fused += [(qj * nv + t, k, pi * nv + hd, ki),
-                  (qi * nv + t, k, pj * nv + hd, ki)]
-    for v, k, w, kw in fused:
-        adj[v][k], adj[w][kw] = w, v
+        fused.append((e, pi, pj, qi, qj))
+    # the edges into j and out of i fuse, as do those into i and out of j
+    for e, pi, pj, qi, qj in fused:
+        p, q = perms[e], perms[h.inv[e]]
+        p[qj], p[qi], q[pi], q[pj] = pi, pj, qj, qi
 
     # drop the two layers; the kept ones keep their order
-    new = [x - (x > i) - (x > j) for x in range(len(adj) // nv)]
-    ids = [new[x] * nv + v for x in range(len(new)) for v in range(nv)]
-    for x in sorted((i, j), reverse=True):
-        del adj[x * nv:(x + 1) * nv]
-    adj[:] = [list(map(ids.__getitem__, row)) for row in adj]
+    new = [x - (x > i) - (x > j) for x in range(len(perms[0]))]
+    kept = [x for x in range(len(new)) if x != i and x != j]
+    for p in perms:
+        p[:] = [new[p[x]] for x in kept]
+    adj = _lift_adj(h, perms)
     # the rest is an induced subgraph of a girth >= g graph, so a cycle
     # shorter than g would have to use a fused edge
-    if any(_on_short_cycle(adj, ids[v], ids[w], g) for v, _, w, _ in fused):
+    t, hd = h.tail, h.head
+    if any(_on_short_cycle(adj, new[x] * nv + t[e], new[y] * nv + hd[e], g)
+           for e, pi, pj, qi, qj in fused
+           for x, y in ((qj, pi), (qi, pj))):
         raise GraphError("trim produced a short cycle; internal invariant "
                          "violated")
+    return adj
 
 
 def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
@@ -301,17 +277,20 @@ def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
 
 def es_construct(h: MultiGraph, g: int, rng):
     """Girth >= g cover of h with diameter <= g + 2 diam(T): boost the
-    girth by 2-lifts, then trim layers until the diameter bound holds.
+    girth by 2-lifts, normalize the tree edges' permutations to the
+    identity, then trim layers (es_trim_step) until the diameter bound
+    holds.
 
     The 2-lifts keep the lift connected (see high_girth_cover), so the
     whole lift is trimmed; were it ever disconnected, farthest_pair would
     raise GraphError."""
     tree = es_tree(h, g)
-    state = TrimState.of(normalize_tree_layers(high_girth_cover(h, g, rng),
-                                               tree.tree_edges), tree)
-    while (far := farthest_pair(state))[2] > tree.d0(g):
-        es_trim_step(state, g, far)
-    return build_lift(state.assignment())
+    a = normalize_tree_layers(high_girth_cover(h, g, rng), tree.tree_edges)
+    perms = [list(p) for p in a.perms]
+    adj = _lift_adj(h, perms)
+    while (far := farthest_pair(adj))[2] > tree.d0(g):
+        adj = es_trim_step(h, tree, perms, g, far)
+    return build_lift(LiftAssignment(h, len(perms[0]), perms))
 
 
 # -- greedy matching on a cycle (variants a/b/c) ---------------------------
@@ -634,7 +613,7 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
 
 __all__ = [
     "cycles_of_length", "nb_cycle_profile",
-    "check_min_degree", "high_girth_cover", "TrimState", "es_trim_step",
+    "check_min_degree", "high_girth_cover", "es_trim_step",
     "es_tree", "es_construct", "greedy_cycle", "h23_cover_map",
     "GrowState", "surgery_transform", "grow",
 ]

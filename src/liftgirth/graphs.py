@@ -216,8 +216,9 @@ def distance(g: MultiGraph, u, v):
     return d if d >= 0 else math.inf
 
 
-def farthest_pair(g: MultiGraph):
-    """(u, v, d) with d = diameter; ties broken by smallest (u, v) pair.
+def farthest_pair(adj):
+    """(u, v, d) with d the diameter of the graph with neighbour lists adj,
+    as bfs takes them; ties broken by smallest (u, v) pair.
 
     Within a block of sources, the round of the all-sources BFS that
     fills every row is the largest eccentricity d; u is the smallest
@@ -225,14 +226,14 @@ def farthest_pair(g: MultiGraph):
     A round that adds no bit before that means a disconnected graph.
     Blocks run in ascending order and a later one wins only with a
     larger d."""
-    n = g.vertex_count
+    n = len(adj)
     best = None
     for lo in range(0, n, _BLOCK):
         rows = _source_rows(n, lo)
         full = (1 << min(_BLOCK, n - lo)) - 1
         before, d = [0] * n, 0      # rows before the last round
         while rows.count(full) < n:
-            nxt = _spread(g.adj, rows)
+            nxt = _spread(adj, rows)
             if nxt == rows:
                 raise GraphError("farthest_pair requires a connected graph")
             before, rows, d = rows, nxt, d + 1
@@ -250,7 +251,7 @@ def farthest_pair(g: MultiGraph):
 def diameter(g: MultiGraph):
     """Largest distance; math.inf on a disconnected graph, as distance."""
     try:
-        return farthest_pair(g)[2]
+        return farthest_pair(g.adj)[2]
     except GraphError:
         return math.inf
 

@@ -84,9 +84,11 @@ class TestAnalyze:
                          str(tmp_path / "nope.g")]) == cli.EXIT_PARSE
 
     def test_missing_csv_dir_before_output(self, tmp_path, capsys):
-        code = cli.main(["analyze", "--csv", str(tmp_path / "no" / "t.csv")])
-        assert code == cli.EXIT_PARSE
-        assert capsys.readouterr().out == ""
+        # the second path is a directory itself
+        for path in (tmp_path / "no" / "t.csv", tmp_path):
+            code = cli.main(["analyze", "--csv", str(path)])
+            assert code == cli.EXIT_PARSE
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [["--g", "2"], ["--g", "0"],
                                       ["--gmin", "9", "--gmax", "5"],
@@ -227,11 +229,13 @@ class TestConstruct:
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_missing_output_dir_before_trials(self, tmp_path, flag, jobs,
                                               capsys):
-        missing = str(tmp_path / "missing" / "x")
-        code = cli.main(["construct", "--alg", "gf", "--g", "5",
-                         "--trials", "3", "--jobs", jobs, flag, missing])
-        assert code == cli.EXIT_PARSE
-        assert capsys.readouterr().out == ""
+        # the second path is a directory itself
+        for path in (tmp_path / "missing" / "x", tmp_path):
+            code = cli.main(["construct", "--alg", "gf", "--g", "5",
+                             "--trials", "3", "--jobs", jobs, flag,
+                             str(path)])
+            assert code == cli.EXIT_PARSE
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ["--alg", "gf", "--g", "8", "--trials", "200"],
@@ -357,11 +361,12 @@ class TestSearch:
     @pytest.mark.parametrize("certify", [[], ["--certify"]])
     def test_missing_output_dir_before_search(self, tmp_path, certify,
                                               capsys):
-        missing = str(tmp_path / "missing" / "x.g")
-        code = cli.main(["search", "--g", "11", "--max-n", "40", *certify,
-                         "--out", missing])
-        assert code == cli.EXIT_PARSE
-        assert capsys.readouterr().out == ""
+        # the second path is a directory itself
+        for path in (tmp_path / "missing" / "x.g", tmp_path):
+            code = cli.main(["search", "--g", "11", "--max-n", "40",
+                             *certify, "--out", str(path)])
+            assert code == cli.EXIT_PARSE
+            assert capsys.readouterr().out == ""
 
 
 class TestVerify:

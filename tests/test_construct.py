@@ -9,7 +9,7 @@ import pytest
 from liftgirth import construct, graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.cover_tree import nb_columns, nb_step
-from liftgirth.construct import (GrowState, TrimState, _coin_string,
+from liftgirth.construct import (GrowState, _coin_string, _lift_adj,
                                  _on_short_cycle, _pick_max,
                                  _short_cycle_vertices, _uv_edges,
                                  cycles_of_length,
@@ -600,9 +600,15 @@ class TestHighGirthCover:
 
 TRIM_G = 11     # H23 lifts need trimming here; at g <= 10 they rarely do
 
-# the bases and girths whose trims the tests follow step by step
-TRIM_CASES = ([(graphs.h23(), g) for g in range(7, 12)]
-              + [(graphs.k32(), 13), (graphs.petersen(), 10)])
+# the bases, girths and seeds whose trims the tests follow step by step;
+# H23's cotree holds a parallel edge and its half-loop, the triangle's a
+# whole-loop, and seeds 4, 6, 7 are ones at which the triangle trims
+TRIM_CASES = ([(graphs.h23(), g, (0, 1, 2)) for g in range(7, 12)]
+              + [(graphs.k32(), 13, (0, 1, 2)),
+                 (graphs.petersen(), 10, (0, 1, 2)),
+                 (MultiGraph.build(3, [("edge", 0, 1), ("edge", 1, 2),
+                                       ("edge", 2, 0), ("wholeloop", 0)]),
+                  9, (4, 6, 7))])
 
 
 def trim_start(h, g, seed):
@@ -619,14 +625,14 @@ def trim_run():
     after each step of the in-place trim loop, and the farthest pair of
     the last one."""
     tree, a = trim_start(graphs.h23(), TRIM_G, 0)
-    state = TrimState.of(a, tree)
-    steps = [a]
+    h, perms = a.base, [list(p) for p in a.perms]
+    adj, steps = _lift_adj(h, perms), [a]
     while True:
-        far = farthest_pair(state)
+        far = farthest_pair(adj)
         if far[2] <= tree.d0(TRIM_G):
             return tree, steps, far
-        es_trim_step(state, TRIM_G, far)
-        steps.append(state.assignment())
+        adj = es_trim_step(h, tree, perms, TRIM_G, far)
+        steps.append(LiftAssignment(h, len(perms[0]), perms))
 
 
 @pytest.fixture(scope="module")
@@ -637,21 +643,29 @@ def es11():
 
 
 def adjacency_graph(h, adj):
-    """The lift of h whose neighbour lists are adj, as build_lift builds
-    it."""
-    return build_lift(TrimState(h, None, adj).assignment())[0]
+    """The lift of h whose neighbour lists are adj, numbered as _lift_adj
+    numbers them, as build_lift builds it: edge e leaves layer i for the
+    layer of the head in its slot at (tail e, i)."""
+    nv = h.vertex_count
+    n = len(adj) // nv
+    perms = []
+    for e in range(h.edge_count):
+        t = h.tail[e]
+        k = h.out[t].index(e)
+        perms.append([adj[i * nv + t][k] // nv for i in range(n)])
+    return build_lift(LiftAssignment(h, n, perms))[0]
 
 
 @pytest.fixture(scope="module")
 def trim_checks():
     """Every (graph, edge, g) whose short cycles es_trim_step tests: in the
-    trim steps of es_construct on TRIM_CASES, seeds 0, 1, 2, and in the
+    trim steps of es_construct on TRIM_CASES with their seeds, and in the
     steps from each first trim state with vertex 0 paired with the next
     16 vertices outside its layer and passed off as farther apart than
     D0; many of these rewire an edge onto a short cycle."""
     checks = []
     with pytest.MonkeyPatch.context() as mp:
-        for h, g in TRIM_CASES:
+        for h, g, seeds in TRIM_CASES:
             def spy(adj, v, w, bound, h=h):
                 graph = adjacency_graph(h, adj)
                 e = next(e for e in graph.out[v] if graph.head[e] == w)
@@ -659,7 +673,7 @@ def trim_checks():
                 return _on_short_cycle(adj, v, w, bound)
 
             mp.setattr(construct, "_on_short_cycle", spy)
-            for seed in (0, 1, 2):
+            for seed in seeds:
                 es_construct(h, g, random.Random(seed))
                 tree, a = trim_start(h, g, seed)
                 nv = h.vertex_count
@@ -728,17 +742,18 @@ def reference_es_construct(h, g, seed):
     pairs = []
     while True:
         graph, cover = build_lift(a)
-        pairs.append(farthest_pair(graph))
+        pairs.append(farthest_pair(graph.adj))
         if pairs[-1][2] <= tree.d0(g):
             return pairs, (graph, cover)
         a = reference_es_trim_step(a, tree, g, pairs[-1])
 
 
 def in_place_trim(a, tree, g, far):
-    """es_trim_step on a fresh state of a: the trimmed assignment."""
-    state = TrimState.of(a, tree)
-    es_trim_step(state, g, far)
-    return state.assignment()
+    """es_trim_step on fresh lists of a's permutations: the trimmed
+    assignment."""
+    perms = [list(p) for p in a.perms]
+    es_trim_step(a.base, tree, perms, g, far)
+    return LiftAssignment(a.base, len(perms[0]), perms)
 
 
 def trim_outcome(step, a, tree, g, far):
@@ -764,21 +779,22 @@ class TestTrim:
             assert girth(graph) >= TRIM_G
             assert verify_cover(graph, h23, cover)
 
-    def test_small_diameter_rejected(self, trim_run):
+    def test_small_diameter_rejected(self, h23, trim_run):
         tree, steps, far = trim_run
         with pytest.raises(GraphError, match="nothing to trim"):
-            es_trim_step(TrimState.of(steps[-1], tree), TRIM_G, far)
+            es_trim_step(h23, tree, [list(p) for p in steps[-1].perms],
+                         TRIM_G, far)
 
-    def test_pair_in_one_layer_rejected(self, trim_run):
+    def test_pair_in_one_layer_rejected(self, h23, trim_run):
         tree, steps, _ = trim_run
         with pytest.raises(GraphError, match="one layer"):
-            es_trim_step(TrimState.of(steps[0], tree), TRIM_G,
-                         (0, 1, tree.d0(TRIM_G) + 1))
+            es_trim_step(h23, tree, [list(p) for p in steps[0].perms],
+                         TRIM_G, (0, 1, tree.d0(TRIM_G) + 1))
 
     def test_step_matches_reference(self, trim_run):
         tree, steps, _ = trim_run
         for a in steps[:-1]:
-            far = farthest_pair(build_lift(a)[0])
+            far = farthest_pair(build_lift(a)[0].adj)
             assert trim_outcome(in_place_trim, a, tree, TRIM_G, far) \
                 == trim_outcome(reference_es_trim_step, a, tree, TRIM_G, far)
 
@@ -786,7 +802,7 @@ class TestTrim:
         # vertex 0 paired with every vertex of another layer and passed
         # off as farther apart than D0: most of these close a short cycle
         # through a rewired edge, a few break the red-edge count, and the
-        # rest trim cleanly; a refused step leaves the state as it was
+        # rest trim cleanly; a refused step leaves perms as they were
         tree, steps, _ = trim_run
         a = steps[0]
         nv = a.base.vertex_count
@@ -800,10 +816,10 @@ class TestTrim:
                     else "trimmed")
             outcomes.add(kind)
             if kind.startswith("red-edge"):
-                state = TrimState.of(a, tree)
+                perms = [list(p) for p in a.perms]
                 with pytest.raises(GraphError):
-                    es_trim_step(state, TRIM_G, (0, u, fake))
-                assert state.assignment().perms == a.perms
+                    es_trim_step(a.base, tree, perms, TRIM_G, (0, u, fake))
+                assert tuple(map(tuple, perms)) == a.perms
         assert {"trimmed", "trim produced a short cycle"} <= outcomes
 
     def test_local_check_matches_all_edge_pass(self, trim_checks):
@@ -835,19 +851,19 @@ class TestTrim:
     def test_es_construct_matches_reference(self, monkeypatch):
         """The in-place loop picks the farthest pair of every step as the
         whole-graph loop does and ends with the same (graph, cover), on
-        TRIM_CASES with seeds 0, 1, 2."""
+        TRIM_CASES with their seeds."""
         pairs = []
-        monkeypatch.setattr(construct, "farthest_pair", lambda state:
-                            pairs.append(farthest_pair(state)) or pairs[-1])
+        monkeypatch.setattr(construct, "farthest_pair", lambda adj:
+                            pairs.append(farthest_pair(adj)) or pairs[-1])
         steps = 0
-        for h, g in TRIM_CASES:
-            for seed in (0, 1, 2):
+        for h, g, seeds in TRIM_CASES:
+            for seed in seeds:
                 pairs.clear()
                 out = es_construct(h, g, random.Random(seed))
                 want_pairs, want = reference_es_construct(h, g, seed)
                 assert (pairs, out) == (want_pairs, want), (h, g, seed)
                 steps += len(pairs) - 1
-        assert steps == 30
+        assert steps == 47
 
     def test_es_construct_postconditions(self, h23):
         for g in (4, 5, 6):

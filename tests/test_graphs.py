@@ -261,7 +261,7 @@ class TestMetrics:
 
     def test_eccentricity_and_farthest_pair(self, petersen):
         assert max(bfs(petersen.adj, 0)) == 2
-        u, v, d = farthest_pair(graphs.cycle_graph(6))
+        u, v, d = farthest_pair(graphs.cycle_graph(6).adj)
         assert d == 3 and distance(graphs.cycle_graph(6), u, v) == 3
 
     def test_bfs_against_networkx(self, h23, k32, k4, k4me, petersen):
@@ -290,14 +290,14 @@ class TestMetrics:
             d = max(max(row.values()) for row in lengths.values())
             first = min((u, v) for u in lengths for v in lengths[u]
                         if lengths[u][v] == d)
-            assert farthest_pair(g) == (*first, d)
+            assert farthest_pair(g.adj) == (*first, d)
 
     def test_disconnected_raises(self):
         g = MultiGraph.from_pairs(4, [(0, 1), (2, 3)])
         assert not is_connected(g)
         assert distance(g, 0, 2) == float("inf")
         with pytest.raises(GraphError):
-            farthest_pair(g)
+            farthest_pair(g.adj)
 
 
 LIFT_HEIGHTS = (1, 2, 3, 4, 6, 9, 14, 22, 35, 55, 80)
@@ -369,7 +369,7 @@ class TestAllSourcesKernels:
     def test_farthest_pair_matches_reference(self, kernel_cases):
         for g in kernel_cases:
             want = outcome(reference_farthest_pair, g)
-            assert outcome(farthest_pair, g) == want, serialize_graph(g)
+            assert outcome(farthest_pair, g.adj) == want, serialize_graph(g)
 
     def test_disconnected_diameter_is_inf(self, kernel_cases):
         for g in kernel_cases:
@@ -385,7 +385,7 @@ class TestAllSourcesKernels:
         for g in small:
             assert girth(g) == reference_girth(g), serialize_graph(g)
             want = outcome(reference_farthest_pair, g)
-            assert outcome(farthest_pair, g) == want, serialize_graph(g)
+            assert outcome(farthest_pair, g.adj) == want, serialize_graph(g)
 
 
 class TestFileFormat:
