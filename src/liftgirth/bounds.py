@@ -102,13 +102,11 @@ class BoundsRow(NamedTuple):
     moore_adjusted: int
     es_bound: int | None
     ahl_n0: float
-    best_known: int | None
 
 
-def bounds_table(h: MultiGraph, g_min: int, g_max: int,
-                 best_known: dict | None = None):
+def bounds_table(h: MultiGraph, g_min: int, g_max: int):
     """Rows g_min..g_max, read off the tree ball sizes |B_0|..|B_R| over
-    each base vertex, R = g_max + 2 diam(T).
+    each base vertex, R = g_max + 2 diam(T); a row is the five CSV columns.
 
     Moore: for odd g = 2r+1 the radius-r ball around a lifted vertex
     injects into the lift, and for even g = 2r the two-sided radius r-1
@@ -141,12 +139,11 @@ def bounds_table(h: MultiGraph, g_min: int, g_max: int,
             es = min(b[tree.d0(g)] for b in balls)
             es = es // q * q if es >= q else es
         rows.append(BoundsRow(g, raw, -(-raw // q) * q, es,
-                              ahl_moore_polynomial(lam + 1, g),
-                              (best_known or {}).get(g)))
+                              ahl_moore_polynomial(lam + 1, g)))
     return rows
 
 
-CSV_HEADER = "g,moore_raw,moore_adjusted,es_bound,ahl_n0,best_known"
+CSV_HEADER = "g,moore_raw,moore_adjusted,es_bound,ahl_n0"
 
 
 def table_to_csv(rows) -> str:

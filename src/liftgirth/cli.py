@@ -13,7 +13,7 @@ import random
 import sys
 
 from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
-                     h23, parse_graph, serialize_graph)
+                     h23, is_connected, parse_graph, serialize_graph)
 
 # Each command imports the modules it runs, since every invocation compiles
 # what it imports when bytecode is not cached.  A library import still
@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     print(f"Lambda     {s.lam:.6f}")
     print(f"avg deg -1 {s.avg_degree_minus_one:.6f}")
     print(f"rho == Lambda: {'yes' if s.equality_rho_lambda else 'no'}")
-    if args.balls:
+    if args.balls is not None:
         for v in range(base.vertex_count):
             print(f"ball sizes from vertex {v}: "
                   + " ".join(map(str, ball_sizes(base, v, args.balls))))
@@ -160,7 +160,9 @@ def cmd_construct(args) -> int:
     if args.alg in ("es", "2lift"):     # before any trial or pool starts
         from .construct import check_min_degree, es_tree
         if args.alg == "es":
-            es_tree(base, args.g)       # g >= g0
+            es_tree(base, args.g)       # connected, and g >= g0
+        elif not is_connected(base):
+            raise GraphError("--alg 2lift needs a connected base")
         check_min_degree(base)
     seeds = [mix(args.seed, i) for i in range(args.trials)]
     jobs = [(args.alg, args.g, args.n, s, base) for s in seeds]

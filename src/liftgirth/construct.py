@@ -404,7 +404,8 @@ class GrowState:
     of slot s is s ^ 1; tail, head, out and adj read as in MultiGraph.
     `order` lists the even slot of every undirected edge in the order
     MultiGraph.from_pairs numbers them, `uv` those with ends of degrees 3
-    and 2, in the same order, and out[v] lists its slots in id order.
+    and 2, in the same order, each as its slot from the degree-3 end (so
+    head[s] is the degree-2 end), and out[v] lists its slots in id order.
     """
 
     def __init__(self, vertex_count, pairs):
@@ -413,9 +414,10 @@ class GrowState:
         self.out = [[] for _ in range(vertex_count)]
         self.adj = [[] for _ in range(vertex_count)]
         self._link(range(0, 2 * len(pairs), 2), pairs)
-        self.uv = [s for s in self.order if {len(self.out[self.tail[s]]),
-                                             len(self.out[self.head[s]])}
-                   == {2, 3}]
+        deg = list(map(len, self.out))
+        self.uv = [s if deg[self.tail[s]] == 3 else s + 1
+                   for s in self.order
+                   if {deg[self.tail[s]], deg[self.head[s]]} == {2, 3}]
 
     def _link(self, slots, pairs):
         """Put pair k at slots[k] and slots[k] + 1, last in `order` and in
@@ -442,32 +444,31 @@ class GrowState:
             self.vertex_count, [(tail[s], head[s]) for s in self.order])
 
     def surgery(self, e: int, f: int):
-        """Replace the u-v edges at even slots e and f by two three-edge
-        paths through four new vertices, joined by one new edge between the
-        two new degree-3 vertices; return the eight vertices whose edges
-        changed.  e and f are unlinked, their slots hold the first edge of
-        each path, and all seven new edges go to the end of `order`, as
-        surgery_transform's from_pairs numbers them; a vertex's new edges
+        """Replace the u-v edges u1 -> v1 and u2 -> v2 at slots e and f of
+        `uv` by two three-edge paths through four new vertices, joined by
+        one new edge between the two new degree-3 vertices; return the
+        eight vertices whose edges changed.  The paths' first edges take
+        the even slots of e and f, and all seven new edges go to the end of
+        `order`, as surgery_transform's from_pairs numbers them; new edges
         have the largest ids, so appending keeps out[v] in id order."""
         tail, head, out, adj = self.tail, self.head, self.out, self.adj
-        ends = [(tail[x], head[x]) if len(out[tail[x]]) == 3
-                else (head[x], tail[x]) for x in (e, f)]
+        u1, v1, u2, v2 = tail[e], head[e], tail[f], head[f]
+        for x in (e, f):
+            self.uv.remove(x)
+            self.order.remove(x & ~1)
+        e, f = e & ~1, f & ~1
         for s in (e, e + 1, f, f + 1):
             k = out[tail[s]].index(s)
             del out[tail[s]][k], adj[tail[s]][k]
-        for x in (e, f):
-            self.order.remove(x)
-            self.uv.remove(x)
-        (u1, v1), (u2, v2) = ends
         nv, m = self.vertex_count, len(tail)
         v3, u3, v4, u4 = range(nv, nv + 4)
         self.vertex_count += 4
         out += [[] for _ in range(4)]
         adj += [[] for _ in range(4)]
-        slots = [e, m, m + 2, f, m + 4, m + 6, m + 8]
-        self._link(slots, [(u1, v3), (v3, u3), (u3, v1), (u2, v4), (v4, u4),
-                           (u4, v2), (u3, u4)])
-        self.uv += slots[:6]
+        self._link([e, m, m + 2, f, m + 4, m + 6, m + 8],
+                   [(u1, v3), (v3, u3), (u3, v1), (u2, v4), (v4, u4),
+                    (u4, v2), (u3, u4)])
+        self.uv += [e, m + 1, m + 2, f, m + 5, m + 6]
         return u1, v1, u2, v2, v3, u3, v4, u4
 
 
@@ -488,7 +489,8 @@ def surgery_transform(g: MultiGraph, e: int, f: int) -> MultiGraph:
             raise GraphError(f"edge {x} endpoints must have degrees 3 and 2")
     und = g.undirected_edges()
     state = GrowState(g.vertex_count, [(g.tail[x], g.head[x]) for x in und])
-    state.surgery(2 * und.index(e), 2 * und.index(f))
+    slot = {s >> 1: s for s in state.uv}
+    state.surgery(slot[und.index(e)], slot[und.index(f)])
     return state.graph()
 
 
@@ -572,18 +574,14 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
     if g < 3:
         raise GraphError("g must be >= 3")
     state = GrowState(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    tail, head, out, adj, uv = (state.tail, state.head, state.out,
-                                state.adj, state.uv)
+    tail, head, adj, uv = state.tail, state.head, state.adj, state.uv
     columns = [[], []]          # Delta - 1 = 2 columns, as in any H23 cover
     _edit_columns(state, columns, range(state.vertex_count))
-
-    def v_end(x):
-        return tail[x] if len(out[tail[x]]) == 2 else head[x]
 
     for _ in range(_MAX_STEPS):
         if variant == "gd":
             hit = _short_cycle_vertices(adj, g)
-            on_short = [e for e in uv if hit[v_end(e)]]
+            on_short = [e for e in uv if hit[head[e]]]
             if not on_short:
                 return state.graph()
             e = on_short[rng.randrange(len(on_short))]
@@ -599,8 +597,8 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
                 return state.graph()
             e = _pick_max(uv, profiles.__getitem__, rng)
             others = [f for f in uv if f != e]
-            dist = bfs(adj, v_end(e))
-            dmap = {f: dist[v_end(f)] + 3 for f in others}
+            dist = bfs(adj, head[e])
+            dmap = {f: dist[head[f]] + 3 for f in others}
             if max(dmap.values()) < g:
                 f = _pick_max(others, dmap.__getitem__, rng)
             else:

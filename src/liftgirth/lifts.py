@@ -142,7 +142,8 @@ def half_loop_elimination(h: MultiGraph) -> LiftAssignment:
 
 def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
     """Relabel fibers per base vertex so every spanning-tree edge lifts by
-    the identity (each copy of the tree then lies in one layer)."""
+    the identity (each copy of the tree then lies in one layer); with tau_v
+    the relabelling over v, e: v -> w lifts by q[tau_v[x]] = tau_w[p[x]]."""
     h = a.base
     n = a.height
     tree_set = set(tree_edges) | {h.inv[e] for e in tree_edges}
@@ -162,11 +163,11 @@ def normalize_tree_layers(a: LiftAssignment, tree_edges) -> LiftAssignment:
     if any(t is None for t in tau):
         raise GraphError("tree does not span the base graph")
     perms = []
-    for e in range(h.edge_count):
-        tv = tau[h.tail[e]]
-        tw = tau[h.head[e]]
-        tv_inv = _perm_inverse(tv)
-        perms.append(tuple(tw[a.perms[e][tv_inv[i]]] for i in range(n)))
+    for e, p in enumerate(a.perms):
+        q, tw = [0] * n, tau[h.head[e]]
+        for x, y in zip(tau[h.tail[e]], p):
+            q[x] = tw[y]
+        perms.append(tuple(q))
     return LiftAssignment(h, n, perms)
 
 

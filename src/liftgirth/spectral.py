@@ -39,7 +39,8 @@ def spectral_radius(h: MultiGraph):
     The shift makes the iteration matrix primitive even when B has several
     peripheral eigenvalues (e.g. period 2 for bipartite-like bases), so
     plain power iteration converges.  Returns (rho, iterations, residual)
-    with residual the scaled infinity norm of (B+I)x - (rho+1)x.
+    with residual the infinity norm of (B+I)x - (rho+1)x, for x >= 0
+    scaled to largest entry 1.0.
 
     The precondition is on B itself, which the iteration needs, not
     `graphs.admissible`: B is also irreducible on some inadmissible bases
@@ -51,9 +52,8 @@ def spectral_radius(h: MultiGraph):
     x = [1.0] * h.edge_count + [0.0]    # the zero slot of nb_columns
     for it in range(1, _MAX_ITER + 1):
         y = list(map(add, x, nb_step(columns, x)))
-        lam = max(map(abs, y))  # x has inf-norm 1: |y|_inf estimates rho+1
-        residual = max(abs(v - lam * u) for u, v in zip(x, y)) \
-            / max(map(abs, x))
+        lam = max(y)    # x >= 0 has largest entry 1: max(y) estimates rho+1
+        residual = max(abs(v - lam * u) for u, v in zip(x, y))
         x = [v / lam for v in y]
         if residual <= _TOL * lam:
             return lam - 1.0, it, residual

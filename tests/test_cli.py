@@ -39,7 +39,7 @@ class TestAnalyze:
         assert cli.main(["analyze", "--gmin", "3", "--gmax", "30",
                          "--csv", str(csv)]) == 0
         lines = csv.read_text().splitlines()
-        assert lines[0] == "g,moore_raw,moore_adjusted,es_bound,ahl_n0,best_known"
+        assert lines[0] == "g,moore_raw,moore_adjusted,es_bound,ahl_n0"
         assert len(lines) == 29
 
     def test_past_float_range(self, tmp_path, capsys):
@@ -50,11 +50,15 @@ class TestAnalyze:
         assert capsys.readouterr().out.splitlines()[-1].split() \
             == ["3415", *map(str, cells), "inf"]
         assert csv.read_text().splitlines()[1] \
-            == ",".join(["3415", *map(str, cells), "inf", ""])
+            == ",".join(["3415", *map(str, cells), "inf"])
 
     def test_balls(self, capsys):
         assert cli.main(["analyze", "--g", "5", "--balls", "3"]) == 0
         assert "ball sizes from vertex 1: 1 4 8 14" in capsys.readouterr().out
+        assert cli.main(["analyze", "--g", "5", "--balls", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "ball sizes from vertex 0: 1\n" in out
+        assert "ball sizes from vertex 1: 1\n" in out
 
     def test_inadmissible_exit(self, tmp_path, capsys):
         p = tmp_path / "c6.g"
@@ -292,14 +296,21 @@ class TestConstruct:
     def test_low_degree_base_before_pool(self, tmp_path, in_process_pool,
                                          alg, g, capsys):
         """A base with a degree-1 vertex exits 3 before a pool is built,
-        for es at its g0 (a triangle with a pendant vertex: g0 = 6) too."""
-        p = tmp_path / "pendant.g"
-        p.write_text(graphs.serialize_graph(graphs.MultiGraph.from_pairs(
-            4, [(0, 1), (1, 2), (2, 0), (0, 3)])))
-        code = cli.main(["construct", "--alg", alg, "--g", g, "--graph",
-                         str(p), "--trials", "2", "--jobs", "2"])
-        assert code == cli.EXIT_PRECONDITION
-        assert "minimal degree >= 2" in capsys.readouterr().err
+        for es at its g0 (a triangle with a pendant vertex: g0 = 6) too;
+        so does a disconnected base (two disjoint triangles), whose
+        2-lifts would be disconnected too."""
+        p = tmp_path / "base.g"
+        for pairs, message in (
+                ([(0, 1), (1, 2), (2, 0), (0, 3)], "minimal degree >= 2"),
+                ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+                 "connected")):
+            p.write_text(graphs.serialize_graph(
+                graphs.MultiGraph.from_pairs(1 + max(map(max, pairs)),
+                                             pairs)))
+            code = cli.main(["construct", "--alg", alg, "--g", g, "--graph",
+                             str(p), "--trials", "2", "--jobs", "2"])
+            assert code == cli.EXIT_PRECONDITION
+            assert message in capsys.readouterr().err
         assert in_process_pool == []
 
     def test_es_on_base_file(self, h23_file, capsys):

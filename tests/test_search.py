@@ -6,8 +6,8 @@ import networkx as nx
 import pytest
 
 from liftgirth.construct import h23_cover_map
-from liftgirth.graphs import (GraphError, bfs, girth, h23, is_connected,
-                              k4_minus_edge, serialize_graph)
+from liftgirth.graphs import (GraphError, bfs, diameter, girth, h23,
+                              is_connected, k4_minus_edge, serialize_graph)
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              verify_cover)
 from liftgirth.search import (SearchCounter, _partitions,
@@ -369,6 +369,29 @@ class TestMinimumSize:
         assert next(canonical_enumerate(38, 13, counter)) \
             == (self.G13_SIGMA2, self.G13_MU)
         assert counter.nodes == 150744
+
+    # a height-50 lift of girth 14: n(H23, 14) <= 100, found by a seeded
+    # restart search (frames of canonical_enumerate on the type [50], kept
+    # partners shuffled by Random(1), 50,000 nodes per restart) on its
+    # restart 155; no CLI command reproduces that search
+    G14_SIGMA2 = tuple((i + 1) % 50 for i in range(50))
+    G14_MU = (7, 13, 18, 26, 44, 22, 30, 0, 38, 45, 32, 21, 42, 1, 46, 23,
+              36, 31, 2, 39, 48, 11, 5, 15, 40, 33, 3, 37, 47, 41, 6, 17, 10,
+              25, 49, 43, 16, 27, 8, 19, 24, 29, 12, 35, 4, 9, 14, 28, 20, 34)
+
+    def test_g14_witness_on_100_vertices(self):
+        """n(H23, 14) <= 100: the pinned height-50 lift is connected, has
+        girth 14 and diameter 10, and check_search_lift (build_lift's map)
+        and h23_cover_map both give a cover map verify_cover accepts."""
+        lift = h23_lift(50, self.G14_SIGMA2, self.G14_MU)
+        check_search_lift(lift, 50, 14)
+        graph, _ = build_lift(lift)
+        assert graph.vertex_count == 100 and girth(graph) == 14
+        assert diameter(graph) == 10
+        assert verify_cover(graph, H23, h23_cover_map(graph))
+        assert hashlib.sha256(serialize_graph(graph).encode()).hexdigest() \
+            == ("dd108d68e0f115b056d106f9c7d45999"
+                "471f03d82954acaff7de1b505e87f6ed")
 
 
 class TestCertificates:
