@@ -85,8 +85,13 @@ def cmd_analyze(args) -> int:
     from .cover_tree import ball_sizes
     from .spectral import summarize
 
-    gmin = args.gmin if args.g is None else args.g
-    gmax = args.gmax if args.g is None else args.g
+    if args.g is not None:
+        if (args.gmin, args.gmax) != (None, None):
+            raise GraphError("--g excludes --gmin and --gmax")
+        gmin = gmax = args.g
+    else:
+        gmin = 3 if args.gmin is None else args.gmin
+        gmax = 30 if args.gmax is None else args.gmax
     if not 3 <= gmin <= gmax:
         raise GraphError(f"girth range needs 3 <= gmin <= gmax, got "
                          f"{gmin}..{gmax}")
@@ -253,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="spectral summary and bounds table")
     p.add_argument("--graph", help="base graph file (default: built-in H23)")
     p.add_argument("--g", type=int, help="single girth value")
-    p.add_argument("--gmin", type=int, default=3)
-    p.add_argument("--gmax", type=int, default=30)
+    p.add_argument("--gmin", type=int, help="least girth (default 3)")
+    p.add_argument("--gmax", type=int, help="largest girth (default 30)")
     p.add_argument("--balls", type=_int_at_least(0), metavar="R",
                    help="also print universal cover ball sizes up to R")
     p.add_argument("--csv", help="write the bounds table as CSV")

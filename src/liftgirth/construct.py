@@ -307,7 +307,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
     C_n is the lift of H23 whose sigma2 is one n/2-cycle (u-vertex x at 2x),
     so the search's pairing kernel gives x's partners: deficient & ~ball[x].
     Its start rows depend on (n, g) alone, so the trials of one run share
-    one build (search.pairing_tables) and each copies them.
+    one build (search.pairing_tables) and each joins into its own copy.
     """
     variant = variant.lower()
     if variant not in ("a", "b", "c"):
@@ -316,9 +316,10 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
         raise GraphError("n must be a positive multiple of 4")
     if g < 3:
         raise GraphError("g must be >= 3")
-    from .search import members, pairing_kernel
+    from .search import members, pairing_join, pairing_tables
 
-    ball, join = pairing_kernel([n // 2], g - 2)
+    tables = pairing_tables((n // 2,), g - 2)
+    ball = list(tables[0])
     matching = []
     deficient = (1 << n // 2) - 1
 
@@ -345,7 +346,7 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
             y = ys[rng.randrange(len(ys))]
         matching.append((2 * x, 2 * y))
         deficient &= ~(1 << x | 1 << y)
-        join(x, y, deficient)
+        pairing_join(tables, ball, x, y, deficient)
 
     # each matching edge joined vertices at distance >= g - 1, so every
     # cycle through one has length >= g, and C_n is no shorter: its

@@ -11,8 +11,7 @@ that fixes the pairs made (orbit_partners: the cage-search
 normalisation of McKay, Myrvold and Nadon, SODA 1998, at every frame).
 v_i joins u_i and u_sigma2(i), so a lift is connected iff mu's pairs
 join all the cycles of sigma2.
-construct.greedy_cycle shares pairing_kernel (whose tables a run builds
-once) and members.
+construct.greedy_cycle shares pairing_tables, pairing_join and members.
 """
 
 from __future__ import annotations
@@ -86,10 +85,10 @@ class SearchCounter:
 
 @lru_cache(maxsize=1)
 def pairing_tables(parts: tuple, top: int):
-    """The start rows and shift tables of pairing_kernel, built once for
+    """The start rows and shift tables of pairing_join, built once for
     the cycle lengths parts and radius top and kept for the last pair
-    asked for: the rows are a tuple that each kernel copies, so no join
-    writes them, and greedy_cycle's trials of one run share one build.
+    asked for: the rows are a tuple that no join can write, so every
+    join goes into a copy and greedy_cycle's trials share one build.
     rows[x] packs the masks of the u-vertices within distance r of x,
     r = 0..top, into one int, radius r in bits (top-r)*n .. +n-1, so the
     widest ball is the low n bits.  At first, u-vertices k steps apart on
@@ -123,31 +122,24 @@ def pairing_tables(parts: tuple, top: int):
     return tuple(rows), spread, vertex, lift
 
 
-def pairing_kernel(parts, top):
-    """(ball, join) over the u-vertices on cycles of sigma2 of the given
-    lengths: ball is a fresh copy of the rows of pairing_tables.
-    join(i, j, unpaired) adds the edge i-j to the rows of the unpaired
-    vertices: an unpaired x at distance a < top from i gains, at every
-    radius s > a, the radius s-1-a ball of j, one right shift of j's row;
-    symmetrically for j.  So the rows of i and j must be current, and a
-    paired vertex's row goes stale."""
-    rows, spread, vertex, lift = pairing_tables(tuple(parts), top)
+def pairing_join(tables, ball, i, j, unpaired):
+    """Add the edge i-j to ball, a list copy of the rows tables[0], at
+    the unpaired vertices: an unpaired x at distance a < top from i
+    gains, at every radius s > a, the radius s-1-a ball of j, one right
+    shift of j's row; symmetrically for j.  So the rows of i and j must
+    be current, and a paired vertex's row goes stale."""
+    rows, spread, vertex, lift = tables
     n = len(rows)
-    ball = list(rows)
-
-    def join(i, j, unpaired):
-        for near, far in ((ball[i], ball[j]), (ball[j], ball[i])):
-            # bit (top-a)*n + x: x is unpaired, at distance exactly a
-            # from the near end and, as it gains nothing otherwise,
-            # farther than a + 1 from the far end
-            ring = near & ~(near >> n) & ~(far << n) & unpaired * spread
-            while ring:
-                low = ring & -ring
-                ring ^= low
-                p = low.bit_length() - 1
-                ball[vertex[p]] |= far >> lift[p]
-
-    return ball, join
+    for near, far in ((ball[i], ball[j]), (ball[j], ball[i])):
+        # bit (top-a)*n + x: x is unpaired, at distance exactly a from
+        # the near end and, as it gains nothing otherwise, farther than
+        # a + 1 from the far end
+        ring = near & ~(near >> n) & ~(far << n) & unpaired * spread
+        while ring:
+            low = ring & -ring
+            ring ^= low
+            p = low.bit_length() - 1
+            ball[vertex[p]] |= far >> lift[p]
 
 
 def canonical_enumerate(n, g, counter: SearchCounter = None):
@@ -158,8 +150,8 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
     sigma2 is canonical per cycle type and mu is built pairwise.  A cycle
     through the new mu edge i-j is one longer than d(i, j), so j is a legal
     partner of i iff d(i, j) > g - 2.  With the balls of radius g-2 of the
-    unpaired u-vertices (pairing_kernel), the legal partners of x are
-    unpaired & ~ball[x]; a backtrack restores the rows saved before.
+    unpaired u-vertices (pairing_tables), the legal partners of x are
+    unpaired & ~ball[x]; a frame joins its pair into a copy of its rows.
 
     A frame is pruned if some unpaired vertex has no legal partner
     (forward checking), and otherwise branches on the unpaired vertex
@@ -179,10 +171,10 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
         sigma2 = _sigma_from_partition(parts)
         # v_i joins u_i and u_sigma2(i): each cycle of sigma2 is connected
         cycle = [k for k, length in enumerate(parts) for _ in range(length)]
-        ball, join = pairing_kernel(parts, g - 2)
+        tables = pairing_tables(tuple(parts), g - 2)
         mu = [-1] * n
 
-        def extend(unpaired):
+        def extend(unpaired, ball):
             if not unpaired:
                 links = [[] for _ in parts]
                 for x in range(n):
@@ -205,13 +197,12 @@ def canonical_enumerate(n, g, counter: SearchCounter = None):
             for j in members(orbit_partners(parts, unpaired, i, partners)):
                 counter.nodes += 1
                 rest = unpaired & ~(1 << i | 1 << j)
-                saved = ball[:]
+                child = list(ball)
                 mu[i], mu[j] = j, i
-                join(i, j, rest)
-                yield from extend(rest)
-                ball[:] = saved
+                pairing_join(tables, child, i, j, rest)
+                yield from extend(rest, child)
 
-        yield from extend((1 << n) - 1)
+        yield from extend((1 << n) - 1, tables[0])
 
 
 def members(mask):
@@ -260,6 +251,6 @@ def certify_lower_bound(g: int, n: int) -> SearchOutcome:
     return minimum_size(g, n)
 
 
-__all__ = ["SearchCounter", "pairing_tables", "pairing_kernel",
+__all__ = ["SearchCounter", "pairing_tables", "pairing_join",
            "canonical_enumerate", "members", "SearchOutcome",
            "minimum_size", "certify_lower_bound"]

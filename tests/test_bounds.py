@@ -250,3 +250,12 @@ class TestTableAgainstReference:
         for r in rows:
             assert (r.moore_raw, r.moore_adjusted, r.es_bound) \
                 == reference_row(h, r.g, tree)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ahl_moore_polynomial(1.5, 5), "requires x >= 1"),
+    (lambda: bounds_table(graphs.h23(), 2, 5), "g must be >= 3"),
+])
+def test_out_of_range_arguments(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liftgirth import bounds, cli, graphs
+from liftgirth import bounds, cli, construct, graphs
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift, serialize_cover_map
 from test_names import loaded_after
@@ -96,7 +96,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv", [["--g", "2"], ["--g", "0"],
                                       ["--gmin", "9", "--gmax", "5"],
-                                      ["--gmin", "2", "--gmax", "5"]])
+                                      ["--gmin", "2", "--gmax", "5"],
+                                      ["--g", "5", "--gmin", "3"],
+                                      ["--g", "5", "--gmax", "30"]])
     def test_bad_girth_range_before_output(self, argv, capsys):
         assert cli.main(["analyze", *argv]) == cli.EXIT_PRECONDITION
         assert capsys.readouterr().out == ""
@@ -313,6 +315,33 @@ class TestConstruct:
             assert message in capsys.readouterr().err
         assert in_process_pool == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("name, value, argv, code, row", [
+        ("_MAX_STEPS", 1, ["--alg", "gd", "--g", "10"], cli.EXIT_BUDGET,
+         "10,gd,2,0,,"),
+        ("_BUDGET", 1, ["--alg", "2lift", "--g", "9"], cli.EXIT_BUDGET,
+         "9,2lift,2,0,,"),
+        ("_on_short_cycle", lambda *args: True,
+         ["--alg", "es", "--g", "11", "--seed", "1"], cli.EXIT_PRECONDITION,
+         None),
+    ], ids=["gd_steps", "2lift_budget", "es_short_cycle"])
+    def test_failed_trial_is_no_invariant_violation(
+            self, in_process_pool, monkeypatch, capsys, jobs, name, value,
+            argv, code, row):
+        """Trials that run out of growth steps or of candidate 2-lifts
+        fail and are counted (exit 4, no success); a trim that keeps a
+        short cycle violates an invariant and ends the run (exit 3,
+        nothing on stdout), with or without a pool."""
+        monkeypatch.setattr(construct, name, value)
+        assert cli.main(["construct", *argv, "--trials", "2",
+                         "--jobs", jobs]) == code
+        out, err = capsys.readouterr()
+        if row is None:
+            assert out == "" and "internal invariant violated" in err
+        else:
+            assert out.splitlines() == [cli.CONSTRUCT_CSV_HEADER, row]
+        assert in_process_pool == ([2] if jobs == "2" else [])
+
     def test_es_on_base_file(self, h23_file, capsys):
         code = cli.main(["construct", "--alg", "es", "--g", "6",
                          "--graph", h23_file, "--trials", "2", "--seed", "4"])
@@ -428,6 +457,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "given twice" in captured.err
+
+    def test_edge_over_the_other_parallel_edge(self, tmp_path, capsys):
+        """A lifted u -> v edge remapped from base edge 1 to base edge 3,
+        the other u -> v edge, keeps its ends, but its inverse still lies
+        over edge 0, not over inv(3) = 2."""
+        gp, hp, mp = self.make_files(tmp_path)
+        lines = Path(mp).read_text().splitlines()
+        k = next(k for k, line in enumerate(lines)
+                 if line.startswith("emap ") and line.endswith(" 1"))
+        lines[k] = lines[k][:-1] + "3"
+        Path(mp).write_text("\n".join(lines) + "\n")
+        assert cli.main(["verify", "--graph", gp, "--base", hp,
+                         "--map", mp]) == cli.EXIT_PRECONDITION
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "cover: FAIL"
+        assert f"  edge {lines[k].split()[1]}: inverse does not commute" \
+            in out
 
     def test_corrupted_map_fails(self, tmp_path, capsys):
         gp, hp, mp = self.make_files(tmp_path, corrupt=True)

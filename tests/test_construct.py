@@ -21,7 +21,7 @@ from liftgirth.graphs import (GraphError, MultiGraph, TrialFailed, diameter,
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
                              normalize_tree_layers, serialize_cover_map,
                              verify_cover)
-from liftgirth.search import pairing_kernel, pairing_tables
+from liftgirth.search import pairing_join, pairing_tables
 from test_graphs import (random_assignment, random_involution, random_lift,
                          random_loopy_lift, to_nx)
 
@@ -1090,11 +1090,11 @@ class TestGreedyCycle:
         assert greedy_outcome("c", 16, 6, random.Random(0)) == other
 
     def test_kernels_copy_the_rows(self):
-        """Each kernel's ball is its own copy: a join on one leaves the
-        shared rows and a second kernel's ball as built."""
-        ball, join = pairing_kernel([12], 6)
-        other, _ = pairing_kernel([12], 6)
-        join(0, 6, (1 << 12) - 1 & ~(1 | 1 << 6))
+        """A join writes only the list it is given: the shared rows and a
+        second copy of them stay as built."""
+        tables = pairing_tables((12,), 6)
+        ball, other = list(tables[0]), list(tables[0])
+        pairing_join(tables, ball, 0, 6, (1 << 12) - 1 & ~(1 | 1 << 6))
         assert ball != other
         assert other == list(pairing_tables((12,), 6)[0]) \
             == list(pairing_tables.__wrapped__((12,), 6)[0])
@@ -1253,3 +1253,16 @@ class TestSurgery:
     def test_unknown_variant(self):
         with pytest.raises(GraphError):
             grow("zz", 5, random.Random(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: surgery_transform(graphs.k4_minus_edge(), 0, 1),
+     "two distinct edges"),
+    (lambda: surgery_transform(graphs.k4_minus_edge(), 0, 2),
+     "endpoints must have degrees 3 and 2"),
+    (lambda: greedy_cycle("c", 8, 2, random.Random(0)), "g must be >= 3"),
+    (lambda: grow("gd", 2, random.Random(0)), "g must be >= 3"),
+])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

@@ -169,3 +169,9 @@ class TestGrowth:
             assert 1.0 < ratio < 2.0
         late = sizes[40] / sizes[39]
         assert abs(late - 1.5214) < 0.02
+
+
+@pytest.mark.parametrize("rmax", [-1, -3])
+def test_negative_radius(h23, rmax):
+    with pytest.raises(graphs.GraphError, match="rmax must be >= 0"):
+        layer_counts(h23, U, rmax)

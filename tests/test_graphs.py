@@ -448,3 +448,12 @@ def test_cli_import_leaves_dataclasses_out():
             "assert not {'dataclasses', 'inspect'} & (set(sys.modules) - bare)")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("tail, head, inv, message", [
+    ([0, 1], [1, 0], [1], "length mismatch"),
+    ([0, 1, 1], [1, 0, 1], [1, 2, 0], "edge 0: inverse is not an involution"),
+])
+def test_multigraph_refuses_bad_edge_lists(tail, head, inv, message):
+    with pytest.raises(GraphError, match=message):
+        MultiGraph(2, tail, head, inv)

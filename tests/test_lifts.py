@@ -281,3 +281,31 @@ class TestLiftFiles:
         for text in (line + "\n" + good, good + line + "\n"):
             with pytest.raises(ParseError, match="given twice"):
                 parse_cover_map(text, g, h23)
+
+
+H23 = graphs.h23()
+LIFT, MAP = build_lift(LiftAssignment.identity(H23, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LiftAssignment(H23, 0, []), "height must be >= 1"),
+    (lambda: LiftAssignment(H23, 2, [IDENT] * 4),
+     "one permutation per directed base edge"),
+    (lambda: LiftAssignment(H23, 2, [(0, 0)] * 5),
+     "edge 0: not a permutation"),
+    (lambda: normalize_tree_layers(LiftAssignment.identity(H23, 2), []),
+     "tree does not span"),
+    (lambda: verify_cover(LIFT, H23, MAP._replace(vertex_map=(0,))),
+     "map size mismatch"),
+    (lambda: verify_cover(LIFT, H23, MAP._replace(
+        vertex_map=(5,) + MAP.vertex_map[1:])), "vertex 0: image out of range"),
+    (lambda: verify_cover(LIFT, H23, MAP._replace(
+        edge_map=(99,) + MAP.edge_map[1:])), "edge 0: image out of range"),
+])
+def test_bad_lifts_and_maps_are_refused(call, message):
+    """A bad assignment or tree raises; a bad cover map is reported."""
+    try:
+        violations = call().violations
+    except GraphError as exc:
+        violations = [str(exc)]
+    assert any(message in v for v in violations), violations

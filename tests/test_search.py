@@ -13,7 +13,7 @@ from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
 from liftgirth.search import (SearchCounter, _partitions,
                               _sigma_from_partition, canonical_enumerate,
                               certify_lower_bound, members, minimum_size,
-                              orbit_partners, pairing_kernel)
+                              orbit_partners, pairing_tables)
 from test_graphs import to_nx
 
 
@@ -263,7 +263,7 @@ class TestEnumeration:
         for g in range(3, 12):
             for n in range(2, 17, 2):
                 for parts in _partitions(n, (g + 1) // 2):
-                    ball, _ = pairing_kernel(parts, g - 2)
+                    ball = pairing_tables(tuple(parts), g - 2)[0]
                     legal = [(1 << n) - 1 & ~ball[x] for x in range(n)]
                     assert min(range(n),
                                key=lambda x: legal[x].bit_count()) == 0
@@ -411,3 +411,16 @@ class TestCertificates:
         assert (cert.size, cert.nodes) == (12, 3)
         graph, _ = build_lift(cert.witness)
         assert girth(graph) >= 6 and graph.vertex_count == 12
+
+
+@pytest.mark.parametrize("n, g", [(4, 2), (2, 1), (5, 3), (7, 5)])
+def test_nothing_to_enumerate(n, g):
+    """g < 3 is refused, and an odd height, where mu would need a fixed
+    point, yields no lift and tries no pair."""
+    counter = SearchCounter()
+    if g < 3:
+        with pytest.raises(GraphError, match="g must be >= 3"):
+            list(canonical_enumerate(n, g, counter))
+    else:
+        assert list(canonical_enumerate(n, g, counter)) == []
+    assert counter.nodes == 0

@@ -328,3 +328,12 @@ class TestSummary:
         assert abs(s.rho - math.sqrt(2)) < 1e-9
         assert s.equality_rho_lambda
         assert abs(s.avg_degree_minus_one - 1.4) < 1e-12
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1), (1, 2), (2, 0)],
+                                   [(0, 1), (1, 2), (2, 0), (2, 3)]])
+def test_equality_needs_an_admissible_base(pairs):
+    """A cycle (no branch vertex) and a triangle with a pendant vertex."""
+    h = graphs.MultiGraph.from_pairs(1 + max(map(max, pairs)), pairs)
+    with pytest.raises(GraphError, match="needs an admissible graph"):
+        rho_lambda_equality(h)
