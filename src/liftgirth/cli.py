@@ -85,20 +85,13 @@ def cmd_analyze(args) -> int:
     from .cover_tree import ball_sizes
     from .spectral import summarize
 
-    if args.g is not None:
-        if (args.gmin, args.gmax) != (None, None):
-            raise GraphError("--g excludes --gmin and --gmax")
-        gmin = gmax = args.g
-    else:
-        gmin = 3 if args.gmin is None else args.gmin
-        gmax = 30 if args.gmax is None else args.gmax
-    if not 3 <= gmin <= gmax:
+    if not 3 <= args.gmin <= args.gmax:
         raise GraphError(f"girth range needs 3 <= gmin <= gmax, got "
-                         f"{gmin}..{gmax}")
+                         f"{args.gmin}..{args.gmax}")
     _check_output_dirs(args.csv)
     base = h23() if args.graph is None else _load_graph(args.graph)
     s = summarize(base)
-    rows = bounds_table(base, gmin, gmax)
+    rows = bounds_table(base, args.gmin, args.gmax)
     print(f"rho        {s.rho:.6f}   ({s.iterations} iterations, "
           f"residual {s.residual:.2e})")
     print(f"Lambda     {s.lam:.6f}")
@@ -160,7 +153,7 @@ def cmd_construct(args) -> int:
     if args.graph is not None and args.alg not in ("es", "2lift"):
         raise GraphError(f"--alg {args.alg} builds covers of H23; --graph "
                          f"applies only to --alg es/2lift")
-    _check_output_dirs(args.out, args.csv)
+    _check_output_dirs(args.out)
     base = h23() if args.graph is None else _load_graph(args.graph)
     if args.alg in ("es", "2lift"):     # before any trial or pool starts
         from .construct import check_min_degree, es_tree
@@ -199,8 +192,6 @@ def cmd_construct(args) -> int:
                f"{best.vertex_count},{best_seed}")
     print(CONSTRUCT_CSV_HEADER)
     print(row)
-    if args.csv:
-        _write(args.csv, CONSTRUCT_CSV_HEADER + "\n" + row + "\n")
     if best is None:
         return EXIT_BUDGET
     if args.out:
@@ -257,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="spectral summary and bounds table")
     p.add_argument("--graph", help="base graph file (default: built-in H23)")
-    p.add_argument("--g", type=int, help="single girth value")
-    p.add_argument("--gmin", type=int, help="least girth (default 3)")
-    p.add_argument("--gmax", type=int, help="largest girth (default 30)")
+    p.add_argument("--gmin", type=int, default=3, help="least girth")
+    p.add_argument("--gmax", type=int, default=30, help="largest girth")
     p.add_argument("--balls", type=_int_at_least(0), metavar="R",
                    help="also print universal cover ball sizes up to R")
     p.add_argument("--csv", help="write the bounds table as CSV")
@@ -276,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", help="write the best graph found")
-    p.add_argument("--csv", help="write the summary row as CSV")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="exhaustive search over H23 lifts")
@@ -300,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphError as exc:

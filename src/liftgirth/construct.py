@@ -309,7 +309,6 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
     Its start rows depend on (n, g) alone, so the trials of one run share
     one build (search.pairing_tables) and each joins into its own copy.
     """
-    variant = variant.lower()
     if variant not in ("a", "b", "c"):
         raise GraphError(f"unknown greedy variant {variant!r}")
     if n <= 0 or n % 4:
@@ -569,7 +568,6 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
     A trial edits one GrowState in place and builds one MultiGraph, its
     output; gf keeps B's columns for the whole trial (_edit_columns).
     """
-    variant = variant.lower()
     if variant not in ("gd", "gf"):
         raise GraphError(f"unknown growth variant {variant!r}")
     if g < 3:

@@ -262,13 +262,11 @@ def girth(g: MultiGraph):
     """Shortest cycle length: 1 with any loop, 2 with a parallel pair,
     else the simple-graph girth; math.inf for forests.
 
-    The simple-graph girth is the minimum over source blocks of
-    _block_girth, the all-sources form of the per-root BFS of Itai and
-    Rodeh, "Finding a minimum circuit in a graph" (1978)."""
+    Without loops it is the minimum over source blocks of _block_girth,
+    the all-sources form of the per-root BFS of Itai and Rodeh, "Finding
+    a minimum circuit in a graph" (1978)."""
     if any(map(operator.eq, g.tail, g.head)):
         return 1
-    if len(set(zip(g.tail, g.head))) < g.edge_count:
-        return 2                # no loops: a repeated (tail, head) is parallel
     best = math.inf
     for lo in range(0, g.vertex_count, _BLOCK):
         best = _block_girth(g.adj, lo, best)
@@ -276,13 +274,14 @@ def girth(g: MultiGraph):
 
 
 def _block_girth(adj, lo, bound):
-    """Shortest cycle met by the sources of the block at lo in a simple
-    graph, or bound when none is shorter.
+    """Shortest cycle met by the sources of the block at lo in a graph
+    without loops, or bound when none is shorter.
 
-    In round t, a source new at v through two distinct neighbours closes
-    a cycle of length at most 2t, and an edge joining two vertices where
+    In round t, a source new at v through two of v's edges closes a
+    cycle of length at most 2t, and an edge joining two vertices where
     one source is new closes one of at most 2t + 1; a source on a
-    shortest cycle meets it exactly.  Even is checked before odd."""
+    shortest cycle meets it exactly.  Even is checked before odd.  So a
+    parallel pair shows in round 1: one end reaches the other twice."""
     rows = _source_rows(len(adj), lo)
     t = 1
     while 2 * t < bound:

@@ -45,8 +45,8 @@ def defined_names(module):
 
 
 def test_submodules_export_only_their_own_names():
-    """A submodule's __all__ re-exports nothing it imports (the package
-    itself maps its names to their submodules)."""
+    """A submodule's __all__ re-exports nothing it imports: each name has
+    one address, the submodule that defines it."""
     for module in submodules():
         foreign = set(getattr(module, "__all__", ())) - defined_names(module)
         assert not foreign, f"{module.__name__}: {sorted(foreign)}"
