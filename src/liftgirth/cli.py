@@ -242,11 +242,12 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="liftgirth",
+        prog="liftgirth", allow_abbrev=False,
         description="girth bounds and small high-girth lifts of multigraphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="spectral summary and bounds table")
+    p = sub.add_parser("analyze", help="spectral summary and bounds table",
+                       allow_abbrev=False)
     p.add_argument("--graph", help="base graph file (default: built-in H23)")
     p.add_argument("--gmin", type=int, default=3, help="least girth")
     p.add_argument("--gmax", type=int, default=30, help="largest girth")
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the bounds table as CSV")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("construct", help="randomized constructions")
+    p = sub.add_parser("construct", help="randomized constructions",
+                       allow_abbrev=False)
     p.add_argument("--alg", required=True,
                    choices=["a", "b", "c", "gd", "gf", "es", "2lift"])
     p.add_argument("--g", type=int, required=True)
@@ -268,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the best graph found")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("search", help="exhaustive search over H23 lifts")
+    p = sub.add_parser("search", help="exhaustive search over H23 lifts",
+                       allow_abbrev=False)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--max-n", type=_int_at_least(1), required=True,
                    help="largest lift height to try")
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the witness graph")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify", help="check a cover map")
+    p = sub.add_parser("verify", help="check a cover map", allow_abbrev=False)
     p.add_argument("--graph", required=True, help="covering graph file")
     p.add_argument("--base", required=True, help="base graph file")
     p.add_argument("--map", required=True, help="cover map file")

@@ -356,12 +356,6 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
 
 # -- covers of the half-loop base by structure -----------------------------
 
-def _uv_edges(g: MultiGraph):
-    degs = g.degrees()
-    return [e for e in g.undirected_edges()
-            if {degs[g.tail[e]], degs[g.head[e]]} == {2, 3}]
-
-
 def h23_cover_map(g: MultiGraph) -> CoverMap:
     """Cover map onto the two-vertex half-loop base read off the degrees:
     degree-2 vertices form the fiber of v, degree-3 of u; u-u edges lift
@@ -377,7 +371,8 @@ def h23_cover_map(g: MultiGraph) -> CoverMap:
     vmap = tuple(1 if d == 3 else 0 for d in degs)
     emap = [4 if degs[g.tail[e]] == degs[g.head[e]] == 3 else None
             for e in range(g.edge_count)]
-    for e in _uv_edges(g):
+    # u-u edges are preset and v-v edges refused: this colors the u-v ones
+    for e in g.undirected_edges():
         color = 0
         while emap[e] is None:
             # base directed ids: pair A = (0: v->u, 1: u->v), pair B = (2, 3)
@@ -478,19 +473,18 @@ def surgery_transform(g: MultiGraph, e: int, f: int) -> MultiGraph:
     between the two new degree-3 vertices: one GrowState.surgery step.
     The kept edges keep their order and the seven new edges follow.  A
     half-loop has no pair of slots, so a graph with one is refused."""
-    degs = g.degrees()
     e, f = min(e, g.inv[e]), min(f, g.inv[f])
     if e == f:
         raise GraphError("surgery needs two distinct edges")
     if any(map(g.is_half_loop, range(g.edge_count))):
         raise GraphError("surgery needs a graph without half-loops")
-    for x in (e, f):
-        if {degs[g.tail[x]], degs[g.head[x]]} != {2, 3}:
-            raise GraphError(f"edge {x} endpoints must have degrees 3 and 2")
     und = g.undirected_edges()
     state = GrowState(g.vertex_count, [(g.tail[x], g.head[x]) for x in und])
-    slot = {s >> 1: s for s in state.uv}
-    state.surgery(slot[und.index(e)], slot[und.index(f)])
+    slot = {und[s >> 1]: s for s in state.uv}
+    for x in (e, f):
+        if x not in slot:
+            raise GraphError(f"edge {x} endpoints must have degrees 3 and 2")
+    state.surgery(slot[e], slot[f])
     return state.graph()
 
 

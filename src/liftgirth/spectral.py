@@ -8,23 +8,7 @@ from operator import add
 from typing import NamedTuple
 
 from .cover_tree import nb_columns, nb_step
-from .graphs import GraphError, MultiGraph, admissible, bfs
-
-
-def _strongly_connected(columns) -> bool:
-    """Whether B, as predecessor columns, is irreducible: its digraph (an
-    arc e -> f when a walk ending on e may continue on f) has an arc and
-    is strongly connected.  (So a 1x1 B, which is zero, counts as
-    reducible.)"""
-    m = len(columns[0]) - 1
-    pred = [[e for e in es if e >= 0] for es in zip(*columns)][:m]
-    succ = [[] for _ in pred]
-    for f, es in enumerate(pred):
-        for e in es:
-            succ[e].append(f)
-    if not any(succ):
-        return False
-    return all(min(bfs(adj, 0)) >= 0 for adj in (succ, pred))
+from .graphs import GraphError, MultiGraph, admissible
 
 
 _TOL = 1e-10           # power iteration stops at residual <= _TOL * (rho + 1)
@@ -42,13 +26,11 @@ def spectral_radius(h: MultiGraph):
     with residual the infinity norm of (B+I)x - (rho+1)x, for x >= 0
     scaled to largest entry 1.0.
 
-    The precondition is on B itself, which the iteration needs, not
-    `graphs.admissible`: B is also irreducible on some inadmissible bases
-    (two half-loops at one vertex, B one cyclic permutation: rho = 1).
+    An admissible base has an irreducible B, which the iteration needs.
     """
+    if not admissible(h):
+        raise GraphError("spectral_radius needs an admissible graph")
     columns = nb_columns(h)
-    if not _strongly_connected(columns):
-        raise GraphError("spectral_radius requires an irreducible matrix")
     x = [1.0] * h.edge_count + [0.0]    # the zero slot of nb_columns
     for it in range(1, _MAX_ITER + 1):
         y = list(map(add, x, nb_step(columns, x)))

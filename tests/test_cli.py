@@ -359,6 +359,9 @@ class TestConstruct:
     ["construct", "--alg", "gf", "--g", "5", "--trials", "0"],
     ["search", "--g", "6", "--max-n", "-4"],
     ["analyze", "--balls", "-1"],
+    # abbreviations of --trials, --seed, --max-n and --certify
+    ["construct", "--alg", "gf", "--g", "5", "--tri", "3", "--se", "1"],
+    ["search", "--g", "6", "--max", "6", "--cert"],
 ])
 def test_bad_argument_exit(argv, capsys):
     with pytest.raises(SystemExit) as exc:

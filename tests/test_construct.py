@@ -11,8 +11,7 @@ from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.cover_tree import nb_columns, nb_step
 from liftgirth.construct import (GrowState, _coin_string, _lift_adj,
                                  _on_short_cycle, _pick_max,
-                                 _short_cycle_vertices, _uv_edges,
-                                 cycles_of_length,
+                                 _short_cycle_vertices, cycles_of_length,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, h23_cover_map, high_girth_cover,
                                  nb_cycle_profile, surgery_transform)
@@ -107,6 +106,14 @@ def reference_short_cycle_edges(g, edges, bound):
     return [e for k, e in enumerate(edges) if rows[g.head[e]] >> k & 1]
 
 
+def uv_edges(g):
+    """The u-v edges of g (ends of degrees 3 and 2), the smaller id of
+    each, in id order: the list reference_grow draws from."""
+    degs = g.degrees()
+    return [e for e in g.undirected_edges()
+            if {degs[g.tail[e]], degs[g.head[e]]} == {2, 3}]
+
+
 def v_end(g, e):
     """The degree-2 end of a u-v edge e of g."""
     return g.tail[e] if len(g.out[g.tail[e]]) == 2 else g.head[e]
@@ -114,9 +121,9 @@ def v_end(g, e):
 
 def short_uv_edges(g, bound):
     """The u-v edges of g that grow's gd test finds on a cycle shorter
-    than bound, in _uv_edges order."""
+    than bound, in uv_edges order."""
     hit = _short_cycle_vertices(g.adj, bound)
-    return [e for e in _uv_edges(g) if hit[v_end(g, e)]]
+    return [e for e in uv_edges(g) if hit[v_end(g, e)]]
 
 
 def reference_cycles(g, length):
@@ -224,7 +231,7 @@ def reference_grow(variant, g, rng):
     graph = graphs.k4_minus_edge()
     run, choices = [graph], []
     while True:
-        uv = _uv_edges(graph)
+        uv = uv_edges(graph)
         if variant == "gd":
             on_short = reference_short_cycle_edges(graph, uv, g)
             if not on_short:
@@ -391,7 +398,7 @@ class TestNBProfile:
         every g_max up to 12."""
         for run in growth_runs.values():
             for g in run:
-                uv = _uv_edges(g)
+                uv = uv_edges(g)
                 full = [reference_nb_cycle_profile(g, e, 12) for e in uv]
                 for g_max in range(1, 13):
                     assert nb_cycle_profile(nb_columns(g), uv, g_max) \
@@ -985,7 +992,7 @@ class TestPinnedGrowth:
         step through."""
         for run in growth_runs.values():
             for g in run:
-                uv = _uv_edges(g)
+                uv = uv_edges(g)
                 full = {e: reference_short_cycle_through(g, e, math.inf)
                         for e in uv}
                 for bound in range(3, 17):
@@ -1003,7 +1010,7 @@ class TestShortCycleVertices:
         parallel, mixed = 0, 0
         for _ in range(60):
             g = random_lift(h23, rng.randint(1, 24), rng, random_involution)
-            uv = _uv_edges(g)
+            uv = uv_edges(g)
             parallel += len(uv) > len({frozenset((g.tail[e], g.head[e]))
                                        for e in uv})
             for bound in range(3, 14):
@@ -1159,17 +1166,8 @@ def test_g13_witness_on_80_vertices(h23):
 
 
 class TestSurgery:
-    def uv_pairs(self, g):
-        degs = g.degrees()
-        out = []
-        for e in g.undirected_edges():
-            a, b = g.tail[e], g.head[e]
-            if {degs[a], degs[b]} == {2, 3}:
-                out.append(e)
-        return out
-
     def test_all_pairs_keep_cover(self, h23, k4me):
-        edges = self.uv_pairs(k4me)
+        edges = uv_edges(k4me)
         for e in edges:
             for f in edges:
                 if f == e or f == k4me.inv[e]:
@@ -1182,14 +1180,14 @@ class TestSurgery:
         """Every pair of u-v edges of K4 minus an edge, and random pairs
         from the graphs growth steps through, either edge given in either
         direction."""
-        uv = self.uv_pairs(k4me)
+        uv = uv_edges(k4me)
         cases = [(k4me, x, f) for e in uv for f in uv if f != e
                  for x in (e, k4me.inv[e])]
         rng = random.Random(5)
         for run in growth_runs.values():
             for g in run[::3]:
                 for _ in range(4):
-                    e, f = rng.sample(self.uv_pairs(g), 2)
+                    e, f = rng.sample(uv_edges(g), 2)
                     cases.append((g, rng.choice((e, g.inv[e])), f))
         for g, e, f in cases:
             assert surgery_transform(g, e, f) \

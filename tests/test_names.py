@@ -95,3 +95,25 @@ def test_cli_import_loads_traced_modules(monkeypatch):
     run = importlib.import_module("run")
     traced = {span.rsplit(".", 1)[0] for span in run.SPANS}
     assert traced <= loaded_after("import liftgirth.cli")
+
+
+def test_imports_are_used():
+    """Every name a src module imports occurs in it as a Name node: the
+    unused-import check, without a linter.  Imports marked `# noqa: F401`
+    (kept for their side effect) and `__future__` imports are skipped."""
+    unused = []
+    for path in sorted(Path(liftgirth.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused

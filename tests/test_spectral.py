@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from liftgirth import graphs
+from liftgirth import graphs, spectral
 from liftgirth.graphs import GraphError
 from liftgirth.lifts import build_lift
 from liftgirth.spectral import (_EQUALITY_TOL, _TOL, avg_degree, lambda_ahl,
@@ -78,11 +78,11 @@ class TestRadius:
         dense = dense_nb_matrix(c4)
         assert all(sum(row) == 1 for row in dense)
         assert abs(dense_radius(dense) - 1.0) < 1e-9
-        # the matrix splits into the two directed cycles, so the Perron
-        # power iteration refuses it
+        # the matrix splits into the two directed cycles, which the Perron
+        # power iteration cannot take: C4 is a cycle, so not admissible
         with pytest.raises(GraphError):
             spectral_radius(c4)
-        # a single half-loop has the 1x1 zero matrix, which is reducible
+        # a single half-loop has the 1x1 zero matrix (and degree 1)
         with pytest.raises(GraphError):
             spectral_radius(graphs.MultiGraph.build(1, [("halfloop", 0)]))
 
@@ -94,6 +94,12 @@ class TestRadius:
     def test_residual_reported(self, h23):
         rho, iters, residual = spectral_radius(h23)
         assert iters >= 1 and residual < 1e-9
+
+    def test_no_convergence_raises(self, h23, monkeypatch):
+        # H23 needs 23 iterations
+        monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+        with pytest.raises(GraphError, match="did not converge"):
+            spectral_radius(h23)
 
 
 class TestDegreeInvariants:
@@ -253,19 +259,22 @@ class TestIrreducibility:
             assert graphs.admissible(h) == reference_admissible(h) == expected
 
     def test_radius_beyond_admissible(self):
-        """spectral_radius checks B itself, so it accepts two inadmissible
-        bases where B is one cyclic permutation (its refusals of C4 and of
-        one half-loop are in TestRadius)."""
+        """spectral_radius refuses every inadmissible base, also the two
+        where B is one cyclic permutation, so irreducible (its refusals of
+        C4 and of one half-loop are in TestRadius)."""
         build = graphs.MultiGraph.build
         for h in (build(1, [("halfloop", 0), ("halfloop", 0)]),
                   build(2, [("halfloop", 0), ("edge", 0, 1),
                             ("halfloop", 1)])):
             assert not graphs.admissible(h)
-            assert spectral_radius(h)[0] == 1.0
+            with pytest.raises(GraphError, match="admissible"):
+                spectral_radius(h)
 
     def test_agrees_with_admissibility(self):
         # random multigraphs with half-loops, whole-loops, parallel edges
-        # and isolated vertices, against the reading of B
+        # and isolated vertices, against the reading of B; spectral_radius
+        # converges on each admissible one, to rho >= Lambda (Alon, Hoory
+        # and Linial), and refuses the others
         rng = random.Random(8)
         seen = set()
         for _ in range(2000):
@@ -281,6 +290,13 @@ class TestIrreducibility:
             admissible = graphs.admissible(h)
             assert reference_admissible(h) == admissible
             seen.add(admissible)
+            if admissible:
+                rho, _, residual = spectral_radius(h)
+                assert residual <= _TOL * (rho + 1)
+                assert rho >= lambda_ahl(h) - 1e-9
+            else:
+                with pytest.raises(GraphError):
+                    spectral_radius(h)
         assert seen == {False, True}
 
     def test_summarize_rejects_cycle(self):
