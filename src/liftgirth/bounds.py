@@ -6,7 +6,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .cover_tree import ball_sizes, edge_ball_sizes
-from .graphs import GraphError, MultiGraph, admissible, bfs, is_connected
+from .graphs import GraphError, MultiGraph, admissible, bfs
 from .spectral import lambda_ahl
 
 
@@ -51,9 +51,9 @@ def _tree_diameter(h: MultiGraph, tree_edges):
 
 def spanning_tree(h: MultiGraph) -> SpanningTreeInfo:
     """BFS spanning tree minimizing tree diameter over all roots."""
-    if not is_connected(h):
+    trees = [_bfs_tree_edges(h, root) for root in range(h.vertex_count)]
+    if len(trees[0]) < h.vertex_count - 1:
         raise GraphError("spanning_tree requires a connected graph")
-    trees = (_bfs_tree_edges(h, root) for root in range(h.vertex_count))
     return min((SpanningTreeInfo(t, _tree_diameter(h, t)) for t in trees),
                key=lambda t: t.diam)
 

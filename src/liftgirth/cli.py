@@ -54,11 +54,13 @@ def _write(path, text):
 
 
 def _check_output_dirs(*paths):
-    """Reject an output path that is a directory or whose directory does
-    not exist (exit 2), so a run fails before its work and its stdout,
-    not after."""
+    """Reject an output path that is empty, is a directory or whose
+    directory does not exist (exit 2), so a run fails before its work and
+    its stdout, not after."""
     for path in paths:
         if path is not None:
+            if not path:
+                raise FileNotFoundError("empty output file path")
             if os.path.isdir(path):
                 raise IsADirectoryError(f"output file {path!r} is a "
                                         f"directory")
@@ -108,7 +110,7 @@ def cmd_analyze(args) -> int:
         es = "-" if r.es_bound is None else str(r.es_bound)
         print(f"{r.g:>4} {r.moore_raw:>12} {r.moore_adjusted:>12} {es:>12} "
               f"{r.ahl_n0:>14.2f}")
-    if args.csv:
+    if args.csv is not None:
         _write(args.csv, table_to_csv(rows))
     return EXIT_OK
 
@@ -194,7 +196,7 @@ def cmd_construct(args) -> int:
     print(row)
     if best is None:
         return EXIT_BUDGET
-    if args.out:
+    if args.out is not None:
         _write(args.out, serialize_graph(best))
     return EXIT_OK
 
@@ -213,7 +215,7 @@ def cmd_search(args) -> int:
         print(f"g,{args.g},{word}_up_to,{args.max_n},nodes,{outcome.nodes}")
         return EXIT_OK if args.certify else EXIT_BUDGET
     print(f"g,{args.g},minimum,{outcome.size},nodes,{outcome.nodes}")
-    if args.out:
+    if args.out is not None:
         _write(args.out, serialize_graph(build_lift(outcome.witness)[0]))
     return EXIT_OK
 

@@ -17,9 +17,9 @@ from typing import TYPE_CHECKING
 
 from .cover_tree import nb_step
 from .graphs import (GraphError, MultiGraph, TrialFailed, _spread, bfs,
-                     farthest_pair, girth, h23)
-from .lifts import (CoverMap, LiftAssignment, build_lift,
-                    half_loop_elimination, normalize_tree_layers, verify_cover)
+                     farthest_pair, girth)
+from .lifts import (LiftAssignment, build_lift, half_loop_elimination,
+                    normalize_tree_layers)
 
 # bounds (for es) and search (for greedy) are imported where they run: an
 # invocation compiles what it imports when bytecode is not cached, so a
@@ -125,8 +125,8 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
     """
     check_min_degree(h)
     a, G = LiftAssignment.identity(h, 1), h
-    if (any(h.is_half_loop(e) for e in range(h.edge_count))
-            and girth(h) < g):
+    # a half-loop is a 1-cycle, so it must go unless g <= 1
+    if g > 1 and any(map(h.is_half_loop, range(h.edge_count))):
         a = half_loop_elimination(h)
         G = build_lift(a)[0]
 
@@ -354,42 +354,6 @@ def greedy_cycle(variant: str, n: int, g: int, rng):
     return MultiGraph.from_pairs(n, pairs)
 
 
-# -- covers of the half-loop base by structure -----------------------------
-
-def h23_cover_map(g: MultiGraph) -> CoverMap:
-    """Cover map onto the two-vertex half-loop base read off the degrees:
-    degree-2 vertices form the fiber of v, degree-3 of u; u-u edges lift
-    the half-loop and the u-v edges 2-color along their alternating
-    cycles, each from its first edge with color 0."""
-    base = h23()
-    degs = g.degrees()
-    if set(degs) != {2, 3}:
-        raise GraphError("vertex degrees must be exactly {2, 3}")
-    for e in g.undirected_edges():
-        if degs[g.tail[e]] == degs[g.head[e]] == 2:
-            raise GraphError(f"edge {e} joins two degree-2 vertices")
-    vmap = tuple(1 if d == 3 else 0 for d in degs)
-    emap = [4 if degs[g.tail[e]] == degs[g.head[e]] == 3 else None
-            for e in range(g.edge_count)]
-    # u-u edges are preset and v-v edges refused: this colors the u-v ones
-    for e in g.undirected_edges():
-        color = 0
-        while emap[e] is None:
-            # base directed ids: pair A = (0: v->u, 1: u->v), pair B = (2, 3)
-            down, up = (1, 0) if color == 0 else (3, 2)
-            if degs[g.tail[e]] == 2:
-                down, up = up, down
-            emap[e], emap[g.inv[e]] = down, up
-            # on to the uncolored u-v edge at the head, if any
-            e = next((f for f in g.out[g.head[e]] if emap[f] is None), e)
-            color = 1 - color
-    m = CoverMap(vmap, tuple(emap))
-    rep = verify_cover(g, base, m)
-    if not rep.ok:
-        raise GraphError(f"graph does not cover the base: {rep.violations[:3]}")
-    return m
-
-
 # -- surgery growth (variants gd/gf) ---------------------------------------
 
 class GrowState:
@@ -605,6 +569,6 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
 __all__ = [
     "cycles_of_length", "nb_cycle_profile",
     "check_min_degree", "high_girth_cover", "es_trim_step",
-    "es_tree", "es_construct", "greedy_cycle", "h23_cover_map",
+    "es_tree", "es_construct", "greedy_cycle",
     "GrowState", "surgery_transform", "grow",
 ]

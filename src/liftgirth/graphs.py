@@ -354,9 +354,7 @@ def parse_graph(text: str) -> MultiGraph:
 def serialize_graph(g: MultiGraph) -> str:
     """Inverse of parse_graph, emitting directives in directed-id order."""
     lines = [f"vertices {g.vertex_count}"]
-    for e in range(g.edge_count):
-        if g.inv[e] < e:
-            continue
+    for e in g.undirected_edges():
         if g.is_half_loop(e):
             lines.append(f"halfloop {g.tail[e]}")
         elif g.is_loop(e):
@@ -368,18 +366,13 @@ def serialize_graph(g: MultiGraph) -> str:
 
 def file_edge_ids(g: MultiGraph):
     """Edge ids parse_graph would assign after a serialize_graph round
-    trip, as a tuple indexed by the current ids."""
+    trip, as a tuple indexed by the current ids: serialize_graph's walk
+    numbers each line's edge, then its inverse unless it is a half-loop."""
     new = [None] * g.edge_count
-    c = 0
-    for e in range(g.edge_count):
-        if g.inv[e] < e:
-            continue
-        if g.is_half_loop(e):
-            new[e] = c
-            c += 1
-        else:
-            new[e], new[g.inv[e]] = c, c + 1
-            c += 2
+    walk = (f for e in g.undirected_edges()
+            for f in dict.fromkeys((e, g.inv[e])))
+    for i, e in enumerate(walk):
+        new[e] = i
     return tuple(new)
 
 

@@ -29,6 +29,18 @@ class TestSpanningTree:
         assert t.diam == 2
         assert len(t.tree_edges) == 3
 
+    def test_one_vertex_base(self):
+        # |V| - 1 = 0 tree edges: connected, as the tree from root 0 spans
+        t = spanning_tree(MultiGraph.build(1, [("halfloop", 0)] * 3))
+        assert t.tree_edges == () and t.diam == 0 and t.g0 == 2
+
+    def test_refuses_a_disconnected_graph(self):
+        triangles = MultiGraph.from_pairs(6, [(0, 1), (1, 2), (2, 0),
+                                              (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(GraphError) as err:
+            spanning_tree(triangles)
+        assert str(err.value) == "spanning_tree requires a connected graph"
+
 
 CHEAP_STEPS = 200_000   # heights up to which the stepping reference runs
 

@@ -92,8 +92,8 @@ class TestAnalyze:
                          str(tmp_path / "nope.g")]) == cli.EXIT_PARSE
 
     def test_missing_csv_dir_before_output(self, tmp_path, capsys):
-        # the second path is a directory itself
-        for path in (tmp_path / "no" / "t.csv", tmp_path):
+        # the second path is a directory itself, the third is empty
+        for path in (tmp_path / "no" / "t.csv", tmp_path, ""):
             code = cli.main(["analyze", "--csv", str(path)])
             assert code == cli.EXIT_PARSE
             assert capsys.readouterr().out == ""
@@ -239,8 +239,8 @@ class TestConstruct:
     @pytest.mark.parametrize("flag", ["--out"])
     def test_missing_output_dir_before_trials(self, tmp_path, flag, jobs,
                                               capsys):
-        # the second path is a directory itself
-        for path in (tmp_path / "missing" / "x", tmp_path):
+        # the second path is a directory itself, the third is empty
+        for path in (tmp_path / "missing" / "x", tmp_path, ""):
             code = cli.main(["construct", "--alg", "gf", "--g", "5",
                              "--trials", "3", "--jobs", jobs, flag,
                              str(path)])
@@ -408,8 +408,8 @@ class TestSearch:
     @pytest.mark.parametrize("certify", [[], ["--certify"]])
     def test_missing_output_dir_before_search(self, tmp_path, certify,
                                               capsys):
-        # the second path is a directory itself
-        for path in (tmp_path / "missing" / "x.g", tmp_path):
+        # the second path is a directory itself, the third is empty
+        for path in (tmp_path / "missing" / "x.g", tmp_path, ""):
             code = cli.main(["search", "--g", "11", "--max-n", "40",
                              *certify, "--out", str(path)])
             assert code == cli.EXIT_PARSE

@@ -11,8 +11,8 @@ import pytest
 from liftgirth import graphs
 from liftgirth.graphs import (GraphError, MultiGraph, ParseError, admissible,
                               bfs, diameter, distance, farthest_pair,
-                              girth, is_connected, parse_graph,
-                              serialize_graph)
+                              file_edge_ids, girth, is_connected,
+                              parse_graph, serialize_graph)
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift
 
@@ -403,6 +403,19 @@ class TestFileFormat:
     def test_round_trip_fixtures(self, h23, k4, k4me, petersen):
         for g in (h23, k4, k4me, petersen):
             assert parse_graph(serialize_graph(g)) == g
+
+    def test_file_edge_ids_follow_the_round_trip(self):
+        """Edge ids[e] of the reparsed file is edge e: same tail and
+        head, and its inverse is ids[inv e]."""
+        rng = random.Random(2024)
+        for _ in range(300):
+            g = random_loopy_lift(rng)
+            f = parse_graph(serialize_graph(g))
+            ids = file_edge_ids(g)
+            assert sorted(ids) == list(range(g.edge_count))
+            for e, i in enumerate(ids):
+                assert (f.tail[i], f.head[i]) == (g.tail[e], g.head[e])
+                assert f.inv[i] == ids[g.inv[e]]
 
     def test_comments_and_blank_lines(self):
         text = "# a graph\nvertices 2\n\nedge 0 1  # the only edge\n"

@@ -1,4 +1,5 @@
-"""Public names, and the functions the benchmark traces, must resolve.
+"""Public names, the functions the benchmark traces, and the names
+README.md cites must resolve.
 
 `perfbench/run.py` rebinds the functions named in its SPANS by
 "module.function" inside `liftgirth`; a name deleted or renamed here would
@@ -9,6 +10,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,8 @@ import pytest
 
 import liftgirth
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def submodules():
@@ -117,3 +120,23 @@ def test_imports_are_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused
+
+
+def test_readme_citations_resolve():
+    """Every backticked `module.name` in README.md whose module is a
+    liftgirth submodule is an attribute of it, and every backticked
+    `test_...` or `reference_...` is a def in some tests/*.py."""
+    readme = (ROOT / "README.md").read_text()
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in submodules()}
+    defs = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        defs.update(node.name for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.FunctionDef))
+    missing = []
+    for module, attr in re.findall(r"`(\w+)(?:\.(\w+))?`", readme):
+        if attr:
+            if module in modules and not hasattr(modules[module], attr):
+                missing.append(f"{module}.{attr}")
+        elif module.startswith(("test_", "reference_")) and module not in defs:
+            missing.append(module)
+    assert not missing

@@ -5,7 +5,6 @@ import random
 import networkx as nx
 import pytest
 
-from liftgirth.construct import h23_cover_map
 from liftgirth.graphs import (GraphError, bfs, diameter, girth, h23,
                               is_connected, k4_minus_edge, serialize_graph)
 from liftgirth.lifts import (LiftAssignment, _perm_inverse, build_lift,
@@ -14,6 +13,7 @@ from liftgirth.search import (SearchCounter, _partitions,
                               _sigma_from_partition, canonical_enumerate,
                               certify_lower_bound, members, minimum_size,
                               orbit_partners, pairing_tables)
+from test_construct import h23_cover_map
 from test_graphs import to_nx
 
 
