@@ -5,9 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .cover_tree import ball_sizes, edge_ball_sizes
 from .graphs import GraphError, MultiGraph, admissible, bfs
-from .spectral import lambda_ahl
 
 
 class SpanningTreeInfo(NamedTuple):
@@ -119,6 +117,11 @@ def bounds_table(h: MultiGraph, g_min: int, g_max: int):
     to a multiple of lift_size_step, still an upper bound as the minimum
     lift is such a multiple; a ball below every multiple is kept.
     """
+    # imported here, so that es runs, which need only spanning_tree,
+    # compile neither module
+    from .cover_tree import ball_sizes, edge_ball_sizes
+    from .spectral import lambda_ahl
+
     if not admissible(h):
         raise GraphError("bounds need an admissible graph")
     if g_min < 3:

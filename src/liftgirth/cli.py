@@ -204,7 +204,6 @@ def cmd_construct(args) -> int:
 # -- search ----------------------------------------------------------------
 
 def cmd_search(args) -> int:
-    from .lifts import build_lift
     from .search import minimum_size
 
     _check_output_dirs(args.out)
@@ -216,6 +215,7 @@ def cmd_search(args) -> int:
         return EXIT_OK if args.certify else EXIT_BUDGET
     print(f"g,{args.g},minimum,{outcome.size},nodes,{outcome.nodes}")
     if args.out is not None:
+        from .lifts import build_lift
         _write(args.out, serialize_graph(build_lift(outcome.witness)[0]))
     return EXIT_OK
 

@@ -12,18 +12,19 @@ Three families:
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import and_, rshift
 from typing import TYPE_CHECKING
 
-from .cover_tree import nb_step
-from .graphs import (GraphError, MultiGraph, TrialFailed, _spread, bfs,
-                     farthest_pair, girth)
+from .graphs import (_BLOCK, GraphError, MultiGraph, TrialFailed,
+                     _source_rows, _spread, bfs, girth)
 from .lifts import (LiftAssignment, build_lift, half_loop_elimination,
                     normalize_tree_layers)
 
-# bounds (for es) and search (for greedy) are imported where they run: an
-# invocation compiles what it imports when bytecode is not cached, so a
-# construct run compiles only what its algorithm uses, as in cli.
+# bounds (for es), search (for greedy) and cover_tree (for gf) are imported
+# where they run: an invocation compiles what it imports when bytecode is
+# not cached, so a construct run compiles only what its algorithm uses, as
+# in cli.
 if TYPE_CHECKING:
     from .bounds import SpanningTreeInfo
 
@@ -68,6 +69,8 @@ def nb_cycle_profile(columns, edges, g_max: int):
     deg(head e) - 1 continuations, each with e among its predecessors, so
     at most as many as there are columns; no count exceeds len(columns) ^
     g_max, and fields of its bit length never carry into each other."""
+    from .cover_tree import nb_step
+
     width = (len(columns) ** g_max).bit_length()
     mask = (1 << width) - 1
     shifts = [k * width for k in range(len(edges))]
@@ -119,6 +122,13 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
     until no cycle is left.  So a lift is built and measured only at a
     new girth level below g.
 
+    Candidates are scored in batches of 16, 64, 256, ... bit-sliced, one
+    bit per candidate; a batch is one _coin_string call, the same words
+    as one call per candidate.  The first candidate with the most odd
+    cycles wins, and rng is rewound to just after a candidate that
+    clears every cycle, so the choices and the generator state are those
+    of scoring one candidate at a time.
+
     Every accepted 2-lift of a connected graph is connected: it splits
     only when every cycle keeps even parity, which scores 2 phi, and a
     candidate is accepted only below phi.
@@ -135,27 +145,49 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
         while True:
             phi = len(cycles)
             und = [e for e, f in enumerate(inv) if e <= f]
-            # draw i is character i of a candidate's string, so bit m - 1 - i
-            # of its value word; a cycle keeps even parity iff word & (its
-            # edge mask) has an even popcount
             m = len(und)
-            bit = {e: m - 1 - i for i, e in enumerate(und)}
-            masks = []
-            for c in cycles:
-                mask = 0
-                for e in c:
-                    mask ^= 1 << bit[min(e, inv[e])]
-                masks.append(mask)
+            pos = {e: i for i, e in enumerate(und)}
+            # each cycle as the draws of its edges; it keeps even parity
+            # iff an even number of them are "1"
+            cycle_draws = [[pos[min(e, inv[e])] for e in c] for c in cycles]
             best_draws, best_phi = None, phi
-            for _ in range(_BUDGET):
-                draws = _coin_string(rng, m)
-                word = int(draws, 2)
-                odd = sum([(word & mask).bit_count() & 1 for mask in masks])
-                phi2 = 2 * (phi - odd)
-                if phi2 < best_phi:
-                    best_draws, best_phi = draws, phi2
-                    if phi2 == 0:
+            done, b = 0, 16
+            while done < _BUDGET:
+                b = min(b, _BUDGET - done)
+                state = rng.getstate()
+                draws = _coin_string(rng, m * b)   # b candidates in a row
+                # column i holds draw i of candidate k in bit b - 1 - k, a
+                # cycle's row its odd parities, and planes[t] bit t of the
+                # count of odd cycles per candidate
+                cols = [int(draws[i::m], 2) for i in range(m)]
+                planes = []
+                for c in cycle_draws:
+                    row = 0
+                    for i in c:
+                        row ^= cols[i]
+                    for t, plane in enumerate(planes):
+                        planes[t], row = plane ^ row, plane & row
+                        if not row:
+                            break
+                    if row:
+                        planes.append(row)
+                # narrow to the candidates with the most odd cycles
+                top, odd = (1 << b) - 1, 0
+                for t in reversed(range(len(planes))):
+                    if top & planes[t]:
+                        top &= planes[t]
+                        odd += 1 << t
+                if 2 * (phi - odd) < best_phi:
+                    k = b - top.bit_length()        # the first of them
+                    best_draws = draws[k * m:(k + 1) * m]
+                    best_phi = 2 * (phi - odd)
+                    if not best_phi:
+                        # leave rng after candidate k, as if drawn alone
+                        rng.setstate(state)
+                        rng.getrandbits(64 * m * (k + 1))
                         break
+                done += b
+                b *= 4
             if best_draws is None:
                 raise TrialFailed(
                     f"no 2-lift in budget {_BUDGET} reduced the census "
@@ -210,13 +242,14 @@ def _lift_adj(h: MultiGraph, perms):
 
 
 def es_trim_step(h: MultiGraph, tree: SpanningTreeInfo, perms, g: int, far):
-    """Remove the two layers holding the farthest vertex pair far = (v, u,
-    dist) of the lift of h by perms, one mutable list per directed edge
-    and the identity on tree edges, and reconnect the deficient
-    vertices, in place; girth >= g and the cover property persist when
-    the pair is farther apart than D0 = g + 2 diam(T).  Returns the
-    trimmed lift's neighbour lists (_lift_adj).  perms are unchanged when
-    the step is refused, and unusable after the short-cycle guard fails.
+    """Remove the two layers holding the vertex pair far = (v, u, dist),
+    dist a lower bound on their distance, of the lift of h by perms, one
+    mutable list per directed edge and the identity on tree edges, and
+    reconnect the deficient vertices, in place; girth >= g and the cover
+    property persist when the pair is farther apart than D0 = g + 2
+    diam(T).  Returns the trimmed lift's neighbour lists (_lift_adj).
+    perms are unchanged when the step is refused, and unusable after the
+    short-cycle guard fails.
 
     Layers are the connected components of the preimage of the tree, so
     vertex (v, i) lies in layer i.  Each cotree edge makes four writes to
@@ -275,21 +308,65 @@ def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
     return tree
 
 
+def _far_sources(adj, d0: int):
+    """The vertices of the graph with neighbour lists adj from which some
+    vertex is more than d0 away, in ascending order: the sources whose
+    bit some row still lacks after d0 rounds of the all-sources BFS.  A
+    round that changes no row before every row is full means a
+    disconnected graph, as in farthest_pair."""
+    n = len(adj)
+    far = []
+    for lo in range(0, n, _BLOCK):
+        rows = _source_rows(n, lo)
+        full = (1 << min(_BLOCK, n - lo)) - 1
+        for _ in range(d0):
+            nxt = _spread(adj, rows)
+            if nxt == rows:
+                if rows.count(full) < n:
+                    raise GraphError("es_construct needs a connected lift")
+                break
+            rows = nxt
+        missing = full & ~reduce(and_, rows)
+        far += [lo + s for s in range(n - lo) if missing >> s & 1]
+    return far
+
+
 def es_construct(h: MultiGraph, g: int, rng):
-    """Girth >= g cover of h with diameter <= g + 2 diam(T): boost the
-    girth by 2-lifts, normalize the tree edges' permutations to the
+    """Girth >= g cover of h with diameter <= D0 = g + 2 diam(T): boost
+    the girth by 2-lifts, normalize the tree edges' permutations to the
     identity, then trim layers (es_trim_step) until the diameter bound
     holds.
 
+    The trims come in passes.  A pass lists the sources more than D0
+    from some vertex (_far_sources); none left is the stop test.  It
+    walks them in order, skips one whose layer is gone, and trims the
+    next against the first vertex its BFS leaves unreached past D0, until
+    a source reaches every vertex within D0.  Layer i of the pass is
+    layer[i] of the trimmed lift, or -1 once dropped.
+
     The 2-lifts keep the lift connected (see high_girth_cover), so the
-    whole lift is trimmed; were it ever disconnected, farthest_pair would
-    raise GraphError."""
+    whole lift is trimmed; were it ever disconnected, a trim or a pass
+    would raise GraphError."""
     tree = es_tree(h, g)
     a = normalize_tree_layers(high_girth_cover(h, g, rng), tree.tree_edges)
     perms = [list(p) for p in a.perms]
+    nv, d0 = h.vertex_count, tree.d0(g)
     adj = _lift_adj(h, perms)
-    while (far := farthest_pair(adj))[2] > tree.d0(g):
-        adj = es_trim_step(h, tree, perms, g, far)
+    while far := _far_sources(adj, d0):
+        layer = list(range(len(perms[0])))
+        for s in far:
+            i = layer[s // nv]
+            if i < 0:
+                continue
+            s = i * nv + s % nv
+            dist = bfs(adj, s, d0 + 1)
+            if -1 not in dist:
+                break
+            u = dist.index(-1)
+            j = u // nv
+            adj = es_trim_step(h, tree, perms, g, (s, u, d0 + 1))
+            layer = [x - (x > i) - (x > j) if x not in (i, j) else -1
+                     for x in layer]
     return build_lift(LiftAssignment(h, len(perms[0]), perms))
 
 

@@ -17,10 +17,14 @@ construct.greedy_cycle shares pairing_tables, pairing_join and members.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import GraphError, bfs, h23
-from .lifts import LiftAssignment, _perm_inverse
+
+# lifts is imported where a witness is built, so that a refutation
+# compiles only graphs and this module
+if TYPE_CHECKING:
+    from .lifts import LiftAssignment
 
 
 # -- symmetry machinery ----------------------------------------------------
@@ -235,6 +239,8 @@ def minimum_size(g: int, n_max: int) -> SearchOutcome:
     counter = SearchCounter()
     for n in range(2, n_max + 1, 2):
         for sigma2, mu in canonical_enumerate(n, g, counter):
+            from .lifts import LiftAssignment, _perm_inverse
+
             # H23's directed edge ids: 0 v->u, 1 u->v (pair A), 2 v->u,
             # 3 u->v (pair B), 4 the half-loop at u
             ident = tuple(range(n))

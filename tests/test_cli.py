@@ -128,6 +128,19 @@ class TestConstruct:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_es_jobs_do_not_change_output(self, tmp_path, capsys):
+        """es through the process pool prints the row and writes the
+        graph that --jobs 1 does."""
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"es{jobs}.g"
+            assert cli.main(["construct", "--alg", "es", "--g", "9",
+                             "--trials", "6", "--seed", "3", "--jobs", jobs,
+                             "--out", str(out)]) == 0
+            outs.append((capsys.readouterr().out, out.read_text()))
+        assert outs[0] == outs[1]
+        assert outs[0][0].splitlines()[1].startswith("9,es,6,6,")
+
     def test_zero_successes_budget_exit(self, capsys):
         code = cli.main(["construct", "--alg", "a", "--g", "7", "--n", "12",
                          "--trials", "30", "--seed", "0"])
@@ -569,12 +582,14 @@ ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
     (["analyze", "--gmin", "5", "--gmax", "5", "--balls", "2"], ANALYZE),
     (["verify"], {"graphs", "lifts"}),
     (["search", "--g", "6", "--max-n", "6"], {"graphs", "lifts", "search"}),
+    (["search", "--g", "6", "--max-n", "4", "--certify"],
+     {"graphs", "search"}),
     (["construct", "--alg", "gf", "--g", "5", "--trials", "2"],
      {"graphs", "cover_tree", "construct", "lifts"}),
     (["construct", "--alg", "c", "--g", "4", "--n", "8", "--trials", "2"],
-     {"graphs", "cover_tree", "construct", "lifts", "search"}),
+     {"graphs", "construct", "lifts", "search"}),
     (["construct", "--alg", "es", "--g", "5", "--trials", "1"],
-     ANALYZE | {"construct", "lifts"}),
+     {"graphs", "bounds", "construct", "lifts"}),
 ])
 def test_command_loads_only_its_modules(argv, loaded, tmp_path):
     """Each invocation compiles what it imports when bytecode is not

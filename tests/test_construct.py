@@ -6,7 +6,7 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from liftgirth import construct, graphs
+from liftgirth import construct, cover_tree, graphs
 from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.cover_tree import nb_columns, nb_step
 from liftgirth.construct import (GrowState, _coin_string, _lift_adj,
@@ -15,10 +15,11 @@ from liftgirth.construct import (GrowState, _coin_string, _lift_adj,
                                  es_construct, es_trim_step, greedy_cycle,
                                  grow, high_girth_cover,
                                  nb_cycle_profile, surgery_transform)
-from liftgirth.graphs import (GraphError, MultiGraph, TrialFailed, diameter,
-                              farthest_pair, girth)
+from liftgirth.graphs import (GraphError, MultiGraph, TrialFailed, bfs,
+                              diameter, farthest_pair, girth)
 from liftgirth.lifts import (CoverMap, LiftAssignment, _perm_inverse,
-                             build_lift, normalize_tree_layers,
+                             build_lift, half_loop_elimination,
+                             normalize_tree_layers,
                              serialize_cover_map, verify_cover)
 from liftgirth.search import pairing_join, pairing_tables
 from test_graphs import (random_assignment, random_involution, random_lift,
@@ -429,8 +430,8 @@ class TestNBProfile:
         full = [reference_nb_cycle_profile(bouquet, e, 8) for e in edges]
         for g_max in range(1, 9):
             steps = []
-            monkeypatch.setattr(construct, "nb_step", lambda columns, counts:
-                                steps.append(counts)
+            monkeypatch.setattr(cover_tree, "nb_step",
+                                lambda columns, counts: steps.append(counts)
                                 or nb_step(columns, counts))
             assert nb_cycle_profile(nb_columns(bouquet), edges, g_max) \
                 == [p[:g_max] for p in full]
@@ -454,6 +455,72 @@ class TestNBProfile:
         for g in (edgeless, h23, k4):
             for g_max in range(4):
                 assert nb_cycle_profile(nb_columns(g), [], g_max) == []
+
+
+def census_cases(loopy_lifts):
+    """(base, g, seed) runs of high_girth_cover that meet many girth
+    levels and census sizes."""
+    cases = [(graphs.h23(), g, seed) for g in range(7, 14)
+             for seed in (0, 1, 2)]
+    cases += [(graphs.k32(), 10, 1), (graphs.complete_graph(4), 7, 2),
+              (graphs.petersen(), 8, 0)]
+    # cycle-rich loopy bases carry short cycles: twelve whole-loops
+    # are seldom all flipped, and of three parallel edges two always
+    # keep even parity
+    cases += [(g, 6, 0) for g in loopy_lifts
+              if min(g.degrees()) >= 2 and max(g.degrees()) <= 4]
+    cases += [(MultiGraph.build(1, [("wholeloop", 0)] * 12), 2, 0),
+              (MultiGraph.build(2, [("edge", 0, 1)] * 3), 5, 0)]
+    return cases
+
+
+def reference_high_girth_cover(h, g, rng, ends):
+    """high_girth_cover scoring one candidate at a time, the loop that
+    its batches replace; appends to ends, per round, the index of the
+    last candidate drawn and whether it cleared every cycle."""
+    construct.check_min_degree(h)
+    a, G = LiftAssignment.identity(h, 1), h
+    if g > 1 and any(map(h.is_half_loop, range(h.edge_count))):
+        a = half_loop_elimination(h)
+        G = build_lift(a)[0]
+    while (gamma := girth(G)) < g:
+        inv, cycles = G.inv, cycles_of_length(G, gamma)
+        while True:
+            phi = len(cycles)
+            und = [e for e, f in enumerate(inv) if e <= f]
+            m = len(und)
+            bit = {e: m - 1 - i for i, e in enumerate(und)}
+            masks = []
+            for c in cycles:
+                mask = 0
+                for e in c:
+                    mask ^= 1 << bit[min(e, inv[e])]
+                masks.append(mask)
+            best_draws, best_phi = None, phi
+            for k in range(construct._BUDGET):
+                draws = _coin_string(rng, m)
+                word = int(draws, 2)
+                odd = sum((word & mask).bit_count() & 1 for mask in masks)
+                if 2 * (phi - odd) < best_phi:
+                    best_draws, best_phi = draws, 2 * (phi - odd)
+                    if not best_phi:
+                        break
+            ends.append((k, not best_phi))
+            if best_draws is None:
+                raise TrialFailed(
+                    f"no 2-lift in budget {construct._BUDGET} reduced the "
+                    f"census (girth {gamma}, {phi} shortest cycles)")
+            flips = [False] * len(inv)
+            for i, e in enumerate(und):
+                flips[e] = flips[inv[e]] = best_draws[i] == "1"
+            a = a.double(flips)
+            if not best_phi:
+                break
+            inv, cycles = construct._lift_census(inv, cycles, flips)
+        if gamma + 1 >= g:
+            return a
+        G = build_lift(a)[0]
+    return a
 
 
 class TestHighGirthCover:
@@ -521,23 +588,68 @@ class TestHighGirthCover:
             return inv, cycles
 
         monkeypatch.setattr(construct, "_lift_census", checked)
-        cases = [(graphs.h23(), g, seed) for g in range(7, 14)
-                 for seed in (0, 1, 2)]
-        cases += [(graphs.k32(), 10, 1), (graphs.complete_graph(4), 7, 2),
-                  (graphs.petersen(), 8, 0)]
-        # cycle-rich loopy bases carry short cycles: twelve whole-loops
-        # are seldom all flipped, and of three parallel edges two always
-        # keep even parity
-        cases += [(g, 6, 0) for g in loopy_lifts
-                  if min(g.degrees()) >= 2 and max(g.degrees()) <= 4]
-        cases += [(MultiGraph.build(1, [("wholeloop", 0)] * 12), 2, 0),
-                  (MultiGraph.build(2, [("edge", 0, 1)] * 3), 5, 0)]
-        for h, g, seed in cases:
+        for h, g, seed in census_cases(loopy_lifts):
             try:
                 high_girth_cover(h, g, random.Random(seed))
             except TrialFailed:
                 pass
         assert {1, 2, 4, 6, 10, 12} <= set(levels)
+
+    def test_batches_match_one_candidate_at_a_time(self, loopy_lifts,
+                                                   monkeypatch):
+        """Scored in batches, each round picks the 2-lift the one-at-a-time
+        loop picks, with the same phi (the carried census size, 0 when
+        none is carried), and leaves the generator in the same state;
+        whole runs end alike, TrialFailed included.  The rounds end at
+        candidate 0, inside a batch, at a batch's last candidate and out
+        of budget, also under budgets of 5 (where whole runs fail) and
+        20 (a batch of 16, then one of 4)."""
+        log = []
+        double, lift_census = LiftAssignment.double, construct._lift_census
+
+        def census(*args):
+            inv, cycles = lift_census(*args)
+            log.append(len(cycles))
+            return inv, cycles
+
+        monkeypatch.setattr(
+            LiftAssignment, "double", lambda a, flips:
+            log.append((tuple(flips), rng.getstate())) or double(a, flips))
+        monkeypatch.setattr(construct, "_lift_census", census)
+
+        def outcome(run, *args):
+            log.clear()
+            try:
+                result = run(*args).perms
+            except TrialFailed as exc:
+                result = str(exc)
+            return result, list(log), rng.getstate()
+
+        kinds = set()
+        runs = [(1000, h, g, seed) for h, g, seed in census_cases(loopy_lifts)]
+        # a bouquet of L whole-loops clears them all with probability
+        # 2^-L per candidate; these seeds do so first at candidate 15
+        runs += [(1000, MultiGraph.build(1, [("wholeloop", 0)] * loops), 2,
+                  seed) for loops, seed in ((4, 27), (6, 32))]
+        runs += [(budget, graphs.h23(), g, seed) for budget in (5, 20)
+                 for g in (9, 10, 11) for seed in range(3)]
+        for budget, h, g, seed in runs:
+            monkeypatch.setattr(construct, "_BUDGET", budget)
+            rng = random.Random(seed)
+            mine = outcome(high_girth_cover, h, g, rng)
+            ends = []
+            rng = random.Random(seed)
+            assert mine == outcome(reference_high_girth_cover, h, g, rng,
+                                   ends), (h, g, seed, budget)
+            for k, cleared in ends:
+                kinds.add("budget" if not cleared
+                          else "first" if k == 0
+                          else "boundary" if k + 1 in (16, 80, 336)
+                          else "mid")
+            if isinstance(mine[0], str):
+                kinds.add(f"failed at budget {budget}")
+        assert kinds == {"first", "mid", "boundary", "budget",
+                         "failed at budget 5"}
 
     def test_measures_each_level_once(self, monkeypatch):
         """The loop measures girth levels in strictly increasing order,
@@ -741,17 +853,35 @@ def reference_es_trim_step(a, tree, g, far):
 
 
 def reference_es_construct(h, g, seed):
-    """es_construct with the whole-graph loop: every step builds the lift
-    of its assignment, finds its farthest pair and takes the reference
-    step.  The farthest pair of each step, and the final (graph, cover)."""
+    """es_construct's trim rule on whole graphs: each pass runs a BFS
+    from every vertex of the built lift and lists those with a vertex
+    more than D0 away; its walk re-checks each listed source that keeps
+    its layer by a BFS in a freshly built lift and takes the reference
+    step against the first such vertex, until a source has none.  The
+    trimmed pairs and the final (graph, cover)."""
     tree, a = trim_start(h, g, seed)
+    d0, nv = tree.d0(g), h.vertex_count
     pairs = []
+
+    def beyond(graph, s):
+        return [v for v, d in enumerate(bfs(graph.adj, s)) if d < 0 or d > d0]
+
     while True:
         graph, cover = build_lift(a)
-        pairs.append(farthest_pair(graph.adj))
-        if pairs[-1][2] <= tree.d0(g):
+        far = [s for s in range(graph.vertex_count) if beyond(graph, s)]
+        if not far:
             return pairs, (graph, cover)
-        a = reference_es_trim_step(a, tree, g, pairs[-1])
+        kept = list(range(a.height))        # the pass's layers still there
+        for s in far:
+            if s // nv not in kept:
+                continue
+            s = kept.index(s // nv) * nv + s % nv
+            u = beyond(build_lift(a)[0], s)
+            if not u:
+                break
+            pairs.append((s, u[0], d0 + 1))
+            a = reference_es_trim_step(a, tree, g, pairs[-1])
+            del kept[max(s, u[0]) // nv], kept[min(s, u[0]) // nv]
 
 
 def in_place_trim(a, tree, g, far):
@@ -855,12 +985,18 @@ class TestTrim:
                     == reference_short_cycle_edges(g, edges, bound)
 
     def test_es_construct_matches_reference(self, monkeypatch):
-        """The in-place loop picks the farthest pair of every step as the
-        whole-graph loop does and ends with the same (graph, cover), on
-        TRIM_CASES with their seeds."""
+        """The in-place loop trims the pairs of the whole-graph loop, each
+        more than D0 apart in the lift it is trimmed from, and ends with
+        the same (graph, cover), on TRIM_CASES with their seeds."""
         pairs = []
-        monkeypatch.setattr(construct, "farthest_pair", lambda adj:
-                            pairs.append(farthest_pair(adj)) or pairs[-1])
+
+        def spy(h, tree, perms, g, far):
+            dist = bfs(_lift_adj(h, perms), far[0])[far[1]]
+            assert dist < 0 or dist > tree.d0(g) == far[2] - 1
+            pairs.append(far)
+            return es_trim_step(h, tree, perms, g, far)
+
+        monkeypatch.setattr(construct, "es_trim_step", spy)
         steps = 0
         for h, g, seeds in TRIM_CASES:
             for seed in seeds:
@@ -868,8 +1004,29 @@ class TestTrim:
                 out = es_construct(h, g, random.Random(seed))
                 want_pairs, want = reference_es_construct(h, g, seed)
                 assert (pairs, out) == (want_pairs, want), (h, g, seed)
-                steps += len(pairs) - 1
-        assert steps == 47
+                steps += len(pairs)
+        assert steps == 48
+
+    def test_disconnected_lift_is_an_invariant_failure(self, h23,
+                                                       monkeypatch):
+        """A pass over a disconnected lift raises GraphError, not
+        TrialFailed: two copies of a girth-7 H23 lift have every row
+        settled within D0 rounds, yet none full."""
+        a = high_girth_cover(h23, 7, random.Random(0))
+        n = a.height
+        twice = LiftAssignment(h23, 2 * n, [
+            p + tuple(x + n for x in p) for p in a.perms])
+        adj = build_lift(twice)[0].adj
+        d0 = spanning_tree(h23).d0(7)
+        assert max(bfs(adj, 0)) < d0
+        with pytest.raises(GraphError, match="connected") as info:
+            construct._far_sources(adj, d0)
+        assert not isinstance(info.value, TrialFailed)
+        monkeypatch.setattr(construct, "high_girth_cover",
+                            lambda h, g, rng: twice)
+        with pytest.raises(GraphError, match="connected") as info:
+            es_construct(h23, 7, random.Random(0))
+        assert not isinstance(info.value, TrialFailed)
 
     def test_es_construct_postconditions(self, h23):
         for g in (4, 5, 6):
@@ -901,13 +1058,14 @@ class TestTrim:
 
 class TestPinnedOutputs:
     """SHA-256 of serialize_graph + serialize_cover_map, recorded before
-    the 2-lifts were composed as lift assignments; any relabelling of
-    vertices or edges changes them."""
+    the 2-lifts were composed as lift assignments (ES11 again when the
+    trims began to come in passes); any relabelling of vertices or edges
+    changes them."""
 
     ES11 = {
-        0: "0c8bb0a613c39e43929c477ed8434ec12340caabd14553927883baff730af376",
-        1: "748e9afacd9229724dcde55863aa11219d41a8e5f5cec7a3aa68a4ea34cb1055",
-        2: "d5bfd9983e380d1ce6e4b7dc229bd4f68e77cf3908f37eb7d22b0cbbd4e6afec",
+        0: "15dbad79bbc236b7af36eda4f9a6597a5dd015cb792236412fb0a5e13a76133b",
+        1: "120c5c7ef15837bdd05a3c4129a9eb5b2f9f22f8a3fc665d30470bdd217a0d07",
+        2: "0f3f7c78b9edfd9872e6b61217a3ed1a849a47a7c22804b9f851bcf26669bd60",
     }
 
     def test_es_construct_h23_g11(self, h23, es11):
