@@ -12,12 +12,11 @@ Three families:
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import and_, rshift
 from typing import TYPE_CHECKING
 
-from .graphs import (_BLOCK, GraphError, MultiGraph, TrialFailed,
-                     _source_rows, _spread, bfs, girth)
+from .graphs import (GraphError, MultiGraph, TrialFailed, _spread, bfs,
+                     far_sources, girth)
 from .lifts import (LiftAssignment, build_lift, half_loop_elimination,
                     normalize_tree_layers)
 
@@ -308,29 +307,6 @@ def es_tree(h: MultiGraph, g: int) -> SpanningTreeInfo:
     return tree
 
 
-def _far_sources(adj, d0: int):
-    """The vertices of the graph with neighbour lists adj from which some
-    vertex is more than d0 away, in ascending order: the sources whose
-    bit some row still lacks after d0 rounds of the all-sources BFS.  A
-    round that changes no row before every row is full means a
-    disconnected graph, as in farthest_pair."""
-    n = len(adj)
-    far = []
-    for lo in range(0, n, _BLOCK):
-        rows = _source_rows(n, lo)
-        full = (1 << min(_BLOCK, n - lo)) - 1
-        for _ in range(d0):
-            nxt = _spread(adj, rows)
-            if nxt == rows:
-                if rows.count(full) < n:
-                    raise GraphError("es_construct needs a connected lift")
-                break
-            rows = nxt
-        missing = full & ~reduce(and_, rows)
-        far += [lo + s for s in range(n - lo) if missing >> s & 1]
-    return far
-
-
 def es_construct(h: MultiGraph, g: int, rng):
     """Girth >= g cover of h with diameter <= D0 = g + 2 diam(T): boost
     the girth by 2-lifts, normalize the tree edges' permutations to the
@@ -338,7 +314,7 @@ def es_construct(h: MultiGraph, g: int, rng):
     holds.
 
     The trims come in passes.  A pass lists the sources more than D0
-    from some vertex (_far_sources); none left is the stop test.  It
+    from some vertex (far_sources); none left is the stop test.  It
     walks them in order, skips one whose layer is gone, and trims the
     next against the first vertex its BFS leaves unreached past D0, until
     a source reaches every vertex within D0.  Layer i of the pass is
@@ -352,7 +328,7 @@ def es_construct(h: MultiGraph, g: int, rng):
     perms = [list(p) for p in a.perms]
     nv, d0 = h.vertex_count, tree.d0(g)
     adj = _lift_adj(h, perms)
-    while far := _far_sources(adj, d0):
+    while far := far_sources(adj, d0):
         layer = list(range(len(perms[0])))
         for s in far:
             i = layer[s // nv]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 
 
 class GraphError(Exception):
@@ -208,6 +209,36 @@ def _spread(adj, rows):
     return nxt
 
 
+def _sweep(adj, lo, rounds):
+    """(before, rows, d): the all-sources BFS of the block at lo run for
+    d <= rounds rounds, stopping early once every row is full; rows after
+    round d and before it.  A round that changes no row before then means
+    a disconnected graph."""
+    n = len(adj)
+    rows = _source_rows(n, lo)
+    full = (1 << min(_BLOCK, n - lo)) - 1
+    before, d = [0] * n, 0
+    while d < rounds and rows.count(full) < n:
+        nxt = _spread(adj, rows)
+        if nxt == rows:
+            raise GraphError("the graph is not connected")
+        before, rows, d = rows, nxt, d + 1
+    return before, rows, d
+
+
+def far_sources(adj, radius):
+    """The vertices of the graph with neighbour lists adj from which some
+    vertex is more than radius away, in ascending order: the sources whose
+    bit some row still lacks after radius rounds."""
+    n = len(adj)
+    far = []
+    for lo in range(0, n, _BLOCK):
+        missing = ~reduce(operator.and_, _sweep(adj, lo, radius)[1])
+        far += [lo + s for s in range(min(_BLOCK, n - lo))
+                if missing >> s & 1]
+    return far
+
+
 # -- distances -------------------------------------------------------------
 
 def distance(g: MultiGraph, u, v):
@@ -220,32 +251,20 @@ def farthest_pair(adj):
     """(u, v, d) with d the diameter of the graph with neighbour lists adj,
     as bfs takes them; ties broken by smallest (u, v) pair.
 
-    Within a block of sources, the round of the all-sources BFS that
-    fills every row is the largest eccentricity d; u is the smallest
-    source new in that round and v the smallest vertex it reached then.
-    A round that adds no bit before that means a disconnected graph.
-    Blocks run in ascending order and a later one wins only with a
-    larger d."""
+    A block swept to the end takes as many rounds as its largest
+    eccentricity d, and its sources of eccentricity d are the bits some
+    row lacked before the last round.  u is the smallest of them in the
+    first block of largest d, and v the first vertex d away from u."""
     n = len(adj)
     best = None
     for lo in range(0, n, _BLOCK):
-        rows = _source_rows(n, lo)
-        full = (1 << min(_BLOCK, n - lo)) - 1
-        before, d = [0] * n, 0      # rows before the last round
-        while rows.count(full) < n:
-            nxt = _spread(adj, rows)
-            if nxt == rows:
-                raise GraphError("farthest_pair requires a connected graph")
-            before, rows, d = rows, nxt, d + 1
-        if best is None or d > best[2]:
-            new = [r & ~b for r, b in zip(rows, before)]
-            union = 0
-            for x in new:
-                union |= x
-            bit = union & -union
-            v = next(v for v, x in enumerate(new) if x & bit)
-            best = (lo + bit.bit_length() - 1, v, d)
-    return best
+        before, _, d = _sweep(adj, lo, n)
+        if best is None or d > best[1]:
+            best = lo, d, before
+    lo, d, before = best
+    missing = ~reduce(operator.and_, before)
+    u = lo + (missing & -missing).bit_length() - 1
+    return u, bfs(adj, u).index(d), d
 
 
 def diameter(g: MultiGraph):

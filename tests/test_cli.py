@@ -586,6 +586,10 @@ ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
      {"graphs", "search"}),
     (["construct", "--alg", "gf", "--g", "5", "--trials", "2"],
      {"graphs", "cover_tree", "construct", "lifts"}),
+    (["construct", "--alg", "gd", "--g", "5", "--trials", "2"],
+     {"graphs", "construct", "lifts"}),
+    (["construct", "--alg", "2lift", "--g", "4", "--trials", "2"],
+     {"graphs", "construct", "lifts"}),
     (["construct", "--alg", "c", "--g", "4", "--n", "8", "--trials", "2"],
      {"graphs", "construct", "lifts", "search"}),
     (["construct", "--alg", "es", "--g", "5", "--trials", "1"],

@@ -1020,7 +1020,7 @@ class TestTrim:
         d0 = spanning_tree(h23).d0(7)
         assert max(bfs(adj, 0)) < d0
         with pytest.raises(GraphError, match="connected") as info:
-            construct._far_sources(adj, d0)
+            graphs.far_sources(adj, d0)
         assert not isinstance(info.value, TrialFailed)
         monkeypatch.setattr(construct, "high_girth_cover",
                             lambda h, g, rng: twice)

@@ -10,9 +10,9 @@ import pytest
 
 from liftgirth import graphs
 from liftgirth.graphs import (GraphError, MultiGraph, ParseError, admissible,
-                              bfs, diameter, distance, farthest_pair,
-                              file_edge_ids, girth, is_connected,
-                              parse_graph, serialize_graph)
+                              bfs, diameter, distance, far_sources,
+                              farthest_pair, file_edge_ids, girth,
+                              is_connected, parse_graph, serialize_graph)
 from liftgirth.construct import high_girth_cover
 from liftgirth.lifts import LiftAssignment, build_lift
 
@@ -153,7 +153,7 @@ def reference_farthest_pair(g):
     for u in range(g.vertex_count):
         dist = bfs(g.adj, u)
         if min(dist) < 0:
-            raise GraphError("farthest_pair requires a connected graph")
+            raise GraphError("the graph is not connected")
         d = max(dist)
         if d > best[0]:
             best = (d, u, dist.index(d))
@@ -352,8 +352,24 @@ def outcome(fn, g):
         return str(exc)
 
 
+def check_far_sources(g, pair):
+    """far_sources against one BFS per source at radii diameter - 3 ..
+    diameter, given reference_farthest_pair's outcome on g; on a
+    disconnected graph, radius |V| raises as farthest_pair does."""
+    if isinstance(pair, str):
+        assert outcome(lambda g: far_sources(g.adj, g.vertex_count),
+                       g) == pair, serialize_graph(g)
+        return
+    ecc = [max(bfs(g.adj, s)) for s in range(g.vertex_count)]
+    for radius in range(max(0, pair[2] - 3), pair[2] + 1):
+        want = [s for s, e in enumerate(ecc) if e > radius]
+        assert far_sources(g.adj, radius) == want, (radius,
+                                                    serialize_graph(g))
+
+
 class TestAllSourcesKernels:
-    """girth and farthest_pair against one BFS per root or source."""
+    """girth, farthest_pair and far_sources against one BFS per root or
+    source."""
 
     def test_cases_cover_every_shape(self, kernel_cases):
         girths = {reference_girth(g) for g in kernel_cases}
@@ -370,6 +386,7 @@ class TestAllSourcesKernels:
         for g in kernel_cases:
             want = outcome(reference_farthest_pair, g)
             assert outcome(farthest_pair, g.adj) == want, serialize_graph(g)
+            check_far_sources(g, want)
 
     def test_disconnected_diameter_is_inf(self, kernel_cases):
         for g in kernel_cases:
@@ -379,13 +396,15 @@ class TestAllSourcesKernels:
     @pytest.mark.parametrize("width", [1, 3, 7])
     def test_blocks_of_sources(self, kernel_cases, monkeypatch, width):
         """Several blocks: the first block of largest eccentricity keeps
-        the pair, and the girth is the minimum over blocks."""
+        the pair, the girth is the minimum over blocks, and the far
+        sources are their union."""
         small = [g for g in kernel_cases if g.vertex_count <= 60]
         monkeypatch.setattr(graphs, "_BLOCK", width)
         for g in small:
             assert girth(g) == reference_girth(g), serialize_graph(g)
             want = outcome(reference_farthest_pair, g)
             assert outcome(farthest_pair, g.adj) == want, serialize_graph(g)
+            check_far_sources(g, want)
 
 
 class TestFileFormat:

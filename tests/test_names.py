@@ -122,6 +122,30 @@ def test_imports_are_used():
     assert not unused
 
 
+# The underscore names one src module may import from another: gd's
+# short-cycle pass runs on the all-sources BFS step, and the search's
+# witness inverts its permutations as lifts does.
+SHARED_PRIVATE = {("graphs", "_spread"), ("lifts", "_perm_inverse")}
+
+
+def test_no_module_imports_anothers_private_names():
+    """A src module imports no underscore name of another src module,
+    except SHARED_PRIVATE: a private name has one home, so a constant such
+    as graphs._BLOCK cannot be bound twice and drift apart."""
+    crossed = []
+    for path in sorted(Path(liftgirth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and (node.level or node.module.startswith("liftgirth"))):
+                continue
+            module = node.module.rsplit(".", 1)[-1]
+            crossed += [f"{path.name}:{node.lineno} {module}.{alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                        and (module, alias.name) not in SHARED_PRIVATE]
+    assert not crossed
+
+
 def test_readme_citations_resolve():
     """Every backticked `module.name` in README.md whose module is a
     liftgirth submodule is an attribute of it, and every backticked
