@@ -20,7 +20,7 @@ from .graphs import (GraphError, ParseError, TrialFailed, diameter, girth,
 # loads them all: `perfbench/run.py --trace 1` imports this module and
 # then looks each traced function up in sys.modules.
 if __name__ != "__main__":
-    from . import bounds, construct, search, spectral  # noqa: F401
+    from . import bounds, construct, lifts, search, spectral  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -125,7 +125,6 @@ def run_trial(alg, g, n, seed, base):
     Top level so a process pool can dispatch it.
     """
     from .construct import es_construct, greedy_cycle, grow, high_girth_cover
-    from .lifts import build_lift
 
     rng = random.Random(seed)
     try:
@@ -136,6 +135,7 @@ def run_trial(alg, g, n, seed, base):
         elif alg == "es":
             graph, _ = es_construct(base, g, rng)
         else:
+            from .lifts import build_lift
             graph, _ = build_lift(high_girth_cover(base, g, rng))
     except TrialFailed:
         return None

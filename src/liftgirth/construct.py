@@ -12,20 +12,19 @@ Three families:
 
 from __future__ import annotations
 
-from operator import and_, rshift
+from functools import reduce
+from operator import and_, or_, rshift
 from typing import TYPE_CHECKING
 
 from .graphs import (GraphError, MultiGraph, TrialFailed, _spread, bfs,
                      far_sources, girth)
-from .lifts import (LiftAssignment, build_lift, half_loop_elimination,
-                    normalize_tree_layers)
 
-# bounds (for es), search (for greedy) and cover_tree (for gf) are imported
-# where they run: an invocation compiles what it imports when bytecode is
-# not cached, so a construct run compiles only what its algorithm uses, as
-# in cli.
+# bounds (es), lifts (es, 2lift), search (greedy) and cover_tree (gf) are
+# imported where they run: an invocation compiles what it imports without
+# cached bytecode, so a construct run compiles only what its algorithm uses.
 if TYPE_CHECKING:
     from .bounds import SpanningTreeInfo
+    from .lifts import LiftAssignment
 
 
 # -- cycle counting --------------------------------------------------------
@@ -132,6 +131,7 @@ def high_girth_cover(h: MultiGraph, g: int, rng) -> LiftAssignment:
     only when every cycle keeps even parity, which scores 2 phi, and a
     candidate is accepted only below phi.
     """
+    from .lifts import LiftAssignment, build_lift, half_loop_elimination
     check_min_degree(h)
     a, G = LiftAssignment.identity(h, 1), h
     # a half-loop is a 1-cycle, so it must go unless g <= 1
@@ -323,6 +323,7 @@ def es_construct(h: MultiGraph, g: int, rng):
     The 2-lifts keep the lift connected (see high_girth_cover), so the
     whole lift is trimmed; were it ever disconnected, a trim or a pass
     would raise GraphError."""
+    from .lifts import LiftAssignment, build_lift, normalize_tree_layers
     tree = es_tree(h, g)
     a = normalize_tree_layers(high_girth_cover(h, g, rng), tree.tree_edges)
     perms = [list(p) for p in a.perms]
@@ -527,19 +528,23 @@ def _short_cycle_vertices(adj, bound):
     """The degree-2 vertices of the graph with neighbour lists adj, each
     mapped to 1 if it lies on a cycle shorter than bound and to 0 if not;
     no degree-2 vertex may carry a loop (a GrowState is always simple).
-    A cycle through such a v passes through both its neighbours a and b,
-    so it is shorter than bound iff d(a, b) <= bound - 3 in the graph
-    minus v: bit k of the k-th degree-2 vertex starts at a, spreads by
-    graphs._spread, is cleared at v every round, and after bound - 3
-    rounds is set at b iff v is on a short cycle."""
+    Such a cycle through v passes both its neighbours a and b, so v is on
+    one iff d(a, b) <= r = bound - 3 in G - v, iff some x is within
+    ceil(r/2) of a and r // 2 of b.  The k-th of K such v starts bit k at a
+    and K + k at b, cleared at v each round of graphs._spread; rows after
+    r // 2 rounds and up after ceil(r/2) meet in up[x] & rows[x] >> K."""
     deg2 = [v for v, nbrs in enumerate(adj) if len(nbrs) == 2]
+    K, r = len(deg2), bound - 3
     rows, keep = [0] * len(adj), [-1] * len(adj)
     for k, v in enumerate(deg2):
         rows[adj[v][0]] |= 1 << k
-        keep[v] = ~(1 << k)
-    for _ in range(bound - 3):
+        rows[adj[v][1]] |= 1 << K + k
+        keep[v] = ~(1 << k | 1 << K + k)
+    for _ in range(r // 2):
         rows = list(map(and_, _spread(adj, rows), keep))
-    return {v: rows[adj[v][1]] >> k & 1 for k, v in enumerate(deg2)}
+    up = list(map(and_, _spread(adj, rows), keep)) if r % 2 else rows
+    met = reduce(or_, [x & y >> K for x, y in zip(up, rows)], 0)
+    return {v: met >> k & 1 for k, v in enumerate(deg2)}
 
 
 def _on_short_cycle(adj, v: int, w: int, bound: int) -> bool:
@@ -576,8 +581,10 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
     The u-u edges of a cover form a matching, so every cycle has a u-v
     edge: the girth is >= g exactly when gd finds no u-v edge on a cycle
     shorter than g, or every profile of gf is zero, and growth stops there.
-    A trial edits one GrowState in place and builds one MultiGraph, its
-    output; gf keeps B's columns for the whole trial (_edit_columns).
+    The four darts at a degree-2 vertex v share one profile, so gf walks
+    one per v: a closed walk through a -> v goes on to b, and its reversal
+    passes b -> v at the same places.  A trial edits one GrowState in place
+    and builds one MultiGraph; gf keeps B's columns (_edit_columns).
     """
     if variant not in ("gd", "gf"):
         raise GraphError(f"unknown growth variant {variant!r}")
@@ -602,9 +609,12 @@ def grow(variant: str, g: int, rng) -> MultiGraph:
                 da[tail[f]], da[head[f]], db[tail[f]], db[head[f]]), rng)
             state.surgery(e, f)
         else:
-            profiles = dict(zip(uv, nb_cycle_profile(columns, uv, g - 1)))
-            if not any(map(any, profiles.values())):
+            darts = {head[e]: e for e in uv}    # one dart per v
+            prof = nb_cycle_profile(columns, darts.values(), g - 1)
+            if not any(map(any, prof)):
                 return state.graph()
+            by_end = dict(zip(darts, prof))
+            profiles = {e: by_end[head[e]] for e in uv}
             e = _pick_max(uv, profiles.__getitem__, rng)
             others = [f for f in uv if f != e]
             dist = bfs(adj, head[e])

@@ -585,13 +585,13 @@ ANALYZE = {"graphs", "bounds", "cover_tree", "spectral"}
     (["search", "--g", "6", "--max-n", "4", "--certify"],
      {"graphs", "search"}),
     (["construct", "--alg", "gf", "--g", "5", "--trials", "2"],
-     {"graphs", "cover_tree", "construct", "lifts"}),
+     {"graphs", "cover_tree", "construct"}),
     (["construct", "--alg", "gd", "--g", "5", "--trials", "2"],
-     {"graphs", "construct", "lifts"}),
+     {"graphs", "construct"}),
     (["construct", "--alg", "2lift", "--g", "4", "--trials", "2"],
      {"graphs", "construct", "lifts"}),
     (["construct", "--alg", "c", "--g", "4", "--n", "8", "--trials", "2"],
-     {"graphs", "construct", "lifts", "search"}),
+     {"graphs", "construct", "search"}),
     (["construct", "--alg", "es", "--g", "5", "--trials", "1"],
      {"graphs", "bounds", "construct", "lifts"}),
 ])

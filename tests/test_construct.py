@@ -6,7 +6,7 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from liftgirth import construct, cover_tree, graphs
+from liftgirth import construct, cover_tree, graphs, lifts
 from liftgirth.bounds import es_upper_bound, spanning_tree
 from liftgirth.cover_tree import nb_columns, nb_step
 from liftgirth.construct import (GrowState, _coin_string, _lift_adj,
@@ -396,7 +396,8 @@ class TestNBProfile:
 
     def test_matches_reference_on_growth(self, growth_runs):
         """All u-v edges of every graph that gf and gd step through, at
-        every g_max up to 12."""
+        every g_max up to 12; the two u-v edges into a degree-2 vertex
+        have one profile, so gf walks one of them."""
         for run in growth_runs.values():
             for g in run:
                 uv = uv_edges(g)
@@ -404,6 +405,14 @@ class TestNBProfile:
                 for g_max in range(1, 13):
                     assert nb_cycle_profile(nb_columns(g), uv, g_max) \
                         == [p[:g_max] for p in full]
+                into = [e if g.head[e] == v_end(g, e) else g.inv[e]
+                        for e in uv]
+                by_v = {}
+                for e, p in zip(into, nb_cycle_profile(nb_columns(g), into,
+                                                       12)):
+                    by_v.setdefault(g.head[e], []).append(p)
+                assert all(len(ps) == 2 and ps[0] == ps[1]
+                           for ps in by_v.values())
 
     def test_matches_reference_on_loopy_lifts(self, loopy_lifts):
         """Every directed edge, loops of both kinds included; the reference
@@ -659,17 +668,18 @@ class TestHighGirthCover:
         clears level g - 1: that lift is returned unmeasured."""
         log = []
 
-        def record(name, entry):
-            fn = getattr(construct, name)
+        def record(module, name, entry):
+            fn = getattr(module, name)
 
             def recorder(*args):
                 value = fn(*args)
                 log.append((name, *entry(args, value)))
                 return value
-            monkeypatch.setattr(construct, name, recorder)
-        record("girth", lambda args, value: (args[0], value))
-        record("cycles_of_length", lambda args, value: args)
-        record("build_lift", lambda args, value: (value[0], None))
+            monkeypatch.setattr(module, name, recorder)
+        record(construct, "girth", lambda args, value: (args[0], value))
+        record(construct, "cycles_of_length", lambda args, value: args)
+        # high_girth_cover imports build_lift from lifts when it runs
+        record(lifts, "build_lift", lambda args, value: (value[0], None))
         cases = [(graphs.h23(), g) for g in range(6, 13)]
         cases += [(graphs.k32(), g) for g in range(5, 11)]
         cases += [(graphs.petersen(), g) for g in range(6, 10)]
